@@ -6,12 +6,19 @@ delete purges the element's create/update entries so only the tombstone
 remains — deleted elements must stay announceable to late-syncing clients
 without dragging their full history along.  Timestamps are logical: equal
 timestamps mean "same transaction", larger means "committed later".
+
+Cost of each question, for a log of n entries: `ts`, `actions`,
+`latest_ts` and `is_deleted` are O(1) dict probes; `deletions_since` is
+O(log n + k), a bisection of the tombstone list plus one step per tombstone
+recorded after the cursor.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import NonMonotonicTimestampError
 from .model import Link
@@ -26,10 +33,17 @@ class ActionType(enum.Enum):
     DELETE = "delete"
 
 
+_ACTIONS = tuple(ActionType)
+
+
 @dataclass
 class ChangeLog:
     # (element, action) -> timestamp of the latest such action
     _entries: dict[tuple[Element, ActionType], int] = field(default_factory=dict)
+    # (ts, element) of every delete, in record order and so in timestamp
+    # order; an entry is stale once its element's DELETE entry no longer
+    # holds its ts (a re-created link, or a later delete)
+    _tombstones: list[tuple[int, Element]] = field(default_factory=list)
     _max_ts: int = 0
 
     @property
@@ -46,6 +60,7 @@ class ChangeLog:
             # Collapse to a tombstone: id and delete time only.
             self._entries.pop((element, ActionType.CREATE), None)
             self._entries.pop((element, ActionType.UPDATE), None)
+            self._tombstones.append((ts, element))
         elif action is ActionType.CREATE and isinstance(element, Link):
             # Links are identified by their triple, so the same link can be
             # re-created after a delete.  The new create supersedes the
@@ -59,10 +74,11 @@ class ChangeLog:
         return self._entries.get((element, action))
 
     def actions(self, element: Element) -> dict[ActionType, int]:
+        entries = self._entries
         return {
-            action: ts
-            for (elem, action), ts in self._entries.items()
-            if elem == element
+            action: entries[(element, action)]
+            for action in _ACTIONS
+            if (element, action) in entries
         }
 
     def latest_ts(self, element: Element) -> int | None:
@@ -76,9 +92,10 @@ class ChangeLog:
         """Elements deleted strictly after ts_ls: (object ids, links)."""
         objects: set[str] = set()
         links: set[Link] = set()
-        for (element, action), ts in self._entries.items():
-            if action is not ActionType.DELETE or ts <= ts_ls:
-                continue
+        start = bisect_right(self._tombstones, ts_ls, key=itemgetter(0))
+        for ts, element in self._tombstones[start:]:
+            if self._entries.get((element, ActionType.DELETE)) != ts:
+                continue  # re-created, or deleted again later
             if isinstance(element, Link):
                 links.add(element)
             else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import TokenError
 
@@ -61,16 +62,15 @@ class AssociationDef:
             )
 
 
-@dataclass(frozen=True, order=True)
-class Link:
-    """A typed link; identity is the full (src, dst, association) triple."""
+class Link(NamedTuple):
+    """A typed link; identity is the full (src, dst, association) triple.
+
+    A named tuple, so hashing, equality and ordering run in C; links sort
+    by (src, dst, assoc)."""
 
     src: str
     dst: str
     assoc: str
-
-    def endpoints(self) -> tuple[str, str]:
-        return (self.src, self.dst)
 
     def touches(self, object_id: str) -> bool:
         return object_id == self.src or object_id == self.dst
@@ -136,9 +136,6 @@ class SystemData:
 
     def class_of(self, object_id: str) -> str | None:
         return self.objects.get(object_id)
-
-    def links_touching(self, object_id: str) -> set[Link]:
-        return {l for l in self.links if l.touches(object_id)}
 
     def __deepcopy__(self, memo):
         data = self.copy()

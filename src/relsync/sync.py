@@ -36,13 +36,19 @@ class SyncCursor:
     ts_ls: int = 0  # timestamp of last sync; only ever advances
 
 
-def has_modification(p: Path, ts_ls: int, log: ChangeLog) -> bool:
-    """True iff any element of the path saw any action strictly after ts_ls.
+# The actions a live element can have seen since its last delete.
+_LIVE_ACTIONS = (ActionType.CREATE, ActionType.UPDATE)
 
-    The delete clause can never fire for a path over live data (deleted
-    elements are not in the graph), but it is kept for uniformity."""
+
+def has_modification(p: Path, ts_ls: int, log: ChangeLog) -> bool:
+    """True iff any element of the path was created or updated strictly
+    after ts_ls.
+
+    Deletes are not probed: a path runs over live data only, and a live
+    element's delete entry, if it has one, is no newer than its latest
+    create (a link re-created after its delete has none at all)."""
     for element in p.flattened():
-        for action in ActionType:
+        for action in _LIVE_ACTIONS:
             ts = log.ts(element, action)
             if ts is not None and ts > ts_ls:
                 return True

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from relsync.changelog import ActionType, ChangeLog
@@ -89,3 +91,124 @@ def test_dump_is_sorted_and_canonical():
     log.record(L, ActionType.CREATE, 2)
     log.record("o1", ActionType.UPDATE, 3)
     assert log.dump() == "1 create o1\n2 create a R b\n3 update o1\n"
+
+
+# -- randomized equivalence against a brute-force replay ------------------------
+
+OBJECTS = ["o1", "o2", "o3"]
+LINKS = [Link("o1", "o2", "R"), Link("o2", "o1", "R"), Link("o1", "o3", "S")]
+
+
+def _random_records(rng: random.Random, steps: int):
+    """(element, action, ts) records with a monotonic clock: objects get
+    creates, updates and deletes; links get creates and deletes."""
+    records, ts = [], 1
+    for _ in range(steps):
+        ts += rng.random() < 0.6  # repeats model one transaction
+        if rng.random() < 0.5:
+            element = rng.choice(OBJECTS)
+            action = rng.choice(list(ActionType))
+        else:
+            element = rng.choice(LINKS)
+            action = rng.choice([ActionType.CREATE, ActionType.DELETE])
+        records.append((element, action, ts))
+    return records
+
+
+def _replayed_actions(records, element) -> dict[ActionType, int]:
+    """What the log should hold for one element, read off the whole history:
+    a delete drops earlier creates and updates, and a later link create
+    drops the delete."""
+    held: dict[ActionType, int] = {}
+    for elem, action, ts in records:
+        if elem != element:
+            continue
+        if action is ActionType.DELETE:
+            held.pop(ActionType.CREATE, None)
+            held.pop(ActionType.UPDATE, None)
+        elif action is ActionType.CREATE and isinstance(element, Link):
+            held.pop(ActionType.DELETE, None)
+        held[action] = ts
+    return held
+
+
+def _shown(element) -> str:
+    return f"{element.src} {element.assoc} {element.dst}" if isinstance(element, Link) else element
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_log_matches_brute_force_replay(seed):
+    rng = random.Random(seed)
+    records = _random_records(rng, rng.randint(1, 60))
+    log = ChangeLog()
+    for record in records:
+        log.record(*record)
+
+    expected = {e: _replayed_actions(records, e) for e in OBJECTS + LINKS}
+    for element, held in expected.items():
+        assert log.actions(element) == held
+        assert log.latest_ts(element) == (max(held.values()) if held else None)
+        assert log.is_deleted(element) == (ActionType.DELETE in held)
+        for action in ActionType:
+            assert log.ts(element, action) == held.get(action)
+
+    max_ts = records[-1][2]
+    assert log.max_ts == max_ts
+    for t in range(max_ts + 1):
+        deleted = {
+            e for e, held in expected.items() if held.get(ActionType.DELETE, -1) > t
+        }
+        assert log.deletions_since(t) == (
+            {e for e in deleted if not isinstance(e, Link)},
+            {e for e in deleted if isinstance(e, Link)},
+        )
+
+    rows = sorted(
+        (ts, action.value, _shown(e))
+        for e, held in expected.items()
+        for action, ts in held.items()
+    )
+    assert log.dump() == "".join(f"{ts} {a} {s}\n" for ts, a, s in rows)
+
+
+def test_random_histories_reach_the_resurrection_cases():
+    # the replay test only means something if its histories re-create a
+    # link after its delete and create an object after its delete
+    seen = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        records = _random_records(rng, rng.randint(1, 60))
+        deleted = set()
+        for element, action, _ in records:
+            if action is ActionType.DELETE:
+                deleted.add(element)
+            elif action is ActionType.CREATE and element in deleted:
+                seen.add(isinstance(element, Link))
+    assert seen == {True, False}
+
+
+class _NoScan(dict):
+    """A dict that refuses to be walked, to catch whole-log scans."""
+
+    def _refuse(self, *args):
+        raise AssertionError("the change log was scanned")
+
+    __iter__ = items = keys = values = _refuse
+
+
+def test_lookups_never_scan_the_whole_log():
+    log = ChangeLog()
+    log.record("o1", ActionType.CREATE, 1)
+    log.record(L, ActionType.CREATE, 1)
+    log.record("o1", ActionType.UPDATE, 2)
+    log.record("o2", ActionType.CREATE, 2)
+    log.record("o2", ActionType.DELETE, 3)
+    log.record(L, ActionType.DELETE, 4)
+    log._entries = _NoScan(log._entries)
+
+    assert log.ts("o1", ActionType.UPDATE) == 2
+    assert log.actions("o1") == {ActionType.CREATE: 1, ActionType.UPDATE: 2}
+    assert log.latest_ts(L) == 4
+    assert log.is_deleted("o2")
+    assert log.deletions_since(2) == ({"o2"}, {L})
+    assert log.deletions_since(3) == (set(), {L})

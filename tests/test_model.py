@@ -65,6 +65,34 @@ class TestLink:
         assert link.touches("a") and link.touches("b") and not link.touches("c")
         assert link.other_end("a") == "b"
         assert link.other_end("b") == "a"
+        with pytest.raises(ValueError):
+            link.other_end("c")
+
+    def test_self_link_touches_its_one_end(self):
+        link = Link("a", "a", "R")
+        assert link.touches("a")
+        assert link.other_end("a") == "a"
+
+    def test_equality_and_hash_are_by_the_triple(self):
+        assert Link("a", "b", "R") == Link("a", "b", "R")
+        assert hash(Link("a", "b", "R")) == hash(Link("a", "b", "R"))
+        assert len({Link("a", "b", "R"), Link("a", "b", "R")}) == 1
+        assert Link("a", "b", "R") != Link("a", "b", "S")
+        assert Link("a", "b", "R") != Link("a", "c", "R")
+
+    def test_links_sort_by_src_then_dst_then_assoc(self):
+        links = {
+            Link("b", "a", "R"),
+            Link("a", "c", "R"),
+            Link("a", "b", "S"),
+            Link("a", "b", "R"),
+        }
+        assert sorted(links) == [
+            Link("a", "b", "R"),
+            Link("a", "b", "S"),
+            Link("a", "c", "R"),
+            Link("b", "a", "R"),
+        ]
 
 
 class TestMutations:
