@@ -119,22 +119,7 @@ class _Generator:
         return f"{prefix}{self.counter}"
 
     def track(self, m: Mutation) -> None:
-        data = self.model
-        if isinstance(m, CreateObject):
-            data.objects[m.object_id] = m.class_name
-            data.states[m.object_id] = m.state_dict()
-        elif isinstance(m, UpdateState):
-            data.states[m.object_id] = m.state_dict()
-        elif isinstance(m, DeleteObject):
-            for link in list(data.links):
-                if link.touches(m.object_id):
-                    data.links.discard(link)
-            del data.objects[m.object_id]
-            data.states.pop(m.object_id, None)
-        elif isinstance(m, CreateLink):
-            data.links.add(m.link)
-        elif isinstance(m, DeleteLink):
-            data.links.discard(m.link)
+        self.model.apply(m)
         self.mutations_used += 1
 
     def objects_of(self, cls: str) -> list[str]:

@@ -4,7 +4,10 @@ System data is the triple of objects (id -> class), links (typed triples),
 and per-object attribute states.  A schema constrains which classes exist
 and which class pairs each association may join.  Mutations are the only
 way the store changes system data; they are plain values so scenarios,
-replicas, and the fuzzer can all build them.
+replicas, and the fuzzer can all build them.  Every mutation is applied
+through `SystemData.apply`, after whatever checks its caller makes: the
+store's commit, the replica's local edits and delta deletes, and the
+fuzzer's model of the server.
 """
 
 from __future__ import annotations
@@ -110,9 +113,6 @@ class Schema:
                 )
         self.assocs[assoc.name] = assoc
 
-    def assoc(self, name: str) -> AssociationDef:
-        return self.assocs[name]
-
 
 @dataclass
 class SystemData:
@@ -134,17 +134,29 @@ class SystemData:
             states={oid: dict(state) for oid, state in self.states.items()},
         )
 
-    def class_of(self, object_id: str) -> str | None:
-        return self.objects.get(object_id)
-
-    def __deepcopy__(self, memo):
-        data = self.copy()
-        memo[id(self)] = data
-        return data
-
-
-def empty_data() -> SystemData:
-    return SystemData()
+    def apply(self, mutation: Mutation) -> list[Link]:
+        """Apply a mutation without checking it; returns the links an object
+        delete cascaded away (empty for every other kind).  An object takes
+        its links with it, so no link is left dangling."""
+        if isinstance(mutation, CreateObject):
+            self.objects[mutation.object_id] = mutation.class_name
+            self.states[mutation.object_id] = mutation.state_dict()
+        elif isinstance(mutation, CreateLink):
+            self.links.add(mutation.link)
+        elif isinstance(mutation, UpdateState):
+            self.states[mutation.object_id] = mutation.state_dict()
+        elif isinstance(mutation, DeleteLink):
+            self.links.discard(mutation.link)
+        elif isinstance(mutation, DeleteObject):
+            oid = mutation.object_id
+            cascade = [link for link in self.links if link.touches(oid)]
+            self.links.difference_update(cascade)
+            del self.objects[oid]
+            self.states.pop(oid, None)
+            return cascade
+        else:  # pragma: no cover - exhaustive over the Mutation union
+            raise TypeError(f"not a mutation: {mutation!r}")
+        return []
 
 
 # Mutations -----------------------------------------------------------------
@@ -268,10 +280,6 @@ def is_subdata(d2: SystemData, d1: SystemData) -> bool:
     return True
 
 
-def deep_state_copy(states: dict[str, State]) -> dict[str, State]:
-    return {oid: dict(state) for oid, state in states.items()}
-
-
 __all__ = [
     "AssociationDef",
     "CreateLink",
@@ -286,8 +294,6 @@ __all__ = [
     "SystemData",
     "UpdateState",
     "ValidationReport",
-    "deep_state_copy",
-    "empty_data",
     "is_subdata",
     "validate_schema",
     "validate_token",

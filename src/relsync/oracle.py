@@ -3,10 +3,10 @@
 Computes a client's delta by materializing the relevant slice of the data
 at the previous sync and at now, and diffing the two — created = newly
 relevant, deleted = no longer relevant, updated = relevant in both with a
-different state.  Conceptually exact but expensive (it stores a full
-snapshot per client per sync), so it serves as the ground truth the
-timestamp-based algorithm is tested against, and as the `--mode oracle`
-engine of the simulator.
+different state.  Conceptually exact but expensive (it keeps a full copy
+of the data as each client last synced it), so it serves as the ground
+truth the timestamp-based algorithm is tested against, and as the
+`--mode oracle` engine of the simulator.
 
 One assumption to be aware of: the diff brings a client from exactly the
 previously delivered slice to the current one.  A client that pushed its
@@ -76,13 +76,15 @@ def oracle_sync(
 class SnapshotOracle:
     """Per-client snapshot store driving oracle_sync.
 
-    A client's first sync diffs against the empty snapshot, which turns the
-    initial full download into an ordinary run of the same algorithm."""
+    Only each client's last snapshot is kept, since the next sync diffs
+    against it alone.  A client's first sync diffs against the empty
+    snapshot, which turns the initial full download into an ordinary run
+    of the same algorithm."""
 
     def __init__(self, schema: Schema):
         self.schema = schema
-        # client -> list of (snapshot copy, commit counter at sync), oldest first
-        self.history: dict[str, list[tuple[SystemData, int]]] = {}
+        # client -> copy of the data at that client's last sync
+        self.last: dict[str, SystemData] = {}
 
     def sync(
         self,
@@ -92,10 +94,9 @@ class SnapshotOracle:
         ts_now: int,
         exprs: list[PathExpr],
     ) -> DeltaSet:
-        past = self.history.setdefault(client, [])
-        data_prev = past[-1][0] if past else SystemData()
+        data_prev = self.last.get(client, SystemData())
         delta = oracle_sync(root, data_now, data_prev, exprs, self.schema, ts_now)
-        past.append((data_now.copy(), ts_now))
+        self.last[client] = data_now.copy()
         return delta
 
 

@@ -53,10 +53,6 @@ class TypedGraph:
     def adjacent(self, vertex: str) -> set[Link]:
         return self._adjacency.get(vertex, set())
 
-    @property
-    def edge_types(self):
-        return self.schema.assocs
-
 
 @dataclass(frozen=True)
 class Path:
@@ -89,15 +85,8 @@ class Path:
                 out.append(self.edges[i])
         return tuple(out)
 
-    def elements(self) -> tuple[str | Link, ...]:
-        return self.flattened()
-
     def extended(self, edge: Link, vertex: str) -> Path:
         return Path(self.vertices + (vertex,), self.edges + (edge,))
-
-
-def end_vertex(p: Path) -> str:
-    return p.end
 
 
 def is_in_role(g: TypedGraph, vertex: str, edge: Link, role: str) -> bool:
@@ -279,7 +268,6 @@ __all__ = [
     "RelevantData",
     "TypedGraph",
     "data_from_paths",
-    "end_vertex",
     "evaluate",
     "is_in_path",
     "is_in_role",

@@ -91,11 +91,7 @@ class Replica:
         for oid in delta.del_objects:
             if oid not in data.objects:
                 continue  # deletions are broadcast; unknown ids are expected
-            for link in list(data.links):
-                if link.touches(oid):
-                    data.links.discard(link)
-            del data.objects[oid]
-            data.states.pop(oid, None)
+            data.apply(DeleteObject(oid))
         self.cursor.ts_ls = delta.ts_cs
 
     def gc_sweep(self) -> set[str]:
@@ -117,10 +113,6 @@ class Replica:
         self.data.links = {l for l in self.data.links if l in keep_links}
         return removed
 
-    def ingest(self, delta: DeltaSet) -> None:
-        self.apply_delta(delta)
-        self.gc_sweep()
-
     # -- local changes ----------------------------------------------------------
 
     def push_local_change(self, mutation: Mutation, server) -> int | None:
@@ -140,24 +132,17 @@ class Replica:
             raise
 
     def _apply_local(self, mutation: Mutation) -> None:
+        """Check a mutation against the replica's view, then apply it."""
         data = self.data
         if isinstance(mutation, CreateObject):
             if mutation.object_id in data.objects:
                 raise DuplicateIdError(f"object {mutation.object_id} already exists")
-            data.objects[mutation.object_id] = mutation.class_name
-            data.states[mutation.object_id] = mutation.state_dict()
         elif isinstance(mutation, UpdateState):
             if mutation.object_id not in data.objects:
                 raise UnknownIdError(f"unknown object {mutation.object_id}")
-            data.states[mutation.object_id] = mutation.state_dict()
         elif isinstance(mutation, DeleteObject):
             if mutation.object_id not in data.objects:
                 raise AlreadyDeletedError(f"object {mutation.object_id} not present")
-            for link in list(data.links):
-                if link.touches(mutation.object_id):
-                    data.links.discard(link)
-            del data.objects[mutation.object_id]
-            data.states.pop(mutation.object_id, None)
         elif isinstance(mutation, CreateLink):
             link = mutation.link
             if link.src not in data.objects or link.dst not in data.objects:
@@ -166,16 +151,13 @@ class Replica:
                 )
             if link in data.links:
                 raise DuplicateLinkError(f"link {link.src} {link.assoc} {link.dst} exists")
-            data.links.add(link)
         elif isinstance(mutation, DeleteLink):
             if mutation.link not in data.links:
                 raise UnknownIdError(
                     f"link {mutation.link.src} {mutation.link.assoc} "
                     f"{mutation.link.dst} not replicated"
                 )
-            data.links.discard(mutation.link)
-        else:  # pragma: no cover - exhaustive over the Mutation union
-            raise TypeError(f"not a mutation: {mutation!r}")
+        data.apply(mutation)
 
     # -- rendering ---------------------------------------------------------------
 

@@ -192,14 +192,7 @@ def run_scenario(
     for index, step in enumerate(scenario.steps):
         try:
             if isinstance(step, TxStep):
-                tx = ctx.store.begin_transaction()
-                try:
-                    for mutation in step.mutations:
-                        tx.stage_mutation(mutation)
-                except Exception:
-                    tx.abort()
-                    raise
-                tx.commit()
+                ctx.store.apply(step.mutations)
             elif isinstance(step, SyncStep):
                 _do_sync(ctx, index, step.client, step.use_oracle)
             elif isinstance(step, AssertDeltaStep):

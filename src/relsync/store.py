@@ -1,8 +1,9 @@
 """Single-writer transactional store over a typed object graph.
 
 All server-side changes go through transactions.  A transaction stages
-mutations (checked leniently, in any order), then `commit` applies them in
-a fixed category order — object creates, link creates, updates, link
+mutations (checked leniently, in any order), then `commit` applies them
+through `SystemData.apply`, kind by kind in the order of the
+`_COMMIT_ORDER` table — object creates, link creates, updates, link
 deletes, object deletes — against a scratch copy, validates the result
 against the schema, and only then swaps it in.  Every mutation in one
 commit is logged at the same logical timestamp; the counter advances once
@@ -40,6 +41,16 @@ from .model import (
     validate_schema,
     validate_token,
 )
+
+# The commit order: kind -> (rank, logged action).  Commit applies staged
+# mutations sorted by rank, stably, so staging order holds within a kind.
+_COMMIT_ORDER: dict[type, tuple[int, ActionType]] = {
+    CreateObject: (0, ActionType.CREATE),
+    CreateLink: (1, ActionType.CREATE),
+    UpdateState: (2, ActionType.UPDATE),
+    DeleteLink: (3, ActionType.DELETE),
+    DeleteObject: (4, ActionType.DELETE),
+}
 
 
 class Transaction:
@@ -176,32 +187,13 @@ class Transaction:
         ts = store._counter + 1
         log_entries: list[tuple[str | Link, ActionType]] = []
 
-        def by_kind(kind) -> list[Mutation]:
-            return [m for m in self._staged if isinstance(m, kind)]
-
-        for m in by_kind(CreateObject):
-            scratch.objects[m.object_id] = m.class_name
-            scratch.states[m.object_id] = m.state_dict()
-            log_entries.append((m.object_id, ActionType.CREATE))
-        for m in by_kind(CreateLink):
-            scratch.links.add(m.link)
-            log_entries.append((m.link, ActionType.CREATE))
-        for m in by_kind(UpdateState):
-            scratch.states[m.object_id] = m.state_dict()
-            log_entries.append((m.object_id, ActionType.UPDATE))
-        for m in by_kind(DeleteLink):
-            scratch.links.discard(m.link)
-            log_entries.append((m.link, ActionType.DELETE))
-        for m in by_kind(DeleteObject):
-            # Cascade: an object takes its remaining links with it, and the
-            # log must say so or replicas would keep dangling links around.
-            for link in sorted(scratch.links):
-                if link.touches(m.object_id):
-                    scratch.links.discard(link)
-                    log_entries.append((link, ActionType.DELETE))
-            del scratch.objects[m.object_id]
-            scratch.states.pop(m.object_id, None)
-            log_entries.append((m.object_id, ActionType.DELETE))
+        for m in sorted(self._staged, key=lambda m: _COMMIT_ORDER[type(m)][0]):
+            # The log must name the links a delete cascaded away, or
+            # replicas would keep them dangling.
+            for link in scratch.apply(m):
+                log_entries.append((link, ActionType.DELETE))
+            element = m.link if isinstance(m, (CreateLink, DeleteLink)) else m.object_id
+            log_entries.append((element, _COMMIT_ORDER[type(m)][1]))
 
         report = validate_schema(store.schema, scratch)
         if not report.ok:
@@ -265,7 +257,7 @@ class Store:
             for m in mutations:
                 tx.stage_mutation(m)
         except Exception:
-            self._open_tx = None
+            tx.abort()
             raise
         return tx.commit()
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .changelog import ActionType, ChangeLog
 from .delta import DeltaSet
@@ -55,21 +54,11 @@ def has_modification(p: Path, ts_ls: int, log: ChangeLog) -> bool:
     return False
 
 
-def is_edge_element(element: str | Link) -> bool:
-    return isinstance(element, Link)
-
-
-def index_of_first_created_element(
-    p: Path,
-    ts: int,
-    selector: Callable[[str | Link], bool],
-    log: ChangeLog,
-) -> int | float:
-    """Smallest flattened index of a selected element created after ts;
-    infinity when there is none (so a comparison `index >= result` matches
-    nothing)."""
+def index_of_first_created_element(p: Path, ts: int, log: ChangeLog) -> int | float:
+    """Smallest flattened index of an edge created after ts; infinity when
+    there is none (so a comparison `index >= result` matches nothing)."""
     for index, element in enumerate(p.flattened()):
-        if not selector(element):
+        if not isinstance(element, Link):
             continue
         created = log.ts(element, ActionType.CREATE)
         if created is not None and created > ts:
@@ -113,7 +102,7 @@ def timestamp_sync(
         # A newly created edge may have attached a pre-existing subgraph the
         # client has never seen; everything from that edge onward goes out
         # as creates, whatever its age.
-        i_l = index_of_first_created_element(p, ts_ls, is_edge_element, log)
+        i_l = index_of_first_created_element(p, ts_ls, log)
         for index, element in enumerate(flattened):
             if index < i_l:
                 continue
@@ -148,6 +137,5 @@ __all__ = [
     "SyncCursor",
     "has_modification",
     "index_of_first_created_element",
-    "is_edge_element",
     "timestamp_sync",
 ]

@@ -6,7 +6,8 @@ import relsync.fuzz as fuzz_module
 from relsync.fuzz import FuzzBounds, fuzz, social_schema
 from relsync.model import CreateObject
 from relsync.runner import DivergenceReport, run_scenario
-from relsync.scenario import TxStep, parse_scenario, render_scenario
+from relsync.scenario import PushStep, TxStep, parse_scenario, render_scenario
+from relsync.store import Store
 
 
 def test_social_schema_shape():
@@ -54,6 +55,23 @@ def test_bounds_cap_created_objects_and_clients():
         )
         assert creates <= bounds.max_objects
         assert len(scenario.clients) <= bounds.max_clients
+
+
+def test_generator_model_mirrors_the_committed_store():
+    # Every generated mutation is valid only while the generator's model
+    # equals what the store holds after the same commits.
+    import random
+
+    for seed in range(30):
+        generator = fuzz_module._Generator(random.Random(seed), FuzzBounds())
+        scenario = generator.build()
+        store = Store(scenario.schema)
+        for step in scenario.steps:
+            if isinstance(step, TxStep):
+                store.apply(step.mutations)
+            elif isinstance(step, PushStep):
+                store.apply([step.mutation])
+        assert store.data == generator.model
 
 
 def test_short_fuzz_run_is_clean():

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import relsync
 from relsync.errors import TokenError
 from relsync.model import (
     AssociationDef,
+    CreateLink,
     CreateObject,
+    DeleteLink,
+    DeleteObject,
     Link,
     Schema,
     SystemData,
@@ -107,6 +114,45 @@ class TestMutations:
         assert m.state_dict() == {"k": "v"}
 
 
+class TestApply:
+    def test_creates_and_update(self):
+        data = SystemData()
+        assert data.apply(CreateObject.make("a", "A", {"k": 1})) == []
+        assert data.apply(CreateObject.make("b", "B")) == []
+        assert data.apply(CreateLink(Link("a", "b", "R"))) == []
+        assert data.apply(UpdateState.make("a", {"k": 2})) == []
+        assert data == SystemData(
+            objects={"a": "A", "b": "B"},
+            links={Link("a", "b", "R")},
+            states={"a": {"k": 2}, "b": {}},
+        )
+
+    def test_delete_link_keeps_its_endpoints(self):
+        data = SystemData(
+            objects={"a": "A", "b": "B"},
+            links={Link("a", "b", "R")},
+            states={"a": {}, "b": {}},
+        )
+        assert data.apply(DeleteLink(Link("a", "b", "R"))) == []
+        assert data == SystemData(objects={"a": "A", "b": "B"}, states={"a": {}, "b": {}})
+
+    def test_delete_object_returns_exactly_its_incident_links(self):
+        incident = [Link("a", "b", "R"), Link("c", "a", "R"), Link("a", "a", "S")]
+        data = SystemData(
+            objects={"a": "A", "b": "B", "c": "B"},
+            links={*incident, Link("b", "c", "R")},
+            states={"a": {"k": 1}, "b": {}, "c": {}},
+        )
+        cascade = data.apply(DeleteObject("a"))
+        # the self-link is returned once, not once per end
+        assert sorted(cascade) == sorted(incident)
+        assert data == SystemData(
+            objects={"b": "B", "c": "B"},
+            links={Link("b", "c", "R")},
+            states={"b": {}, "c": {}},
+        )
+
+
 class TestValidation:
     def setup_method(self):
         self.schema = Schema(
@@ -191,3 +237,15 @@ class TestSubdata:
         d2 = d1.copy()
         d2.states["a"]["k"] = 2
         assert d1.states["a"]["k"] == 1
+
+
+_MODULES = ["relsync"] + [
+    f"relsync.{info.name}" for info in pkgutil.iter_modules(relsync.__path__)
+]
+
+
+@pytest.mark.parametrize("module_name", _MODULES)
+def test_every_exported_name_resolves(module_name):
+    module = importlib.import_module(module_name)
+    stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert stale == []

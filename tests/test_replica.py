@@ -31,7 +31,8 @@ def full_sync(store, replica):
     delta = timestamp_sync(
         replica.cursor, store.data, store.log, replica.exprs, store.schema
     )
-    replica.ingest(delta)
+    replica.apply_delta(delta)
+    replica.gc_sweep()
     return delta
 
 

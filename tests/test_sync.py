@@ -15,7 +15,6 @@ from relsync.sync import (
     SyncCursor,
     has_modification,
     index_of_first_created_element,
-    is_edge_element,
     timestamp_sync,
 )
 
@@ -61,14 +60,14 @@ class TestFirstCreatedElement:
         log.record(REF, ActionType.CREATE, 2)
         p = Path(("I1", "C1", "I2"), (OWN, REF))
         # REF sits at flattened index 3 (vertices even, edges odd)
-        assert index_of_first_created_element(p, 1, is_edge_element, log) == 3
-        assert index_of_first_created_element(p, 0, is_edge_element, log) == 1
+        assert index_of_first_created_element(p, 1, log) == 3
+        assert index_of_first_created_element(p, 0, log) == 1
 
     def test_no_new_edge_yields_infinity(self):
         log = ChangeLog()
         log.record(OWN, ActionType.CREATE, 1)
         p = Path(("I1", "C1"), (OWN,))
-        assert index_of_first_created_element(p, 1, is_edge_element, log) is math.inf
+        assert index_of_first_created_element(p, 1, log) is math.inf
 
 
 class TestFirstSync:
