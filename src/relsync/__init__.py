@@ -31,7 +31,6 @@ from .model import (
 from .oracle import SnapshotOracle, oracle_sync
 from .paths import (
     Path,
-    RelevantData,
     TypedGraph,
     evaluate,
     select_relevant,
@@ -60,7 +59,6 @@ __all__ = [
     "Mutation",
     "Path",
     "PathExpr",
-    "RelevantData",
     "Replica",
     "RelsyncError",
     "Scenario",

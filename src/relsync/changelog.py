@@ -107,11 +107,7 @@ class ChangeLog:
         ordered by timestamp, then action name, then element."""
         rows = []
         for (element, action), ts in self._entries.items():
-            if isinstance(element, Link):
-                shown = f"{element.src} {element.assoc} {element.dst}"
-            else:
-                shown = element
-            rows.append((ts, action.value, shown))
+            rows.append((ts, action.value, str(element)))
         rows.sort()
         return "".join(f"{ts} {action} {shown}\n" for ts, action, shown in rows)
 

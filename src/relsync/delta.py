@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import ExpressionSyntaxError, ScenarioParseError
 from .expr import _Parser, render_literal
-from .model import Link, State
+from .model import Link, State, link_text_order
 
 
 @dataclass
@@ -50,10 +50,10 @@ def render_delta(d: DeltaSet) -> str:
         lines.append(f"upd-obj {oid} {render_state(d.states.get(oid, {}))}")
     for oid in sorted(d.del_objects):
         lines.append(f"del-obj {oid}")
-    for link in sorted(d.crt_links, key=lambda l: (l.src, l.assoc, l.dst)):
-        lines.append(f"crt-link {link.src} {link.assoc} {link.dst}")
-    for link in sorted(d.del_links, key=lambda l: (l.src, l.assoc, l.dst)):
-        lines.append(f"del-link {link.src} {link.assoc} {link.dst}")
+    for link in sorted(d.crt_links, key=link_text_order):
+        lines.append(f"crt-link {link}")
+    for link in sorted(d.del_links, key=link_text_order):
+        lines.append(f"del-link {link}")
     return "".join(line + "\n" for line in lines)
 
 

@@ -82,7 +82,6 @@ class ScenarioParseError(RelsyncError):
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
         self.line = line
-        self.line = line
 
 
 class ScenarioRuntimeError(RelsyncError):

@@ -69,11 +69,15 @@ class Link(NamedTuple):
     """A typed link; identity is the full (src, dst, association) triple.
 
     A named tuple, so hashing, equality and ordering run in C; links sort
-    by (src, dst, assoc)."""
+    by (src, dst, assoc).  Its text form, `src assoc dst`, is the one every
+    dump, delta and message shows; `link_text_order` sorts in that order."""
 
     src: str
     dst: str
     assoc: str
+
+    def __str__(self) -> str:
+        return f"{self.src} {self.assoc} {self.dst}"
 
     def touches(self, object_id: str) -> bool:
         return object_id == self.src or object_id == self.dst
@@ -83,7 +87,12 @@ class Link(NamedTuple):
             return self.dst
         if object_id == self.dst:
             return self.src
-        raise ValueError(f"{object_id} is not an endpoint of {self}")
+        raise ValueError(f"{object_id} is not an endpoint of {self!r}")
+
+
+def link_text_order(link: Link) -> tuple[str, str, str]:
+    """Sort key putting links in the order of their text form."""
+    return (link.src, link.assoc, link.dst)
 
 
 class Schema:
@@ -235,20 +244,16 @@ def validate_schema(schema: Schema, data: SystemData) -> ValidationReport:
     for link in sorted(data.links):
         assoc = schema.assocs.get(link.assoc)
         if assoc is None:
-            report.violations.append(
-                f"link {link.src} {link.assoc} {link.dst}: unknown association"
-            )
+            report.violations.append(f"link {link}: unknown association")
             continue
         src_cls = data.objects.get(link.src)
         dst_cls = data.objects.get(link.dst)
         if src_cls is None or dst_cls is None:
-            report.violations.append(
-                f"link {link.src} {link.assoc} {link.dst}: dangling endpoint"
-            )
+            report.violations.append(f"link {link}: dangling endpoint")
             continue
         if src_cls != assoc.class_a or dst_cls != assoc.class_b:
             report.violations.append(
-                f"link {link.src} {link.assoc} {link.dst}: link class mismatch "
+                f"link {link}: link class mismatch "
                 f"({src_cls}-{dst_cls} vs {assoc.class_a}-{assoc.class_b})"
             )
     for oid in data.objects:
@@ -295,6 +300,7 @@ __all__ = [
     "UpdateState",
     "ValidationReport",
     "is_subdata",
+    "link_text_order",
     "validate_schema",
     "validate_token",
 ]

@@ -55,8 +55,8 @@ def oracle_sync(
     ts_now: int,
 ) -> DeltaSet:
     """Diff the relevant slices of two full snapshots into a DeltaSet."""
-    rel_prev = select_relevant(schema, data_prev, exprs, {"user": root}).data
-    rel_now = select_relevant(schema, data_now, exprs, {"user": root}).data
+    rel_prev = select_relevant(schema, data_prev, exprs, {"user": root})
+    rel_now = select_relevant(schema, data_now, exprs, {"user": root})
 
     objs_prev = set(rel_prev.objects)
     objs_now = set(rel_now.objects)

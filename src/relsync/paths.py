@@ -15,12 +15,11 @@ and to drive the timestamp sync.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PathBudgetError, UnboundVariableError, UnknownClassError
 from .expr import (
     ClassAll,
-    ClassFilter,
     InstanceSet,
     PathExpr,
     USER_VARIABLE,
@@ -34,13 +33,15 @@ Binding = dict[str, str]
 
 
 class TypedGraph:
-    """Immutable view of system data as a graph with typed edges."""
+    """System data seen as a graph with typed edges.
+
+    The graph indexes the data in place: it keeps a reference to the data
+    and builds only an adjacency index, so it is valid only while that
+    data is unchanged."""
 
     def __init__(self, data: SystemData, schema: Schema):
         self.schema = schema
-        self.vertices: frozenset[str] = frozenset(data.objects)
-        self.edges: frozenset[Link] = frozenset(data.links)
-        self._classes: dict[str, str] = dict(data.objects)
+        self.data = data
         adjacency: dict[str, set[Link]] = {}
         for link in data.links:
             adjacency.setdefault(link.src, set()).add(link)
@@ -48,7 +49,7 @@ class TypedGraph:
         self._adjacency = adjacency
 
     def class_of(self, vertex: str) -> str | None:
-        return self._classes.get(vertex)
+        return self.data.objects.get(vertex)
 
     def adjacent(self, vertex: str) -> set[Link]:
         return self._adjacency.get(vertex, set())
@@ -59,8 +60,8 @@ class Path:
     """A simple path v0 -e0- v1 -e1- … -e(n-1)- vn; n may be 0.
 
     Flattened positions interleave vertices and edges: vertex i sits at
-    index 2i, edge i at index 2i+1.  Those positions are what the timestamp
-    sync's "first created element" calculation runs over.
+    index 2i, edge i at index 2i+1.  The timestamp sync walks a path in
+    that order and sweeps from its first newly created edge onward.
     """
 
     vertices: tuple[str, ...]
@@ -110,10 +111,10 @@ def is_path(p: Path, g: TypedGraph) -> bool:
     if len(set(p.edges)) != len(p.edges):
         return False
     for vertex in p.vertices:
-        if vertex not in g.vertices:
+        if vertex not in g.data.objects:
             return False
     for i, edge in enumerate(p.edges):
-        if edge not in g.edges:
+        if edge not in g.data.links:
             return False
         if {edge.src, edge.dst} != {p.vertices[i], p.vertices[i + 1]}:
             return False
@@ -153,12 +154,12 @@ def _direct_vertices(
                         f"expression uses {USER_VARIABLE!r} but no binding was given"
                     )
                 ref = binding[USER_VARIABLE]
-            if ref in g.vertices:
+            if ref in g.data.objects:
                 vertices.add(ref)
         return vertices
     if root.class_name not in g.schema.classes:
         raise UnknownClassError(f"unknown class {root.class_name!r}")
-    members = {v for v in g.vertices if g.class_of(v) == root.class_name}
+    members = {v for v, cls in g.data.objects.items() if cls == root.class_name}
     if isinstance(root, ClassAll):
         return members
     return {v for v in members if satisfies_filter(data.states.get(v, {}), root)}
@@ -210,15 +211,6 @@ def evaluate(
     return frozenset(frontier | retired)
 
 
-@dataclass
-class RelevantData:
-    """The slice of system data a user cares about, plus which paths back
-    each object (count of distinct paths through it)."""
-
-    data: SystemData
-    provenance: dict[str, int] = field(default_factory=dict)
-
-
 def relevant_paths(
     schema: Schema,
     data: SystemData,
@@ -234,17 +226,6 @@ def relevant_paths(
     return frozenset(paths)
 
 
-def data_from_paths(paths: frozenset[Path], data: SystemData) -> SystemData:
-    objects: dict[str, str] = {}
-    links: set[Link] = set()
-    for path in paths:
-        for vertex in path.vertices:
-            objects[vertex] = data.objects[vertex]
-        links.update(path.edges)
-    states = {oid: dict(data.states[oid]) for oid in objects}
-    return SystemData(objects=objects, links=links, states=states)
-
-
 def select_relevant(
     schema: Schema,
     data: SystemData,
@@ -252,22 +233,24 @@ def select_relevant(
     binding: Binding | None = None,
     *,
     max_paths: int = DEFAULT_MAX_PATHS,
-) -> RelevantData:
-    paths = relevant_paths(schema, data, exprs, binding, max_paths=max_paths)
-    provenance: dict[str, int] = {}
-    for path in paths:
+) -> SystemData:
+    """The slice of the data on the expressions' paths: their objects with
+    copies of their states, and their links."""
+    objects: dict[str, str] = {}
+    links: set[Link] = set()
+    for path in relevant_paths(schema, data, exprs, binding, max_paths=max_paths):
         for vertex in path.vertices:
-            provenance[vertex] = provenance.get(vertex, 0) + 1
-    return RelevantData(data=data_from_paths(paths, data), provenance=provenance)
+            objects[vertex] = data.objects[vertex]
+        links.update(path.edges)
+    states = {oid: dict(data.states[oid]) for oid in objects}
+    return SystemData(objects=objects, links=links, states=states)
 
 
 __all__ = [
     "Binding",
     "DEFAULT_MAX_PATHS",
     "Path",
-    "RelevantData",
     "TypedGraph",
-    "data_from_paths",
     "evaluate",
     "is_in_path",
     "is_in_role",

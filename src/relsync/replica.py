@@ -33,6 +33,7 @@ from .model import (
     Schema,
     SystemData,
     UpdateState,
+    link_text_order,
 )
 from .paths import relevant_paths
 from .sync import SyncCursor
@@ -74,9 +75,7 @@ class Replica:
                 # Can happen when the server over-delivers a link whose
                 # endpoint this client is not entitled to; holding the link
                 # back keeps the replica free of dangling references.
-                self.warn(
-                    f"dropped link {link.src} {link.assoc} {link.dst}: endpoint missing"
-                )
+                self.warn(f"dropped link {link}: endpoint missing")
         for oid in delta.upd_objects:
             if oid in data.objects:
                 data.states[oid] = dict(delta.states.get(oid, {}))
@@ -146,17 +145,12 @@ class Replica:
         elif isinstance(mutation, CreateLink):
             link = mutation.link
             if link.src not in data.objects or link.dst not in data.objects:
-                raise UnknownIdError(
-                    f"link {link.src} {link.assoc} {link.dst}: endpoint not replicated"
-                )
+                raise UnknownIdError(f"link {link}: endpoint not replicated")
             if link in data.links:
-                raise DuplicateLinkError(f"link {link.src} {link.assoc} {link.dst} exists")
+                raise DuplicateLinkError(f"link {link} exists")
         elif isinstance(mutation, DeleteLink):
             if mutation.link not in data.links:
-                raise UnknownIdError(
-                    f"link {mutation.link.src} {mutation.link.assoc} "
-                    f"{mutation.link.dst} not replicated"
-                )
+                raise UnknownIdError(f"link {mutation.link} not replicated")
         data.apply(mutation)
 
     # -- rendering ---------------------------------------------------------------
@@ -166,8 +160,8 @@ class Replica:
         for oid in sorted(self.data.objects):
             cls = self.data.objects[oid]
             lines.append(f"obj {oid} {cls} {render_state(self.data.states.get(oid, {}))}")
-        for link in sorted(self.data.links, key=lambda l: (l.src, l.assoc, l.dst)):
-            lines.append(f"link {link.src} {link.assoc} {link.dst}")
+        for link in sorted(self.data.links, key=link_text_order):
+            lines.append(f"link {link}")
         return "".join(line + "\n" for line in lines)
 
 

@@ -18,6 +18,7 @@ from typing import Callable
 
 from .delta import DeltaSet, render_delta, render_state
 from .errors import RelsyncError, ScenarioRuntimeError
+from .model import link_text_order
 from .oracle import SnapshotOracle
 from .paths import select_relevant
 from .replica import Replica
@@ -81,19 +82,12 @@ def compare_replica(ctx: RunContext, client: str) -> tuple[list[str], list[str],
     decl = ctx.scenario.clients[client]
     rel = select_relevant(
         ctx.scenario.schema, ctx.store.data, decl.exprs, {"user": decl.root}
-    ).data
+    )
     local = replica.data
     missing = [f"obj {oid}" for oid in sorted(set(rel.objects) - set(local.objects))]
     extra = [f"obj {oid}" for oid in sorted(set(local.objects) - set(rel.objects))]
-    link_key = lambda l: (l.src, l.assoc, l.dst)
-    missing += [
-        f"link {l.src} {l.assoc} {l.dst}"
-        for l in sorted(rel.links - local.links, key=link_key)
-    ]
-    extra += [
-        f"link {l.src} {l.assoc} {l.dst}"
-        for l in sorted(local.links - rel.links, key=link_key)
-    ]
+    missing += [f"link {l}" for l in sorted(rel.links - local.links, key=link_text_order)]
+    extra += [f"link {l}" for l in sorted(local.links - rel.links, key=link_text_order)]
     mismatches = []
     for oid in sorted(set(rel.objects) & set(local.objects)):
         if rel.objects[oid] != local.objects[oid]:
@@ -106,6 +100,13 @@ def compare_replica(ctx: RunContext, client: str) -> tuple[list[str], list[str],
                 f"!= {render_state(rel.states.get(oid, {}))}"
             )
     return missing, extra, mismatches
+
+
+def _check_converged(ctx: RunContext, index: int, client: str) -> None:
+    """Report the replica's differences from its slice, if it has any."""
+    missing, extra, mismatches = compare_replica(ctx, client)
+    if missing or extra or mismatches:
+        ctx.reports.append(DivergenceReport(index, client, missing, extra, mismatches))
 
 
 def _dump(ctx: RunContext, name: str, delta: DeltaSet) -> None:
@@ -158,11 +159,7 @@ def _do_sync(
     replica.gc_sweep()
 
     if ctx.mode == "both":
-        missing, extra, mismatches = compare_replica(ctx, client)
-        if missing or extra or mismatches:
-            ctx.reports.append(
-                DivergenceReport(index, client, missing, extra, mismatches)
-            )
+        _check_converged(ctx, index, client)
     if ctx.on_sync is not None:
         ctx.on_sync(ctx, index, client, applied, shadow)
 
@@ -200,11 +197,7 @@ def run_scenario(
             elif isinstance(step, PushStep):
                 ctx.replicas[step.client].push_local_change(step.mutation, ctx.store)
             elif isinstance(step, AssertConvergedStep):
-                missing, extra, mismatches = compare_replica(ctx, step.client)
-                if missing or extra or mismatches:
-                    ctx.reports.append(
-                        DivergenceReport(index, step.client, missing, extra, mismatches)
-                    )
+                _check_converged(ctx, index, step.client)
             else:  # pragma: no cover - exhaustive over Step union
                 raise TypeError(f"unknown step {step!r}")
         except RelsyncError as exc:

@@ -337,8 +337,8 @@ def render_mutation(m: Mutation) -> str:
     if isinstance(m, DeleteObject):
         return f"delete {m.object_id}"
     if isinstance(m, CreateLink):
-        return f"link {m.link.src} {m.link.assoc} {m.link.dst}"
-    return f"unlink {m.link.src} {m.link.assoc} {m.link.dst}"
+        return f"link {m.link}"
+    return f"unlink {m.link}"
 
 
 def _quote(value: str) -> str:

@@ -28,6 +28,7 @@ from .errors import (
     UnknownIdError,
 )
 from .model import (
+    AssociationDef,
     CreateLink,
     CreateObject,
     DeleteLink,
@@ -51,6 +52,15 @@ _COMMIT_ORDER: dict[type, tuple[int, ActionType]] = {
     DeleteLink: (3, ActionType.DELETE),
     DeleteObject: (4, ActionType.DELETE),
 }
+
+
+def _check_link_fits(link: Link, assoc: AssociationDef, src_cls: str, dst_cls: str) -> None:
+    """Reject a link whose endpoint classes do not fit its association."""
+    if src_cls != assoc.class_a or dst_cls != assoc.class_b:
+        raise SchemaMismatchError(
+            f"link {link}: classes {src_cls}-{dst_cls} "
+            f"do not fit {assoc.class_a}-{assoc.class_b}"
+        )
 
 
 class Transaction:
@@ -123,7 +133,7 @@ class Transaction:
         if assoc is None:
             raise SchemaMismatchError(f"unknown association {link.assoc!r}")
         if link in self._store.data.links or link in self._created_links:
-            raise DuplicateLinkError(f"link {link.src} {link.assoc} {link.dst} already exists")
+            raise DuplicateLinkError(f"link {link} already exists")
         src_cls = self._resolve_class(link.src)
         dst_cls = self._resolve_class(link.dst)
         if src_cls is None or dst_cls is None:
@@ -138,20 +148,14 @@ class Transaction:
             self._deferred_links.append(link)
             self._created_links.add(link)
             return
-        if src_cls != assoc.class_a or dst_cls != assoc.class_b:
-            raise SchemaMismatchError(
-                f"link {link.src} {link.assoc} {link.dst}: classes "
-                f"{src_cls}-{dst_cls} do not fit {assoc.class_a}-{assoc.class_b}"
-            )
+        _check_link_fits(link, assoc, src_cls, dst_cls)
         self._created_links.add(link)
 
     def _check_delete_link(self, link: Link) -> None:
         if link in self._deleted_links:
-            raise AlreadyDeletedError(
-                f"link {link.src} {link.assoc} {link.dst} deleted twice in one transaction"
-            )
+            raise AlreadyDeletedError(f"link {link} deleted twice in one transaction")
         if link not in self._store.data.links and link not in self._created_links:
-            raise UnknownIdError(f"unknown link {link.src} {link.assoc} {link.dst}")
+            raise UnknownIdError(f"unknown link {link}")
         self._deleted_links.add(link)
 
     # -- commit -------------------------------------------------------------
@@ -168,20 +172,12 @@ class Transaction:
             return None
 
         for link in self._deferred_links:
-            assoc = store.schema.assocs[link.assoc]
             src_cls = self._resolve_class(link.src)
             dst_cls = self._resolve_class(link.dst)
             if src_cls is None or dst_cls is None:
                 missing = link.src if src_cls is None else link.dst
-                raise UnknownIdError(
-                    f"link {link.src} {link.assoc} {link.dst} references "
-                    f"unknown object {missing}"
-                )
-            if src_cls != assoc.class_a or dst_cls != assoc.class_b:
-                raise SchemaMismatchError(
-                    f"link {link.src} {link.assoc} {link.dst}: classes "
-                    f"{src_cls}-{dst_cls} do not fit {assoc.class_a}-{assoc.class_b}"
-                )
+                raise UnknownIdError(f"link {link} references unknown object {missing}")
+            _check_link_fits(link, store.schema.assocs[link.assoc], src_cls, dst_cls)
 
         scratch = store.data.copy()
         ts = store._counter + 1

@@ -1,15 +1,17 @@
 """Timestamp-based sync: the production algorithm.
 
 Instead of snapshot diffs, this walks the client's current relevant paths
-and uses the change log to decide what the client is missing.  A path with
-any action newer than the client's last-sync timestamp contributes:
+and uses the change log to decide what the client is missing.  Each path
+is walked once, element by element, against the client's last-sync
+timestamp:
 
-  * its elements created since then (to the create sets),
-  * its objects updated since then (to the update set),
+  * an element created since then goes to the create sets,
+  * an object updated since then goes to the update set,
   * and — because a new link can splice an old subgraph into relevance —
-    everything from the first newly-created edge onward, swept into the
-    create sets regardless of element age.
+    the first newly-created edge turns on a sweep: that edge and every
+    element after it go to the create sets regardless of age.
 
+A path with nothing created or updated since then contributes nothing.
 Deletions are broadcast from the log to every client regardless of
 relevance; the receiving side is expected to ignore deletes it never knew
 about.  The returned ts_cs advances the cursor to the newest action
@@ -19,51 +21,19 @@ re-sync empty.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .changelog import ActionType, ChangeLog
 from .delta import DeltaSet
 from .expr import PathExpr
 from .model import Link, Schema, SystemData
-from .paths import DEFAULT_MAX_PATHS, Path, relevant_paths
+from .paths import DEFAULT_MAX_PATHS, relevant_paths
 
 
 @dataclass
 class SyncCursor:
     user: str  # the client's root identity object
     ts_ls: int = 0  # timestamp of last sync; only ever advances
-
-
-# The actions a live element can have seen since its last delete.
-_LIVE_ACTIONS = (ActionType.CREATE, ActionType.UPDATE)
-
-
-def has_modification(p: Path, ts_ls: int, log: ChangeLog) -> bool:
-    """True iff any element of the path was created or updated strictly
-    after ts_ls.
-
-    Deletes are not probed: a path runs over live data only, and a live
-    element's delete entry, if it has one, is no newer than its latest
-    create (a link re-created after its delete has none at all)."""
-    for element in p.flattened():
-        for action in _LIVE_ACTIONS:
-            ts = log.ts(element, action)
-            if ts is not None and ts > ts_ls:
-                return True
-    return False
-
-
-def index_of_first_created_element(p: Path, ts: int, log: ChangeLog) -> int | float:
-    """Smallest flattened index of an edge created after ts; infinity when
-    there is none (so a comparison `index >= result` matches nothing)."""
-    for index, element in enumerate(p.flattened()):
-        if not isinstance(element, Link):
-            continue
-        created = log.ts(element, ActionType.CREATE)
-        if created is not None and created > ts:
-            return index
-    return math.inf
 
 
 def timestamp_sync(
@@ -85,31 +55,23 @@ def timestamp_sync(
     crt_links: set[Link] = set()
 
     for p in paths:
-        if not has_modification(p, ts_ls, log):
-            continue
-        flattened = p.flattened()
-        for element in flattened:
+        # A newly created edge may have attached a pre-existing subgraph the
+        # client has never seen; from that edge onward everything goes out
+        # as creates, whatever its age.
+        swept = False
+        for element in p.flattened():
+            is_link = isinstance(element, Link)
             created = log.ts(element, ActionType.CREATE)
-            if created is not None and created > ts_ls:
-                if isinstance(element, Link):
-                    crt_links.add(element)
-                else:
-                    crt_ids.add(element)
-            if not isinstance(element, Link):
+            is_new = created is not None and created > ts_ls
+            if is_new and is_link:
+                swept = True
+            if is_new or swept:
+                (crt_links if is_link else crt_ids).add(element)
+            elif not is_link:
+                # An object in the create sets is never sent as an update.
                 updated = log.ts(element, ActionType.UPDATE)
                 if updated is not None and updated > ts_ls:
                     upd_ids.add(element)
-        # A newly created edge may have attached a pre-existing subgraph the
-        # client has never seen; everything from that edge onward goes out
-        # as creates, whatever its age.
-        i_l = index_of_first_created_element(p, ts_ls, log)
-        for index, element in enumerate(flattened):
-            if index < i_l:
-                continue
-            if isinstance(element, Link):
-                crt_links.add(element)
-            else:
-                crt_ids.add(element)
 
     upd_ids -= crt_ids
     del_objects, del_links = log.deletions_since(ts_ls)
@@ -135,7 +97,5 @@ def timestamp_sync(
 
 __all__ = [
     "SyncCursor",
-    "has_modification",
-    "index_of_first_created_element",
     "timestamp_sync",
 ]

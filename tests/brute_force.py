@@ -7,6 +7,10 @@ definitions directly), and keeps maximal matched prefixes.  It is
 deliberately brute-force: O(paths) with no frontier bookkeeping, so a bug
 in the engine's incremental derivation cannot hide here.
 
+`brute_force_timestamp_delta` applies the timestamp sync's rule to the
+enumerator's paths, step by step as the rule is stated, so the engine's
+folded single walk has a reference to answer to.
+
 Also hosts the random instance generator shared by the property tests and
 the acceptance suite (same seeds -> same instances in both places).
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import random
 
+from relsync.changelog import ActionType, ChangeLog
 from relsync.expr import ClassAll, ClassFilter, InstanceSet, PathExpr
 from relsync.model import AssociationDef, Link, Schema, SystemData
 
@@ -143,6 +148,59 @@ def brute_force_paths(
                     continue  # a longer match subsumes this prefix
             keep.add(walk)
     return keep
+
+
+def brute_force_timestamp_delta(
+    schema: Schema,
+    data: SystemData,
+    log: ChangeLog,
+    exprs: list[PathExpr],
+    user: str,
+    ts_ls: int,
+) -> tuple[set[tuple[str, str]], set[str], set[Link]]:
+    """(created objects, updated ids, created links) the timestamp rule sends.
+
+    For every relevant path: skip it when none of its elements was created
+    or updated after the cursor; otherwise take what was created or updated
+    after it, and sweep everything from the first newly created edge onward
+    into the creates.  An object that is created never also counts as
+    updated."""
+
+    def newer(element, action: ActionType) -> bool:
+        ts = log.ts(element, action)
+        return ts is not None and ts > ts_ls
+
+    crt_ids: set[str] = set()
+    upd_ids: set[str] = set()
+    crt_links: set[Link] = set()
+    for expr in exprs:
+        for verts, edges in brute_force_paths(schema, data, expr, {"user": user}):
+            elements: list = [verts[0]]
+            for edge, vertex in zip(edges, verts[1:]):
+                elements += [edge, vertex]
+            if not any(
+                newer(x, ActionType.CREATE) or newer(x, ActionType.UPDATE)
+                for x in elements
+            ):
+                continue
+            taken = [x for x in elements if newer(x, ActionType.CREATE)]
+            upd_ids.update(
+                x for x in elements
+                if not isinstance(x, Link) and newer(x, ActionType.UPDATE)
+            )
+            new_edges = [
+                i for i, x in enumerate(elements)
+                if isinstance(x, Link) and newer(x, ActionType.CREATE)
+            ]
+            if new_edges:
+                taken += elements[new_edges[0]:]
+            for x in taken:
+                (crt_links if isinstance(x, Link) else crt_ids).add(x)
+    return (
+        {(oid, data.objects[oid]) for oid in crt_ids},
+        upd_ids - crt_ids,
+        crt_links,
+    )
 
 
 def as_pairs(paths) -> set[PathPair]:

@@ -60,7 +60,7 @@ def test_criterion_1_fixture_relevance_matches_brute_force(
     and an independent path enumerator agrees."""
     t0 = time.perf_counter()
 
-    rel = select_relevant(schema, f1_data, fixture_exprs, USER_I1).data
+    rel = select_relevant(schema, f1_data, fixture_exprs, USER_I1)
     assert rel.objects == F1_OBJECTS
     assert rel.links == F1_LINKS
 
@@ -91,7 +91,7 @@ def test_criterion_2_relevant_slice_is_always_subdata():
             exprs.append(expr)
             binding = binding or bound
         rel = select_relevant(schema, data, exprs, binding, max_paths=500_000)
-        assert is_subdata(rel.data, data), f"trial {trial} broke the subset law"
+        assert is_subdata(rel, data), f"trial {trial} broke the subset law"
     _budget(t0, 30.0, "subset law")
 
 
@@ -127,7 +127,7 @@ def test_criterion_4_oracle_delta_reconstructs_relevant_slice():
             decl = ctx.scenario.clients[client]
             want = select_relevant(
                 ctx.scenario.schema, ctx.store.data, decl.exprs, {"user": decl.root}
-            ).data
+            )
             assert rebuilt.objects == want.objects
             assert rebuilt.links == want.links
             assert rebuilt.states == want.states

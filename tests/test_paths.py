@@ -64,11 +64,8 @@ class TestFixtureDerivation:
 
     def test_select_relevant_covers_whole_fixture(self, schema, f1_data, fixture_exprs):
         rel = select_relevant(schema, f1_data, fixture_exprs, USER_I1)
-        assert rel.data.objects == F1_OBJECTS
-        assert rel.data.links == F1_LINKS
-        assert rel.provenance == {
-            "I1": 3, "C1": 1, "I2": 2, "P1": 2, "E1": 2, "P2": 1, "P3": 1, "I3": 1,
-        }
+        assert rel.objects == F1_OBJECTS
+        assert rel.links == F1_LINKS
 
     def test_expression_selection_extends_friends_only_slice(
         self, schema, f1_data, fixture_exprs
@@ -80,7 +77,7 @@ class TestFixtureDerivation:
         # strangers (P3) and their identities (I3).
         friends_only = {"I1", "C1", "I2", "P1", "E1", "P2"}
         rel = select_relevant(schema, f1_data, fixture_exprs, USER_I1)
-        assert set(rel.data.objects) == friends_only | {"P3", "I3"}
+        assert set(rel.objects) == friends_only | {"P3", "I3"}
 
 
 class TestDeadEnds:
@@ -240,11 +237,11 @@ class TestSelection:
         for _ in range(200):
             schema, data, expr, binding = random_instance(rng, max_objects=12)
             rel = select_relevant(schema, data, [expr], binding)
-            assert is_subdata(rel.data, data)
+            assert is_subdata(rel, data)
 
     def test_selected_states_are_copies(self, schema, f1_data, fixture_exprs):
         rel = select_relevant(schema, f1_data, fixture_exprs, USER_I1)
-        rel.data.states["I1"]["name"] = "tampered"
+        rel.states["I1"]["name"] = "tampered"
         assert f1_data.states["I1"]["name"] == "ana"
 
     def test_relevant_paths_unions_expressions(self, schema, f1_data, fixture_exprs):

@@ -1,22 +1,22 @@
-"""Timestamp-based sync: modification detection, the first-created-edge
-sweep, deletion broadcast, and cursor advancement."""
+"""Timestamp-based sync: the strict cursor boundary, the first-created-edge
+sweep, deletion broadcast, cursor advancement, and agreement with the
+brute-force reference over generated transaction streams."""
 
 from __future__ import annotations
 
-import math
+import random
 
+import pytest
+
+from brute_force import brute_force_timestamp_delta
 from conftest import build_f1
 from relsync.changelog import ActionType, ChangeLog
 from relsync.expr import parse_expression
-from relsync.model import Link
-from relsync.paths import Path
+from relsync.fuzz import FuzzBounds, _Generator, social_schema
+from relsync.model import Link, SystemData
+from relsync.scenario import PushStep, SyncStep, TxStep
 from relsync.store import Store
-from relsync.sync import (
-    SyncCursor,
-    has_modification,
-    index_of_first_created_element,
-    timestamp_sync,
-)
+from relsync.sync import SyncCursor, timestamp_sync
 
 OWN = Link("I1", "C1", "Ownership")
 REF = Link("C1", "I2", "Reference")
@@ -32,42 +32,118 @@ def crt_ids(delta):
     return {oid for oid, _ in delta.crt_objects}
 
 
-class TestHasModification:
-    def test_boundary_is_strict(self):
-        log = ChangeLog()
-        log.record("I1", ActionType.CREATE, 5)
-        p = Path(("I1",))
-        assert not has_modification(p, 5, log)
-        assert has_modification(p, 4, log)
-
-    def test_any_element_counts(self):
-        log = ChangeLog()
-        log.record("I1", ActionType.CREATE, 1)
-        log.record("C1", ActionType.CREATE, 1)
-        log.record(OWN, ActionType.CREATE, 3)
-        p = Path(("I1", "C1"), (OWN,))
-        assert has_modification(p, 2, log)  # only the edge is newer
-        assert not has_modification(p, 3, log)
+CONTACTS = [parse_expression("{user}.Contact.contactIdentity")]
 
 
-class TestFirstCreatedElement:
-    def test_edge_index_in_flattened_positions(self):
-        log = ChangeLog()
-        log.record("I1", ActionType.CREATE, 1)
-        log.record("C1", ActionType.CREATE, 1)
-        log.record("I2", ActionType.CREATE, 1)
-        log.record(OWN, ActionType.CREATE, 1)
-        log.record(REF, ActionType.CREATE, 2)
-        p = Path(("I1", "C1", "I2"), (OWN, REF))
-        # REF sits at flattened index 3 (vertices even, edges odd)
-        assert index_of_first_created_element(p, 1, log) == 3
-        assert index_of_first_created_element(p, 0, log) == 1
+def logged(*entries):
+    """A change log holding (element, action, ts) entries, in the given order."""
+    log = ChangeLog()
+    for element, action, ts in entries:
+        log.record(element, action, ts)
+    return log
 
-    def test_no_new_edge_yields_infinity(self):
-        log = ChangeLog()
-        log.record(OWN, ActionType.CREATE, 1)
-        p = Path(("I1", "C1"), (OWN,))
-        assert index_of_first_created_element(p, 1, log) is math.inf
+
+def contact_chain():
+    """I1 -OWN- C1 -REF- I2, the shape CONTACTS walks from I1."""
+    return SystemData(
+        objects={"I1": "Identity", "C1": "Contact", "I2": "Identity"},
+        links={OWN, REF},
+        states={"I1": {}, "C1": {"nick": "c"}, "I2": {"name": "bo"}},
+    )
+
+
+def sync_at(ts_ls, data, log, exprs=CONTACTS):
+    return timestamp_sync(SyncCursor("I1", ts_ls), data, log, exprs, social_schema())
+
+
+class TestSweepRule:
+    def test_element_stamped_at_the_cursor_is_not_resent(self):
+        data = contact_chain()
+        log = logged(
+            *((x, ActionType.CREATE, 1) for x in ("I1", "C1", "I2", OWN)),
+            ("C1", ActionType.UPDATE, 5),
+            (REF, ActionType.CREATE, 5),
+        )
+        assert sync_at(5, data, log).is_empty()
+        delta = sync_at(4, data, log)
+        assert delta.upd_objects == {"C1"}
+        assert delta.crt_links == {REF}
+        assert crt_ids(delta) == {"I2"}
+
+    def test_root_created_at_the_cursor_is_not_resent(self):
+        data = SystemData(objects={"I1": "Identity"}, states={"I1": {}})
+        log = logged(("I1", ActionType.CREATE, 5))
+        assert sync_at(5, data, log, [parse_expression("{user}")]).is_empty()
+        assert crt_ids(sync_at(4, data, log, [parse_expression("{user}")])) == {"I1"}
+
+    def test_only_new_element_an_edge_sweeps_from_that_edge(self):
+        # I1, C1 and I2 predate the cursor; only REF is new.  REF and the
+        # old I2 behind it go out as creates, the elements before it do not.
+        data = contact_chain()
+        log = logged(
+            *((x, ActionType.CREATE, 1) for x in ("I1", "C1", "I2", OWN)),
+            (REF, ActionType.CREATE, 2),
+        )
+        delta = sync_at(1, data, log)
+        assert delta.crt_links == {REF}
+        assert delta.crt_objects == {("I2", "Identity")}
+        assert delta.upd_objects == set()
+        assert delta.states == {"I2": {"name": "bo"}}
+        assert delta.ts_cs == 2
+
+    def test_new_first_edge_sweeps_the_whole_tail(self):
+        data = contact_chain()
+        log = logged(
+            ("I1", ActionType.CREATE, 1),
+            *((x, ActionType.CREATE, 3) for x in ("C1", "I2", OWN, REF)),
+        )
+        delta = sync_at(2, data, log)
+        assert delta.crt_links == {OWN, REF}
+        assert crt_ids(delta) == {"C1", "I2"}
+        assert sync_at(3, data, log).is_empty()
+
+    def test_path_without_new_edge_sends_updates_only(self):
+        data = contact_chain()
+        log = logged(
+            *((x, ActionType.CREATE, 1) for x in ("I1", "C1", "I2", OWN, REF)),
+            ("C1", ActionType.UPDATE, 2),
+            ("I2", ActionType.UPDATE, 2),
+        )
+        delta = sync_at(1, data, log)
+        assert delta.crt_objects == set()
+        assert delta.crt_links == set()
+        assert delta.upd_objects == {"C1", "I2"}
+        assert delta.ts_cs == 2
+
+
+@pytest.mark.parametrize("seed", range(0, 120, 10))
+def test_matches_brute_force_over_generated_streams(seed):
+    # Replay generated transaction streams into a store; after every commit,
+    # each client's delta since its last sync must equal the reference's.
+    for offset in range(10):
+        scenario = _Generator(random.Random(seed + offset), FuzzBounds()).build()
+        store = Store(scenario.schema)
+        cursors = {name: SyncCursor(d.root) for name, d in scenario.clients.items()}
+        for index, step in enumerate(scenario.steps):
+            if isinstance(step, SyncStep):
+                cursor = cursors[step.client]
+                exprs = scenario.clients[step.client].exprs
+                sync_once(store, cursor, exprs)
+                continue
+            if isinstance(step, TxStep):
+                store.apply(step.mutations)
+            elif isinstance(step, PushStep):
+                store.apply([step.mutation])
+            else:
+                continue
+            for name, cursor in cursors.items():
+                exprs = scenario.clients[name].exprs
+                delta = timestamp_sync(cursor, store.data, store.log, exprs, store.schema)
+                want = brute_force_timestamp_delta(
+                    store.schema, store.data, store.log, exprs, cursor.user, cursor.ts_ls
+                )
+                got = (delta.crt_objects, delta.upd_objects, delta.crt_links)
+                assert got == want, f"seed {seed + offset} step {index} client {name}"
 
 
 class TestFirstSync:
