@@ -130,35 +130,82 @@ class SystemData:
     Invariants (maintained by the store, re-checked by validate_schema):
     every link endpoint is a live object, and every live object has a state
     entry (possibly empty).
+
+    `incident` indexes the links by the vertices they touch.  It is built
+    from `links` the first time something reads it, and from then on links
+    change only through `apply`, which keeps it current.  Store versions
+    made by `derive` share every state dict and every per-vertex link set
+    with the version they came from, so neither is ever edited in place:
+    `apply` replaces a state, and replaces a vertex's frozenset of links.
     """
 
     objects: dict[str, str] = field(default_factory=dict)
     links: set[Link] = field(default_factory=set)
     states: dict[str, State] = field(default_factory=dict)
+    # vertex -> links touching it; None until first read
+    _incident: dict[str, frozenset[Link]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def incident(self) -> dict[str, frozenset[Link]]:
+        """vertex -> the links touching it; a vertex without links has no
+        entry.  A self-link is listed once, under its one vertex."""
+        index = self._incident
+        if index is None:
+            building: dict[str, set[Link]] = {}
+            for link in self.links:
+                building.setdefault(link.src, set()).add(link)
+                building.setdefault(link.dst, set()).add(link)
+            index = self._incident = {v: frozenset(s) for v, s in building.items()}
+        return index
 
     def copy(self) -> SystemData:
+        """An independent copy, states included; the index is rebuilt on
+        the copy's first read."""
         return SystemData(
             objects=dict(self.objects),
             links=set(self.links),
             states={oid: dict(state) for oid, state in self.states.items()},
         )
 
+    def derive(self) -> SystemData:
+        """The next version, for a commit to apply to: fresh dicts and link
+        set, sharing this version's state dicts and per-vertex link sets."""
+        following = SystemData(dict(self.objects), set(self.links), dict(self.states))
+        if self._incident is not None:
+            following._incident = dict(self._incident)
+        return following
+
     def apply(self, mutation: Mutation) -> list[Link]:
         """Apply a mutation without checking it; returns the links an object
         delete cascaded away (empty for every other kind).  An object takes
-        its links with it, so no link is left dangling."""
+        its links with it, so no link is left dangling.  Once the index has
+        been read it finds them in O(degree); until then one scan of the
+        links costs what building the index would, and data that nobody
+        walks (a fuzzer's model, a bulk load) never pays for the index."""
         if isinstance(mutation, CreateObject):
             self.objects[mutation.object_id] = mutation.class_name
             self.states[mutation.object_id] = mutation.state_dict()
         elif isinstance(mutation, CreateLink):
             self.links.add(mutation.link)
+            if self._incident is not None:
+                _index_link(self._incident, mutation.link)
         elif isinstance(mutation, UpdateState):
             self.states[mutation.object_id] = mutation.state_dict()
         elif isinstance(mutation, DeleteLink):
             self.links.discard(mutation.link)
+            if self._incident is not None:
+                _unindex_link(self._incident, mutation.link)
         elif isinstance(mutation, DeleteObject):
             oid = mutation.object_id
-            cascade = [link for link in self.links if link.touches(oid)]
+            index = self._incident
+            if index is None:
+                cascade = [link for link in self.links if link.touches(oid)]
+            else:
+                cascade = list(index.pop(oid, _NO_LINKS))
+                for link in cascade:
+                    _unindex_link(index, link)
             self.links.difference_update(cascade)
             del self.objects[oid]
             self.states.pop(oid, None)
@@ -166,6 +213,28 @@ class SystemData:
         else:  # pragma: no cover - exhaustive over the Mutation union
             raise TypeError(f"not a mutation: {mutation!r}")
         return []
+
+
+_NO_LINKS: frozenset[Link] = frozenset()
+
+
+def _index_link(index: dict[str, frozenset[Link]], link: Link) -> None:
+    """Add a link under both its ends, replacing each end's set."""
+    index[link.src] = index.get(link.src, _NO_LINKS) | {link}
+    if link.dst != link.src:
+        index[link.dst] = index.get(link.dst, _NO_LINKS) | {link}
+
+
+def _unindex_link(index: dict[str, frozenset[Link]], link: Link) -> None:
+    """Remove a link from under both its ends, replacing each end's set and
+    dropping an end left without links.  An end already gone is skipped."""
+    for vertex in {link.src, link.dst}:
+        held = index.get(vertex)
+        if held is not None and link in held:
+            if len(held) == 1:
+                del index[vertex]
+            else:
+                index[vertex] = held - {link}
 
 
 # Mutations -----------------------------------------------------------------

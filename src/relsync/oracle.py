@@ -1,17 +1,18 @@
 """Snapshot-diff sync: the reference algorithm.
 
-Computes a client's delta by materializing the relevant slice of the data
-at the previous sync and at now, and diffing the two — created = newly
-relevant, deleted = no longer relevant, updated = relevant in both with a
-different state.  Conceptually exact but expensive (it keeps a full copy
-of the data as each client last synced it), so it serves as the ground
-truth the timestamp-based algorithm is tested against, and as the
-`--mode oracle` engine of the simulator.
+Computes a client's delta by diffing the relevant slice of the data the
+client was last given against the relevant slice of the data now —
+created = newly relevant, deleted = no longer relevant, updated = relevant
+in both with a different state.  Conceptually exact but expensive (it
+evaluates the client's whole slice on every sync and keeps the last one
+per client), so it serves as the ground truth the timestamp-based
+algorithm is tested against, and as the `--mode oracle` engine of the
+simulator.
 
 One assumption to be aware of: the diff brings a client from exactly the
 previously delivered slice to the current one.  A client that pushed its
 own changes between syncs has strayed from that slice, and if the server
-meanwhile reverts a pushed value back to what the last snapshot held, the
+meanwhile reverts a pushed value back to what the last slice held, the
 diff sees no difference and never re-delivers it.  The timestamp
 algorithm covers that case (the revert is newer than the client's cursor);
 here it is simply outside the algorithm's contract.
@@ -46,18 +47,8 @@ def get_set_upd(
     }
 
 
-def oracle_sync(
-    root: str,
-    data_now: SystemData,
-    data_prev: SystemData,
-    exprs: list[PathExpr],
-    schema: Schema,
-    ts_now: int,
-) -> DeltaSet:
-    """Diff the relevant slices of two full snapshots into a DeltaSet."""
-    rel_prev = select_relevant(schema, data_prev, exprs, {"user": root})
-    rel_now = select_relevant(schema, data_now, exprs, {"user": root})
-
+def _diff_slices(rel_prev: SystemData, rel_now: SystemData, ts_now: int) -> DeltaSet:
+    """The delta that turns the slice `rel_prev` into the slice `rel_now`."""
     objs_prev = set(rel_prev.objects)
     objs_now = set(rel_now.objects)
     crt_ids = get_set_crt(objs_prev, objs_now)
@@ -73,17 +64,33 @@ def oracle_sync(
     return delta
 
 
-class SnapshotOracle:
-    """Per-client snapshot store driving oracle_sync.
+def oracle_sync(
+    root: str,
+    data_now: SystemData,
+    data_prev: SystemData,
+    exprs: list[PathExpr],
+    schema: Schema,
+    ts_now: int,
+) -> DeltaSet:
+    """Diff the relevant slices of two full snapshots into a DeltaSet."""
+    binding = {"user": root}
+    rel_prev = select_relevant(schema, data_prev, exprs, binding)
+    rel_now = select_relevant(schema, data_now, exprs, binding)
+    return _diff_slices(rel_prev, rel_now, ts_now)
 
-    Only each client's last snapshot is kept, since the next sync diffs
-    against it alone.  A client's first sync diffs against the empty
-    snapshot, which turns the initial full download into an ordinary run
-    of the same algorithm."""
+
+class SnapshotOracle:
+    """Per-client slice store driving the snapshot diff.
+
+    Only each client's last slice is kept, since the next sync diffs
+    against it alone; a client keeps its root and expressions, so that
+    slice is what the previous snapshot would select again.  A client's
+    first sync diffs against the empty slice, which turns the initial full
+    download into an ordinary run of the same algorithm."""
 
     def __init__(self, schema: Schema):
         self.schema = schema
-        # client -> copy of the data at that client's last sync
+        # client -> the relevant slice delivered at that client's last sync
         self.last: dict[str, SystemData] = {}
 
     def sync(
@@ -94,9 +101,9 @@ class SnapshotOracle:
         ts_now: int,
         exprs: list[PathExpr],
     ) -> DeltaSet:
-        data_prev = self.last.get(client, SystemData())
-        delta = oracle_sync(root, data_now, data_prev, exprs, self.schema, ts_now)
-        self.last[client] = data_now.copy()
+        rel_now = select_relevant(self.schema, data_now, exprs, {"user": root})
+        delta = _diff_slices(self.last.get(client, SystemData()), rel_now, ts_now)
+        self.last[client] = rel_now
         return delta
 
 

@@ -35,24 +35,21 @@ Binding = dict[str, str]
 class TypedGraph:
     """System data seen as a graph with typed edges.
 
-    The graph indexes the data in place: it keeps a reference to the data
-    and builds only an adjacency index, so it is valid only while that
-    data is unchanged."""
+    The graph builds nothing: it reads the data's objects and its
+    `incident` index in place.  The data keeps that index current through
+    `SystemData.apply`, and store versions are never edited once committed,
+    so a graph over a held version stays valid."""
 
     def __init__(self, data: SystemData, schema: Schema):
         self.schema = schema
         self.data = data
-        adjacency: dict[str, set[Link]] = {}
-        for link in data.links:
-            adjacency.setdefault(link.src, set()).add(link)
-            adjacency.setdefault(link.dst, set()).add(link)
-        self._adjacency = adjacency
+        self._incident = data.incident
 
     def class_of(self, vertex: str) -> str | None:
         return self.data.objects.get(vertex)
 
-    def adjacent(self, vertex: str) -> set[Link]:
-        return self._adjacency.get(vertex, set())
+    def adjacent(self, vertex: str) -> frozenset[Link]:
+        return self._incident.get(vertex, frozenset())
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ Delta application is deliberately tolerant — the timestamp algorithm may
 over-deliver, re-deliver, or announce deletions of things this client never
 had — and is ordered so no step observes a dangling reference: object
 creates, link creates, updates, link deletes, object deletes, then the GC
-sweep drops whatever is no longer on any locally-relevant path.
+sweep drops whatever is no longer on any locally-relevant path.  Links
+change only through `SystemData.apply`, which keeps the data's link index
+current for the sweep's path evaluation.  Links and updates are applied in
+text and id order, so the divergence warnings come in a stable order.
 """
 
 from __future__ import annotations
@@ -68,15 +71,17 @@ class Replica:
                 )
             data.objects[oid] = cls
             data.states[oid] = dict(delta.states.get(oid, {}))
-        for link in delta.crt_links:
+        for link in sorted(delta.crt_links, key=link_text_order):
+            if link in data.links:
+                continue  # re-delivered
             if link.src in data.objects and link.dst in data.objects:
-                data.links.add(link)
+                data.apply(CreateLink(link))
             else:
                 # Can happen when the server over-delivers a link whose
                 # endpoint this client is not entitled to; holding the link
                 # back keeps the replica free of dangling references.
                 self.warn(f"dropped link {link}: endpoint missing")
-        for oid in delta.upd_objects:
+        for oid in sorted(delta.upd_objects):
             if oid in data.objects:
                 data.states[oid] = dict(delta.states.get(oid, {}))
             else:
@@ -86,7 +91,8 @@ class Replica:
                 # sweep removes it anyway.
                 self.warn(f"skipped update of unknown object {oid}")
         for link in delta.del_links:
-            data.links.discard(link)
+            if link in data.links:  # deletions are broadcast
+                data.apply(DeleteLink(link))
         for oid in delta.del_objects:
             if oid not in data.objects:
                 continue  # deletions are broadcast; unknown ids are expected
@@ -105,11 +111,14 @@ class Replica:
         for p in paths:
             keep_objects.update(p.vertices)
             keep_links.update(p.edges)
-        removed = {oid for oid in self.data.objects if oid not in keep_objects}
+        data = self.data
+        removed = {oid for oid in data.objects if oid not in keep_objects}
+        # Every link of a removed object is off-path too, so the objects'
+        # cascades find nothing left to remove.
+        for link in [l for l in data.links if l not in keep_links]:
+            data.apply(DeleteLink(link))
         for oid in removed:
-            del self.data.objects[oid]
-            self.data.states.pop(oid, None)
-        self.data.links = {l for l in self.data.links if l in keep_links}
+            data.apply(DeleteObject(oid))
         return removed
 
     # -- local changes ----------------------------------------------------------

@@ -4,8 +4,11 @@ All server-side changes go through transactions.  A transaction stages
 mutations (checked leniently, in any order), then `commit` applies them
 through `SystemData.apply`, kind by kind in the order of the
 `_COMMIT_ORDER` table — object creates, link creates, updates, link
-deletes, object deletes — against a scratch copy, validates the result
-against the schema, and only then swaps it in.  Every mutation in one
+deletes, object deletes — to the next version of the data, validates that
+version against the schema, and only then swaps it in.  The next version
+(`SystemData.derive`) has containers of its own but shares every state
+dict and per-vertex link set that the commit did not replace, so a held
+version never changes and a commit makes no deep copy.  Every mutation in one
 commit is logged at the same logical timestamp; the counter advances once
 per nonempty commit, so equal timestamps mean "same transaction" and order
 of timestamps is commit order.
@@ -179,7 +182,7 @@ class Transaction:
                 raise UnknownIdError(f"link {link} references unknown object {missing}")
             _check_link_fits(link, store.schema.assocs[link.assoc], src_cls, dst_cls)
 
-        scratch = store.data.copy()
+        scratch = store.data.derive()
         ts = store._counter + 1
         log_entries: list[tuple[str | Link, ActionType]] = []
 
@@ -258,8 +261,9 @@ class Store:
         return tx.commit()
 
     def snapshot(self) -> SystemData:
-        """The current data.  Commits replace the whole SystemData object,
-        so a held snapshot is effectively immutable."""
+        """The current data.  Commits replace the whole SystemData object
+        and never edit what versions share, so a held snapshot, its index
+        included, never changes."""
         return self.data
 
     def was_deleted(self, object_id: str) -> bool:

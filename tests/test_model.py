@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import random
 
 import pytest
 
@@ -237,6 +238,90 @@ class TestSubdata:
         d2 = d1.copy()
         d2.states["a"]["k"] = 2
         assert d1.states["a"]["k"] == 1
+
+
+def rebuilt_index(links) -> dict[str, frozenset[Link]]:
+    """vertex -> links touching it, built from scratch."""
+    index: dict[str, set[Link]] = {}
+    for link in links:
+        for vertex in {link.src, link.dst}:
+            index.setdefault(vertex, set()).add(link)
+    return {vertex: frozenset(held) for vertex, held in index.items()}
+
+
+def frozen_view(data: SystemData) -> tuple:
+    """Everything a held version must keep, copied out of it."""
+    return (
+        dict(data.objects),
+        frozenset(data.links),
+        {oid: dict(state) for oid, state in data.states.items()},
+        dict(data.incident),
+    )
+
+
+def random_mutation(rng: random.Random, data: SystemData, dropped: list[Link], fresh):
+    """One applicable mutation: creates, self-links, updates, link deletes,
+    object deletes (mostly of linked objects) and re-creates of a link
+    deleted earlier whose ends are still live."""
+    live = sorted(data.objects)
+    linked = sorted({end for link in data.links for end in (link.src, link.dst)})
+    revivable = [l for l in dropped if l.src in data.objects and l.dst in data.objects
+                 and l not in data.links]
+    kind = rng.choice(["create", "create", "link", "link", "self", "update",
+                       "unlink", "delete", "relink"])
+    if kind == "relink" and revivable:
+        return CreateLink(rng.choice(revivable))
+    if kind == "unlink" and data.links:
+        return DeleteLink(rng.choice(sorted(data.links)))
+    if kind == "delete" and live:
+        return DeleteObject(rng.choice(linked if linked and rng.random() < 0.8 else live))
+    if kind == "update" and live:
+        return UpdateState.make(rng.choice(live), {"k": rng.randrange(5)})
+    if kind in ("link", "self") and live:
+        src = rng.choice(live)
+        dst = src if kind == "self" else rng.choice(live)
+        link = Link(src, dst, rng.choice(["R", "S"]))
+        if link not in data.links:
+            return CreateLink(link)
+    return CreateObject.make(next(fresh), rng.choice(["A", "B"]), {"k": 0})
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_version_chain_keeps_every_index_right(seed):
+    """Commit-derived versions and copies, each changed only through
+    `apply`: every version's index matches its links, and no later step
+    changes a version already made."""
+    rng = random.Random(seed)
+    fresh = (f"o{i}" for i in range(10**6))
+    root = SystemData()
+    versions: list[SystemData] = [root]
+    views: list[tuple] = [frozen_view(root)]
+    dropped: list[Link] = []
+    kinds: set[str] = set()
+    for _ in range(60):
+        base = rng.choice(versions[-3:] if rng.random() < 0.8 else versions)
+        data = base.copy() if rng.random() < 0.2 else base.derive()
+        for _ in range(rng.randrange(1, 6)):
+            m = random_mutation(rng, data, dropped, fresh)
+            before = set(data.links)
+            cascade = data.apply(m)
+            if isinstance(m, DeleteObject):
+                assert len(cascade) == len(set(cascade))
+                assert set(cascade) == {l for l in before if l.touches(m.object_id)}
+                dropped += cascade
+                kinds.add("delete-with-links" if cascade else "delete")
+            elif isinstance(m, DeleteLink):
+                dropped.append(m.link)
+            elif isinstance(m, CreateLink):
+                kinds.add("self-link" if m.link.src == m.link.dst else "link")
+                if m.link in dropped:
+                    kinds.add("re-created link")
+        versions.append(data)
+        views.append(frozen_view(data))
+        for version, view in zip(versions, views):
+            assert version.incident == rebuilt_index(version.links)
+            assert frozen_view(version) == view
+    assert {"self-link", "delete-with-links", "re-created link"} <= kinds
 
 
 _MODULES = ["relsync"] + [

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import relsync
 from conftest import build_f1
 from relsync.delta import DeltaSet
 from relsync.errors import (
@@ -223,3 +230,40 @@ def test_dump_is_sorted_and_stable(schema, fixture_exprs):
         "obj I1 Identity {name=\"ana\"}\n"
         "link I1 Ownership C1\n"
     )
+
+
+# Applies one delta with six dropped links and six skipped updates to an
+# empty replica and prints the warnings it collected.
+_WARNINGS_SCRIPT = """
+import json
+from relsync.delta import DeltaSet
+from relsync.fuzz import social_schema
+from relsync.model import Link
+from relsync.replica import Replica
+
+replica = Replica(name="A", root="I1", exprs=[], schema=social_schema())
+delta = DeltaSet(ts_cs=1)
+delta.crt_links = {Link(f"P{i}", "E1", "Enrollment") for i in range(3)}
+delta.crt_links |= {Link("I1", f"C{i}", "Ownership") for i in range(3)}
+delta.upd_objects = {f"I{i}" for i in range(6)}
+replica.apply_delta(delta)
+print(json.dumps(replica.divergence_warnings))
+"""
+
+
+def test_warning_order_does_not_depend_on_the_hash_seed():
+    src = str(Path(relsync.__file__).resolve().parent.parent)
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _WARNINGS_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        runs.append(json.loads(out.stdout))
+    # links in the order of their text form, then updates by id
+    assert runs[0] == runs[1] == [
+        *(f"A: dropped link I1 Ownership C{i}: endpoint missing" for i in range(3)),
+        *(f"A: dropped link P{i} Enrollment E1: endpoint missing" for i in range(3)),
+        *(f"A: skipped update of unknown object I{i}" for i in range(6)),
+    ]

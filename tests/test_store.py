@@ -13,7 +13,15 @@ from relsync.errors import (
     TransactionError,
     UnknownIdError,
 )
-from relsync.model import CreateObject, Link, UpdateState
+from relsync.model import (
+    CreateLink,
+    CreateObject,
+    DeleteLink,
+    DeleteObject,
+    Link,
+    UpdateState,
+)
+from relsync.paths import relevant_paths
 from relsync.store import Store
 
 from conftest import build_f1
@@ -255,6 +263,24 @@ class TestApply:
         store.apply([CreateObject.make("I2", "Identity")])
         assert "I2" not in snap.objects
         assert "I2" in store.snapshot().objects
+
+    def test_held_snapshot_keeps_its_paths(self, store, fixture_exprs):
+        build_f1(store)
+        snap = store.snapshot()
+        user = {"user": "I1"}
+        paths = relevant_paths(store.schema, snap, fixture_exprs, user)
+        # link creates and deletes and an object delete, on the vertices of
+        # those paths, each commit deriving from the last
+        store.apply([
+            DeleteLink(Link("C1", "I2", "Reference")),
+            CreateLink(Link("C1", "I3", "Reference")),
+        ])
+        store.apply([CreateObject.make("P4", "Participation"),
+                     CreateLink(Link("I1", "P4", "Attendance")),
+                     CreateLink(Link("P4", "E1", "Enrollment"))])
+        store.apply([DeleteObject("P2"), DeleteLink(Link("I3", "P3", "Attendance"))])
+        assert relevant_paths(store.schema, store.data, fixture_exprs, user) != paths
+        assert relevant_paths(store.schema, snap, fixture_exprs, user) == paths
 
 
 def test_was_deleted(store):
