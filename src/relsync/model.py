@@ -13,6 +13,7 @@ fuzzer's model of the server.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -127,9 +128,10 @@ class Schema:
 class SystemData:
     """The full content of one store: objects, links, and states.
 
-    Invariants (maintained by the store, re-checked by validate_schema):
-    every link endpoint is a live object, and every live object has a state
-    entry (possibly empty).
+    Invariants: every link endpoint is a live object, and every live object
+    has a state entry (possibly empty).  The store keeps them: each commit
+    runs `validate_schema` on the elements its batch touched, which is
+    enough because the version it derives from already held them.
 
     `incident` indexes the links by the vertices they touch.  It is built
     from `links` the first time something reads it, and from then on links
@@ -299,39 +301,74 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_schema(schema: Schema, data: SystemData) -> ValidationReport:
+def validate_schema(
+    schema: Schema, data: SystemData, *, touched: Iterable[str | Link] | None = None
+) -> ValidationReport:
     """Check system data against a schema.
 
     Reports one violation per offending object or link: unknown classes,
     links whose association is undeclared or whose endpoint classes do not
     match it, dangling link endpoints, and object/state bookkeeping drift.
+
+    `touched` (object ids and links) limits the check to those elements;
+    None checks the whole data.  Both scopes make the same per-element
+    checks: a live object's class is known and it has a state; a live link's
+    association is known, both its ends are live and their classes fit it;
+    a deleted object has no state left and, once the index has been built,
+    no link under it (until then `apply` found its cascade by scanning every
+    link).  Checking a commit's touched elements alone is enough when the
+    version it derives from was valid, because nothing the batch did not
+    touch can have changed: an object's class never changes, an endpoint
+    vanishes only through a `DeleteObject` in the batch, and the links that
+    delete cascaded away are touched too.  A whole-data check lists the
+    violations in data order; a scoped one sorts them.
     """
-    report = ValidationReport()
-    for oid, cls in data.objects.items():
-        if cls not in schema.classes:
-            report.violations.append(f"object {oid}: unknown class {cls!r}")
-    for link in sorted(data.links):
+    objects, states, links = data.objects, data.states, data.links
+    index = None
+    if touched is None:
+        object_ids = [*objects, *(oid for oid in states if oid not in objects)]
+        checked_links = sorted(links)
+    else:
+        object_ids, checked_links = [], []
+        for element in dict.fromkeys(touched):
+            (checked_links if isinstance(element, Link) else object_ids).append(element)
+        index = data._incident
+    violations: list[str] = []
+    for oid in object_ids:
+        cls = objects.get(oid)
+        if cls is not None and cls not in schema.classes:
+            violations.append(f"object {oid}: unknown class {cls!r}")
+    for link in checked_links:
+        if link not in links:
+            continue  # deleted: nothing of it is left to check
         assoc = schema.assocs.get(link.assoc)
         if assoc is None:
-            report.violations.append(f"link {link}: unknown association")
+            violations.append(f"link {link}: unknown association")
             continue
-        src_cls = data.objects.get(link.src)
-        dst_cls = data.objects.get(link.dst)
+        src_cls = objects.get(link.src)
+        dst_cls = objects.get(link.dst)
         if src_cls is None or dst_cls is None:
-            report.violations.append(f"link {link}: dangling endpoint")
+            violations.append(f"link {link}: dangling endpoint")
             continue
         if src_cls != assoc.class_a or dst_cls != assoc.class_b:
-            report.violations.append(
+            violations.append(
                 f"link {link}: link class mismatch "
                 f"({src_cls}-{dst_cls} vs {assoc.class_a}-{assoc.class_b})"
             )
-    for oid in data.objects:
-        if oid not in data.states:
-            report.violations.append(f"object {oid}: missing state entry")
-    for oid in data.states:
-        if oid not in data.objects:
-            report.violations.append(f"state {oid}: no such object")
-    return report
+    for oid in object_ids:
+        if oid in objects:
+            if oid not in states:
+                violations.append(f"object {oid}: missing state entry")
+            continue
+        if oid in states:
+            violations.append(f"state {oid}: no such object")
+        if index is not None:
+            for link in index.get(oid, _NO_LINKS):
+                violations.append(f"link {link}: dangling endpoint")
+    if touched is not None and violations:
+        # a link left under a deleted object may also be touched itself
+        violations = sorted(set(violations))
+    return ValidationReport(violations)
 
 
 def is_subdata(d2: SystemData, d1: SystemData) -> bool:

@@ -128,12 +128,15 @@ class Replica:
 
         The local copy changes first (the mutation must make sense against
         the replica's view), but a server rejection rolls it back, so a
-        failed push leaves no trace."""
+        failed push leaves no trace.  The change goes to a derived version,
+        and `apply` never edits what versions share, so the version before
+        it, link index included, is the rollback."""
         if server is None:
             raise OfflinePushError(f"{self.name} is offline; push not queued")
-        before = self.data.copy()
-        self._apply_local(mutation)
+        before = self.data
+        self.data = before.derive()
         try:
+            self._apply_local(mutation)
             return server.apply([mutation])
         except Exception:
             self.data = before

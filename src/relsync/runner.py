@@ -18,7 +18,7 @@ from typing import Callable
 
 from .delta import DeltaSet, render_delta, render_state
 from .errors import RelsyncError, ScenarioRuntimeError
-from .model import link_text_order
+from .model import SystemData, link_text_order
 from .oracle import SnapshotOracle
 from .paths import select_relevant
 from .replica import Replica
@@ -76,14 +76,17 @@ class RunContext:
     on_sync: SyncHook | None = None
 
 
-def compare_replica(ctx: RunContext, client: str) -> tuple[list[str], list[str], list[str]]:
-    """Diff a replica against the relevant slice of current server data."""
-    replica = ctx.replicas[client]
-    decl = ctx.scenario.clients[client]
-    rel = select_relevant(
-        ctx.scenario.schema, ctx.store.data, decl.exprs, {"user": decl.root}
-    )
-    local = replica.data
+def compare_replica(
+    ctx: RunContext, client: str, rel: SystemData | None = None
+) -> tuple[list[str], list[str], list[str]]:
+    """Diff a replica against the relevant slice of current server data;
+    `rel` is that slice when the caller has already selected it."""
+    if rel is None:
+        decl = ctx.scenario.clients[client]
+        rel = select_relevant(
+            ctx.scenario.schema, ctx.store.data, decl.exprs, {"user": decl.root}
+        )
+    local = ctx.replicas[client].data
     missing = [f"obj {oid}" for oid in sorted(set(rel.objects) - set(local.objects))]
     extra = [f"obj {oid}" for oid in sorted(set(local.objects) - set(rel.objects))]
     missing += [f"link {l}" for l in sorted(rel.links - local.links, key=link_text_order)]
@@ -102,9 +105,11 @@ def compare_replica(ctx: RunContext, client: str) -> tuple[list[str], list[str],
     return missing, extra, mismatches
 
 
-def _check_converged(ctx: RunContext, index: int, client: str) -> None:
+def _check_converged(
+    ctx: RunContext, index: int, client: str, rel: SystemData | None = None
+) -> None:
     """Report the replica's differences from its slice, if it has any."""
-    missing, extra, mismatches = compare_replica(ctx, client)
+    missing, extra, mismatches = compare_replica(ctx, client, rel)
     if missing or extra or mismatches:
         ctx.reports.append(DivergenceReport(index, client, missing, extra, mismatches))
 
@@ -159,7 +164,8 @@ def _do_sync(
     replica.gc_sweep()
 
     if ctx.mode == "both":
-        _check_converged(ctx, index, client)
+        # The oracle just selected this client's slice of the same data.
+        _check_converged(ctx, index, client, ctx.oracle.last[client])
     if ctx.on_sync is not None:
         ctx.on_sync(ctx, index, client, applied, shadow)
 

@@ -4,8 +4,13 @@ All server-side changes go through transactions.  A transaction stages
 mutations (checked leniently, in any order), then `commit` applies them
 through `SystemData.apply`, kind by kind in the order of the
 `_COMMIT_ORDER` table — object creates, link creates, updates, link
-deletes, object deletes — to the next version of the data, validates that
-version against the schema, and only then swaps it in.  The next version
+deletes, object deletes — to the next version of the data, validates what
+the batch touched, and only then swaps it in.  Validating only the touched
+elements (the logged ones, cascaded link deletes included) costs O(batch)
+and checks everything the batch could have broken: every committed version
+was validated and the data changes only through commit, an object's class
+never changes, and an endpoint vanishes only through a `DeleteObject` in
+the batch, whose cascade is logged and so touched too.  The next version
 (`SystemData.derive`) has containers of its own but shares every state
 dict and per-vertex link set that the commit did not replace, so a held
 version never changes and a commit makes no deep copy.  Every mutation in one
@@ -194,7 +199,9 @@ class Transaction:
             element = m.link if isinstance(m, (CreateLink, DeleteLink)) else m.object_id
             log_entries.append((element, _COMMIT_ORDER[type(m)][1]))
 
-        report = validate_schema(store.schema, scratch)
+        report = validate_schema(
+            store.schema, scratch, touched=(element for element, _ in log_entries)
+        )
         if not report.ok:
             raise CommitError("; ".join(report.violations))
 

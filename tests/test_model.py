@@ -206,6 +206,38 @@ class TestValidation:
         assert any("no such object" in v for v in violations)
 
 
+# Each is invalid in a different way; see TestValidation.
+INVALID_DATA = [
+    SystemData(objects={"a": "Z"}, states={"a": {}}),
+    SystemData(
+        objects={"a": "A", "b": "B"},
+        links={Link("a", "b", "Nope"), Link("b", "a", "R")},
+        states={"a": {}, "b": {}},
+    ),
+    SystemData(objects={"a": "A"}, links={Link("a", "ghost", "R")}, states={"a": {}}),
+    SystemData(objects={"a": "A"}, states={"b": {}}),
+]
+
+
+@pytest.mark.parametrize("data", INVALID_DATA)
+def test_scoped_check_reports_what_the_whole_check_does(data):
+    schema = Schema({"A", "B"}, [AssociationDef("R", "A", "left", "B", "right")])
+    whole = validate_schema(schema, data).violations
+    everything = [*data.links, *data.objects, *data.states, *data.objects]
+    assert validate_schema(schema, data, touched=everything).violations == sorted(whole)
+    assert validate_schema(schema, data, touched=[]).ok
+
+
+def test_scoped_check_finds_links_left_under_a_deleted_object():
+    schema = Schema({"A", "B"}, [AssociationDef("R", "A", "left", "B", "right")])
+    data = SystemData(objects={"a": "A"}, links={Link("a", "b", "R")}, states={"a": {}})
+    # with no index yet, apply's cascade scan is what finds such links
+    assert validate_schema(schema, data, touched=["b"]).ok
+    data.incident
+    report = validate_schema(schema, data, touched=["b", Link("a", "b", "R")])
+    assert report.violations == ["link a R b: dangling endpoint"]
+
+
 class TestSubdata:
     def test_restriction_is_subdata(self):
         d1 = SystemData(

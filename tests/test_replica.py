@@ -21,10 +21,11 @@ from relsync.errors import (
     UnknownIdError,
 )
 from relsync.expr import parse_expression
-from relsync.model import CreateObject, DeleteObject, Link, UpdateState
+from relsync.model import CreateLink, CreateObject, DeleteObject, Link, UpdateState
 from relsync.replica import Replica
 from relsync.store import Store
 from relsync.sync import timestamp_sync
+from test_model import rebuilt_index
 
 OWN = Link("I1", "C1", "Ownership")
 REF = Link("C1", "I2", "Reference")
@@ -216,6 +217,29 @@ class TestPush:
             replica.push_local_change(CreateObject.make("X1", "Event"), store)
         assert "X1" not in replica.data.objects
         assert store.counter == 4  # the failed push committed nothing
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            UpdateState.make("C1", {"nick": "gone"}),
+            CreateLink(Link("C1", "I3", "Reference")),
+        ],
+    )
+    def test_rejected_push_leaves_data_and_index_as_they_were(
+        self, schema, fixture_exprs, mutation
+    ):
+        store = build_f1(Store(schema))
+        replica = make_replica(schema, fixture_exprs)
+        full_sync(store, replica)
+        # the server drops C1, which the replica has not heard of yet
+        store.apply([DeleteObject("C1")])
+        dump = replica.dump()
+        states = {oid: dict(state) for oid, state in replica.data.states.items()}
+        with pytest.raises(AlreadyDeletedError):
+            replica.push_local_change(mutation, store)
+        assert replica.dump() == dump
+        assert replica.data.states == states
+        assert replica.data.incident == rebuilt_index(replica.data.links)
 
 
 def test_dump_is_sorted_and_stable(schema, fixture_exprs):

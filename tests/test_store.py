@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 
+import relsync.fuzz as fuzz_module
 from relsync.changelog import ActionType
 from relsync.errors import (
     AlreadyDeletedError,
+    CommitError,
     DuplicateIdError,
     DuplicateLinkError,
     SchemaMismatchError,
@@ -19,9 +24,12 @@ from relsync.model import (
     DeleteLink,
     DeleteObject,
     Link,
+    SystemData,
     UpdateState,
+    validate_schema,
 )
 from relsync.paths import relevant_paths
+from relsync.scenario import PushStep, TxStep
 from relsync.store import Store
 
 from conftest import build_f1
@@ -290,3 +298,145 @@ def test_was_deleted(store):
     tx.delete("I1")
     tx.commit()
     assert store.was_deleted("I1")
+
+
+# Faults in SystemData.apply that commit's scoped check must catch.  Each
+# takes the unpatched apply and returns a patched one.
+
+def _delete_keeps_an_unreported_link(apply):
+    def faulty(data, m):
+        cascade = apply(data, m)
+        if isinstance(m, DeleteObject):
+            kept = max(cascade)
+            cascade.remove(kept)
+            apply(data, CreateLink(kept))
+        return cascade
+    return faulty
+
+
+def _delete_keeps_a_cascaded_link(apply):
+    def faulty(data, m):
+        cascade = apply(data, m)
+        if isinstance(m, DeleteObject):
+            apply(data, CreateLink(max(cascade)))  # yet reports it deleted
+        return cascade
+    return faulty
+
+
+def _delete_keeps_the_state(apply):
+    def faulty(data, m):
+        if not isinstance(m, DeleteObject):
+            return apply(data, m)
+        state = data.states[m.object_id]
+        cascade = apply(data, m)
+        data.states[m.object_id] = state
+        return cascade
+    return faulty
+
+
+def _create_leaves_no_state(apply):
+    def faulty(data, m):
+        cascade = apply(data, m)
+        if isinstance(m, CreateObject):
+            del data.states[m.object_id]
+        return cascade
+    return faulty
+
+
+C1_DELETE = DeleteObject("C1")
+# the larger of the two links C1's delete cascades to
+C1_KEPT = str(max(Link("I1", "C1", "Ownership"), Link("C1", "I2", "Reference")))
+
+
+class _CountingDict(dict):
+    lookups = 0
+
+    def get(self, *args):
+        self.lookups += 1
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+class _CountingSet(set):
+    lookups = 0
+
+    def __contains__(self, item):
+        self.lookups += 1
+        return super().__contains__(item)
+
+
+class TestScopedValidation:
+    """Commit validates only what its batch touched; these check that the
+    touched elements still cover every way a batch can break the data."""
+
+    @pytest.mark.parametrize(
+        "fault, index_built, mutation, named",
+        [
+            # found only through the deleted object's index entry
+            (_delete_keeps_an_unreported_link, True, C1_DELETE, C1_KEPT),
+            # found only because cascaded links count as touched
+            (_delete_keeps_a_cascaded_link, False, C1_DELETE, C1_KEPT),
+            (_delete_keeps_the_state, False, C1_DELETE, "state C1"),
+            (_create_leaves_no_state, False, CreateObject.make("I9", "Identity"), "object I9"),
+        ],
+    )
+    def test_a_faulty_apply_fails_the_commit_and_changes_nothing(
+        self, store, monkeypatch, fault, index_built, mutation, named
+    ):
+        build_f1(store)
+        if index_built:
+            store.data.incident  # a sync reads it; commits then keep it
+        data, counter, log = store.data, store.counter, store.log.dump()
+        assert (data._incident is not None) == index_built
+        monkeypatch.setattr(SystemData, "apply", fault(SystemData.apply))
+        with pytest.raises(CommitError, match=re.escape(named)):
+            store.apply([mutation])
+        assert store.data is data
+        assert store.counter == counter
+        assert store.log.dump() == log
+
+    def test_every_commit_of_a_fuzz_stream_leaves_the_store_valid(self):
+        # The scoped check is sound only while each version it derives from
+        # is valid as a whole; half the stores cascade through the index.
+        for seed in range(120):
+            scenario = fuzz_module._Generator(
+                random.Random(seed), fuzz_module.FuzzBounds()
+            ).build()
+            store = Store(scenario.schema)
+            for step in scenario.steps:
+                if isinstance(step, TxStep):
+                    store.apply(step.mutations)
+                elif isinstance(step, PushStep):
+                    store.apply([step.mutation])
+                else:
+                    continue
+                if seed % 2:
+                    store.data.incident
+                report = validate_schema(store.schema, store.data)
+                assert report.ok, (seed, report.violations)
+
+    def test_commit_checks_cost_what_the_batch_touched(self):
+        def lookups(n: int) -> int:
+            store = Store(fuzz_module.social_schema())
+            batch = []
+            for i in range(n):
+                batch += [
+                    CreateObject.make(f"I{i}", "Identity"),
+                    CreateObject.make(f"C{i}", "Contact"),
+                    CreateLink(Link(f"I{i}", f"C{i}", "Ownership")),
+                ]
+            store.apply(batch)
+            store.data.incident  # so the delete below cascades through it
+            assocs = store.schema.assocs = _CountingDict(store.schema.assocs)
+            classes = store.schema.classes = _CountingSet(store.schema.classes)
+            store.apply([CreateLink(Link("C0", "I1", "Reference"))])
+            store.apply([DeleteObject("I2")])
+            store.apply([CreateObject.make("I", "Identity"), UpdateState.make("I3", {})])
+            return assocs.lookups + classes.lookups
+
+        small, large = lookups(1000), lookups(2000)
+        assert small == large <= 10
+
