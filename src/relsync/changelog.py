@@ -7,10 +7,11 @@ remains — deleted elements must stay announceable to late-syncing clients
 without dragging their full history along.  Timestamps are logical: equal
 timestamps mean "same transaction", larger means "committed later".
 
-Cost of each question, for a log of n entries: `ts`, `actions`,
-`latest_ts` and `is_deleted` are O(1) dict probes; `deletions_since` is
-O(log n + k), a bisection of the tombstone list plus one step per tombstone
-recorded after the cursor.
+The log holds one dict per action type, element -> timestamp, so every
+question hashes only the element.  Cost of each question, for a log of n
+entries: `ts` and `is_deleted` are one dict probe, `actions` is three;
+`deletions_since` is O(log n + k), a bisection of the tombstone list plus
+one step per tombstone recorded after the cursor.
 """
 
 from __future__ import annotations
@@ -33,15 +34,14 @@ class ActionType(enum.Enum):
     DELETE = "delete"
 
 
-_ACTIONS = tuple(ActionType)
-
-
 @dataclass
 class ChangeLog:
-    # (element, action) -> timestamp of the latest such action
-    _entries: dict[tuple[Element, ActionType], int] = field(default_factory=dict)
+    # action -> element -> timestamp of the element's latest such action
+    _stamps: dict[ActionType, dict[Element, int]] = field(
+        default_factory=lambda: {action: {} for action in ActionType}
+    )
     # (ts, element) of every delete, in record order and so in timestamp
-    # order; an entry is stale once its element's DELETE entry no longer
+    # order; an entry is stale once its element's DELETE stamp no longer
     # holds its ts (a re-created link, or a later delete)
     _tombstones: list[tuple[int, Element]] = field(default_factory=list)
     _max_ts: int = 0
@@ -56,10 +56,11 @@ class ChangeLog:
                 f"timestamp {ts} is behind the log's latest {self._max_ts}"
             )
         self._max_ts = ts
+        stamps = self._stamps
         if action is ActionType.DELETE:
             # Collapse to a tombstone: id and delete time only.
-            self._entries.pop((element, ActionType.CREATE), None)
-            self._entries.pop((element, ActionType.UPDATE), None)
+            stamps[ActionType.CREATE].pop(element, None)
+            stamps[ActionType.UPDATE].pop(element, None)
             self._tombstones.append((ts, element))
         elif action is ActionType.CREATE and isinstance(element, Link):
             # Links are identified by their triple, so the same link can be
@@ -67,34 +68,30 @@ class ChangeLog:
             # tombstone; without this, one delta could tell a client to both
             # add and remove the link.  Object ids are never reused, so
             # object creates cannot hit a tombstone.
-            self._entries.pop((element, ActionType.DELETE), None)
-        self._entries[(element, action)] = ts
+            stamps[ActionType.DELETE].pop(element, None)
+        stamps[action][element] = ts
 
     def ts(self, element: Element, action: ActionType) -> int | None:
-        return self._entries.get((element, action))
+        return self._stamps[action].get(element)
 
     def actions(self, element: Element) -> dict[ActionType, int]:
-        entries = self._entries
         return {
-            action: entries[(element, action)]
-            for action in _ACTIONS
-            if (element, action) in entries
+            action: stamps[element]
+            for action, stamps in self._stamps.items()
+            if element in stamps
         }
 
-    def latest_ts(self, element: Element) -> int | None:
-        stamps = self.actions(element)
-        return max(stamps.values()) if stamps else None
-
     def is_deleted(self, element: Element) -> bool:
-        return (element, ActionType.DELETE) in self._entries
+        return element in self._stamps[ActionType.DELETE]
 
     def deletions_since(self, ts_ls: int) -> tuple[set[str], set[Link]]:
         """Elements deleted strictly after ts_ls: (object ids, links)."""
         objects: set[str] = set()
         links: set[Link] = set()
+        deleted = self._stamps[ActionType.DELETE]
         start = bisect_right(self._tombstones, ts_ls, key=itemgetter(0))
         for ts, element in self._tombstones[start:]:
-            if self._entries.get((element, ActionType.DELETE)) != ts:
+            if deleted.get(element) != ts:
                 continue  # re-created, or deleted again later
             if isinstance(element, Link):
                 links.add(element)
@@ -105,10 +102,11 @@ class ChangeLog:
     def dump(self) -> str:
         """Canonical rendering: one `<ts> <action> <element>` line per entry,
         ordered by timestamp, then action name, then element."""
-        rows = []
-        for (element, action), ts in self._entries.items():
-            rows.append((ts, action.value, str(element)))
-        rows.sort()
+        rows = sorted(
+            (ts, action.value, str(element))
+            for action, stamps in self._stamps.items()
+            for element, ts in stamps.items()
+        )
         return "".join(f"{ts} {action} {shown}\n" for ts, action, shown in rows)
 
 

@@ -54,11 +54,10 @@ def _replay_transactions(scenario: Scenario) -> Store:
 
 
 def render_path(p: GraphPath) -> str:
-    parts = [p.vertices[0]]
-    for i, edge in enumerate(p.edges):
-        parts.append(f"-{edge.assoc}-")
-        parts.append(p.vertices[i + 1])
-    return " ".join(parts)
+    """The walk `v0 -assoc0- v1 …`, each link shown by its association."""
+    return " ".join(
+        element if i % 2 == 0 else f"-{element.assoc}-" for i, element in enumerate(p)
+    )
 
 
 def _cmd_run(args) -> int:

@@ -6,8 +6,8 @@ and which class pairs each association may join.  Mutations are the only
 way the store changes system data; they are plain values so scenarios,
 replicas, and the fuzzer can all build them.  Every mutation is applied
 through `SystemData.apply`, after whatever checks its caller makes: the
-store's commit, the replica's local edits and delta deletes, and the
-fuzzer's model of the server.
+store's commit, the replica's local edits, delta application and garbage
+sweep, and the fuzzer's model of the server.
 """
 
 from __future__ import annotations
@@ -82,13 +82,6 @@ class Link(NamedTuple):
 
     def touches(self, object_id: str) -> bool:
         return object_id == self.src or object_id == self.dst
-
-    def other_end(self, object_id: str) -> str:
-        if object_id == self.src:
-            return self.dst
-        if object_id == self.dst:
-            return self.src
-        raise ValueError(f"{object_id} is not an endpoint of {self!r}")
 
 
 def link_text_order(link: Link) -> tuple[str, str, str]:

@@ -1,5 +1,9 @@
 """Path-set evaluation: the heart of relevance selection.
 
+A path is the plain tuple of its walk, `(v0, e0, v1, …, vn)`: vertex ids at
+even indices, links at odd ones.  An id never equals a link, so one
+membership test or one set covers both kinds of element.
+
 An expression names a set of start vertices and a sequence of role names.
 Evaluation walks the typed graph one segment at a time: a path grows by one
 link when the far endpoint of that link carries the segment's role, stays a
@@ -14,8 +18,6 @@ and to drive the timestamp sync.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import PathBudgetError, UnboundVariableError, UnknownClassError
 from .expr import (
@@ -52,39 +54,9 @@ class TypedGraph:
         return self._incident.get(vertex, frozenset())
 
 
-@dataclass(frozen=True)
-class Path:
-    """A simple path v0 -e0- v1 -e1- … -e(n-1)- vn; n may be 0.
-
-    Flattened positions interleave vertices and edges: vertex i sits at
-    index 2i, edge i at index 2i+1.  The timestamp sync walks a path in
-    that order and sweeps from its first newly created edge onward.
-    """
-
-    vertices: tuple[str, ...]
-    edges: tuple[Link, ...] = ()
-
-    def __post_init__(self):
-        if len(self.vertices) != len(self.edges) + 1:
-            raise ValueError("path needs exactly one more vertex than edges")
-
-    @property
-    def end(self) -> str:
-        return self.vertices[-1]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def flattened(self) -> tuple[str | Link, ...]:
-        out: list[str | Link] = []
-        for i, vertex in enumerate(self.vertices):
-            out.append(vertex)
-            if i < len(self.edges):
-                out.append(self.edges[i])
-        return tuple(out)
-
-    def extended(self, edge: Link, vertex: str) -> Path:
-        return Path(self.vertices + (vertex,), self.edges + (edge,))
+# A simple path v0 -e0- v1 -e1- … -e(n-1)- vn, n >= 0, as the tuple of its
+# walk (v0, e0, v1, …, vn): vertices at even indices, links at odd ones.
+Path = tuple[str | Link, ...]
 
 
 def is_in_role(g: TypedGraph, vertex: str, edge: Link, role: str) -> bool:
@@ -103,17 +75,15 @@ def is_in_role(g: TypedGraph, vertex: str, edge: Link, role: str) -> bool:
 
 
 def is_path(p: Path, g: TypedGraph) -> bool:
-    if len(set(p.vertices)) != len(p.vertices):
+    """True iff p is a simple path of the graph: odd length, no repeated
+    element, live vertices, and each link joining its two neighbours."""
+    if len(p) % 2 == 0 or len(set(p)) != len(p):
         return False
-    if len(set(p.edges)) != len(p.edges):
+    if any(vertex not in g.data.objects for vertex in p[0::2]):
         return False
-    for vertex in p.vertices:
-        if vertex not in g.data.objects:
-            return False
-    for i, edge in enumerate(p.edges):
-        if edge not in g.data.links:
-            return False
-        if {edge.src, edge.dst} != {p.vertices[i], p.vertices[i + 1]}:
+    for i in range(1, len(p), 2):
+        edge = p[i]
+        if edge not in g.data.links or {edge.src, edge.dst} != {p[i - 1], p[i + 1]}:
             return False
     return True
 
@@ -122,20 +92,13 @@ def is_sub_path(p: Path, q: Path, g: TypedGraph, proper: bool = False) -> bool:
     """True iff q starts with p (and extends it strictly, when `proper`)."""
     if not is_path(p, g) or not is_path(q, g):
         return False
-    if len(p.edges) > len(q.edges):
+    if proper and len(p) == len(q):
         return False
-    if proper and len(p.edges) == len(q.edges):
-        return False
-    return (
-        q.vertices[: len(p.vertices)] == p.vertices
-        and q.edges[: len(p.edges)] == p.edges
-    )
+    return q[: len(p)] == p
 
 
 def is_in_path(element: str | Link, p: Path) -> bool:
-    if isinstance(element, Link):
-        return element in p.edges
-    return element in p.vertices
+    return element in p
 
 
 def _direct_vertices(
@@ -175,7 +138,7 @@ def evaluate(
     Works segment by segment over a frontier of full-length matches.  A
     frontier path with no valid extension retires into the result as-is;
     extended paths move forward.  The final set is frontier ∪ retired."""
-    frontier: set[Path] = {Path((v,)) for v in _direct_vertices(expr, g, data, binding)}
+    frontier: set[Path] = {(v,) for v in _direct_vertices(expr, g, data, binding)}
     retired: set[Path] = set()
 
     def check_budget(extra: int = 0) -> None:
@@ -188,14 +151,17 @@ def evaluate(
     for role in expr.segments:
         grown: set[Path] = set()
         for path in frontier:
+            end = path[-1]
             extended = False
-            for edge in g.adjacent(path.end):
-                far = edge.dst if path.end == edge.src else edge.src
-                if far in path.vertices or edge in path.edges:
+            for edge in g.adjacent(end):
+                far = edge.dst if end == edge.src else edge.src
+                # A link already on the path has both ends on it, so testing
+                # the far end alone keeps the path simple.
+                if far in path:
                     continue
                 if not is_in_role(g, far, edge, role):
                     continue
-                grown.add(path.extended(edge, far))
+                grown.add(path + (edge, far))
                 extended = True
                 if len(grown) + len(retired) > max_paths:
                     raise PathBudgetError(
@@ -236,9 +202,9 @@ def select_relevant(
     objects: dict[str, str] = {}
     links: set[Link] = set()
     for path in relevant_paths(schema, data, exprs, binding, max_paths=max_paths):
-        for vertex in path.vertices:
+        for vertex in path[0::2]:
             objects[vertex] = data.objects[vertex]
-        links.update(path.edges)
+        links.update(path[1::2])
     states = {oid: dict(data.states[oid]) for oid in objects}
     return SystemData(objects=objects, links=links, states=states)
 

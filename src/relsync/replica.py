@@ -6,10 +6,12 @@ Delta application is deliberately tolerant — the timestamp algorithm may
 over-deliver, re-deliver, or announce deletions of things this client never
 had — and is ordered so no step observes a dangling reference: object
 creates, link creates, updates, link deletes, object deletes, then the GC
-sweep drops whatever is no longer on any locally-relevant path.  Links
-change only through `SystemData.apply`, which keeps the data's link index
-current for the sweep's path evaluation.  Links and updates are applied in
-text and id order, so the divergence warnings come in a stable order.
+sweep drops whatever is no longer on any locally-relevant path.  A path is
+the tuple of its walk, objects and links interleaved, so the sweep keeps
+every element of every path in one set.  Every change goes through
+`SystemData.apply`, which keeps the data's link index current for the
+sweep's path evaluation.  Links and updates are applied in text and id
+order, so the divergence warnings come in a stable order.
 """
 
 from __future__ import annotations
@@ -69,8 +71,7 @@ class Replica:
                 raise IdReuseError(
                     f"create of {oid} as {cls} conflicts with existing class {existing}"
                 )
-            data.objects[oid] = cls
-            data.states[oid] = dict(delta.states.get(oid, {}))
+            data.apply(CreateObject.make(oid, cls, delta.states.get(oid)))
         for link in sorted(delta.crt_links, key=link_text_order):
             if link in data.links:
                 continue  # re-delivered
@@ -83,7 +84,7 @@ class Replica:
                 self.warn(f"dropped link {link}: endpoint missing")
         for oid in sorted(delta.upd_objects):
             if oid in data.objects:
-                data.states[oid] = dict(delta.states.get(oid, {}))
+                data.apply(UpdateState.make(oid, delta.states.get(oid, {})))
             else:
                 # The update wire format carries no class, so the unknown
                 # target cannot be materialized as a create; skip it.  Any
@@ -106,16 +107,15 @@ class Replica:
         paths = relevant_paths(
             self.schema, self.data, self.exprs, {"user": self.root}
         )
-        keep_objects: set[str] = {self.root}
-        keep_links: set[Link] = set()
+        # Object ids and links never compare equal, so one set keeps both.
+        keep: set[str | Link] = {self.root}
         for p in paths:
-            keep_objects.update(p.vertices)
-            keep_links.update(p.edges)
+            keep.update(p)
         data = self.data
-        removed = {oid for oid in data.objects if oid not in keep_objects}
+        removed = {oid for oid in data.objects if oid not in keep}
         # Every link of a removed object is off-path too, so the objects'
         # cascades find nothing left to remove.
-        for link in [l for l in data.links if l not in keep_links]:
+        for link in [l for l in data.links if l not in keep]:
             data.apply(DeleteLink(link))
         for oid in removed:
             data.apply(DeleteObject(oid))

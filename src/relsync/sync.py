@@ -1,9 +1,9 @@
 """Timestamp-based sync: the production algorithm.
 
 Instead of snapshot diffs, this walks the client's current relevant paths
-and uses the change log to decide what the client is missing.  Each path
-is walked once, element by element, against the client's last-sync
-timestamp:
+and uses the change log to decide what the client is missing.  A path is
+the tuple of its walk, v0, e0, v1, …, vn, and each one is walked once, in
+that order, against the client's last-sync timestamp:
 
   * an element created since then goes to the create sets,
   * an object updated since then goes to the update set,
@@ -59,7 +59,7 @@ def timestamp_sync(
         # client has never seen; from that edge onward everything goes out
         # as creates, whatever its age.
         swept = False
-        for element in p.flattened():
+        for element in p:
             is_link = isinstance(element, Link)
             created = log.ts(element, ActionType.CREATE)
             is_new = created is not None and created > ts_ls

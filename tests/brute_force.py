@@ -204,8 +204,9 @@ def brute_force_timestamp_delta(
 
 
 def as_pairs(paths) -> set[PathPair]:
-    """Engine output (Path objects) -> the enumerator's plain-tuple form."""
-    return {(p.vertices, p.edges) for p in paths}
+    """Engine output (interleaved walks) -> the enumerator's
+    (vertices, edges) form."""
+    return {(p[0::2], p[1::2]) for p in paths}
 
 
 # -- random instances ----------------------------------------------------------

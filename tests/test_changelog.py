@@ -42,7 +42,6 @@ def test_delete_collapses_to_tombstone():
     log.record("o1", ActionType.DELETE, 3)
     assert log.actions("o1") == {ActionType.DELETE: 3}
     assert log.is_deleted("o1")
-    assert log.latest_ts("o1") == 3
 
 
 def test_link_recreate_purges_tombstone():
@@ -147,7 +146,6 @@ def test_log_matches_brute_force_replay(seed):
     expected = {e: _replayed_actions(records, e) for e in OBJECTS + LINKS}
     for element, held in expected.items():
         assert log.actions(element) == held
-        assert log.latest_ts(element) == (max(held.values()) if held else None)
         assert log.is_deleted(element) == (ActionType.DELETE in held)
         for action in ActionType:
             assert log.ts(element, action) == held.get(action)
@@ -204,11 +202,11 @@ def test_lookups_never_scan_the_whole_log():
     log.record("o2", ActionType.CREATE, 2)
     log.record("o2", ActionType.DELETE, 3)
     log.record(L, ActionType.DELETE, 4)
-    log._entries = _NoScan(log._entries)
+    log._stamps = {action: _NoScan(stamps) for action, stamps in log._stamps.items()}
 
     assert log.ts("o1", ActionType.UPDATE) == 2
     assert log.actions("o1") == {ActionType.CREATE: 1, ActionType.UPDATE: 2}
-    assert log.latest_ts(L) == 4
+    assert log.actions(L) == {ActionType.DELETE: 4}
     assert log.is_deleted("o2")
     assert log.deletions_since(2) == ({"o2"}, {L})
     assert log.deletions_since(3) == (set(), {L})

@@ -6,7 +6,6 @@ import pytest
 
 from relsync.cli import main, render_path
 from relsync.model import Link
-from relsync.paths import Path as GraphPath
 
 DIVERGING = """\
 class Identity
@@ -122,9 +121,6 @@ def test_usage_error_exits_two():
 
 
 def test_render_path_shape():
-    p = GraphPath(
-        ("I1", "C1"),
-        (Link("I1", "C1", "Ownership"),),
-    )
+    p = ("I1", Link("I1", "C1", "Ownership"), "C1")
     assert render_path(p) == "I1 -Ownership- C1"
-    assert render_path(GraphPath(("I1",))) == "I1"
+    assert render_path(("I1",)) == "I1"

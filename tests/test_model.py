@@ -68,18 +68,13 @@ class TestLink:
     def test_link_is_ordered(self):
         assert Link("a", "b", "R") != Link("b", "a", "R")
 
-    def test_touches_and_other_end(self):
+    def test_touches(self):
         link = Link("a", "b", "R")
         assert link.touches("a") and link.touches("b") and not link.touches("c")
-        assert link.other_end("a") == "b"
-        assert link.other_end("b") == "a"
-        with pytest.raises(ValueError):
-            link.other_end("c")
 
     def test_self_link_touches_its_one_end(self):
         link = Link("a", "a", "R")
         assert link.touches("a")
-        assert link.other_end("a") == "a"
 
     def test_equality_and_hash_are_by_the_triple(self):
         assert Link("a", "b", "R") == Link("a", "b", "R")

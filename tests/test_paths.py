@@ -13,7 +13,6 @@ from relsync.errors import PathBudgetError, UnboundVariableError, UnknownClassEr
 from relsync.expr import parse_expression
 from relsync.model import AssociationDef, Link, Schema, SystemData, is_subdata
 from relsync.paths import (
-    Path,
     TypedGraph,
     evaluate,
     is_in_path,
@@ -45,14 +44,14 @@ class TestFixtureDerivation:
     def test_contact_expression(self, schema, f1_data, g):
         expr = parse_expression("{user}.Contact.contactIdentity")
         got = evaluate(expr, g, f1_data, USER_I1)
-        assert got == {Path(("I1", "C1", "I2"), (OWN, REF))}
+        assert got == {("I1", OWN, "C1", REF, "I2")}
 
     def test_event_expression(self, schema, f1_data, g):
         expr = parse_expression("{user}.Participation.Event.Participation.Identity")
         got = evaluate(expr, g, f1_data, USER_I1)
         assert got == {
-            Path(("I1", "P1", "E1", "P2", "I2"), (AT1, EN1, EN2, AT2)),
-            Path(("I1", "P1", "E1", "P3", "I3"), (AT1, EN1, EN3, AT3)),
+            ("I1", AT1, "P1", EN1, "E1", EN2, "P2", AT2, "I2"),
+            ("I1", AT1, "P1", EN1, "E1", EN3, "P3", AT3, "I3"),
         }
 
     def test_matches_brute_force_on_fixture(self, schema, f1_data, fixture_exprs):
@@ -86,15 +85,15 @@ class TestDeadEnds:
         data.links.discard(REF)  # C1 no longer references anyone
         g = TypedGraph(data, schema)
         expr = parse_expression("{user}.Contact.contactIdentity")
-        assert evaluate(expr, g, data, USER_I1) == {Path(("I1", "C1"), (OWN,))}
+        assert evaluate(expr, g, data, USER_I1) == {("I1", OWN, "C1")}
 
     def test_root_only_dead_end(self, schema, f1_data, g):
         expr = parse_expression("{user}.Contact.contactIdentity")
-        assert evaluate(expr, g, f1_data, {"user": "I3"}) == {Path(("I3",))}
+        assert evaluate(expr, g, f1_data, {"user": "I3"}) == {("I3",)}
 
     def test_zero_length_expression(self, schema, f1_data, g):
         expr = parse_expression("{user}")
-        assert evaluate(expr, g, f1_data, USER_I1) == {Path(("I1",))}
+        assert evaluate(expr, g, f1_data, USER_I1) == {("I1",)}
 
     def test_mixed_full_and_dead_end_paths(self, schema, f1_data):
         data = f1_data.copy()
@@ -105,8 +104,8 @@ class TestDeadEnds:
         g = TypedGraph(data, schema)
         expr = parse_expression("{user}.Contact.contactIdentity")
         assert evaluate(expr, g, data, USER_I1) == {
-            Path(("I1", "C1", "I2"), (OWN, REF)),
-            Path(("I1", "C2"), (own2,)),
+            ("I1", OWN, "C1", REF, "I2"),
+            ("I1", own2, "C2"),
         }
 
     def test_result_is_prefix_free(self, schema, f1_data, fixture_exprs, g):
@@ -144,32 +143,41 @@ class TestRoles:
         down = evaluate(parse_expression("{A}.child"), g, data)
         up = evaluate(parse_expression("{B}.parent"), g, data)
         wrong = evaluate(parse_expression("{A}.parent"), g, data)
-        assert down == {Path(("A", "B"), (link,))}
-        assert up == {Path(("B", "A"), (link,))}
-        assert wrong == {Path(("A",))}  # dead end: A is not anyone's child
+        assert down == {("A", link, "B")}
+        assert up == {("B", link, "A")}
+        assert wrong == {("A",)}  # dead end: A is not anyone's child
 
 
 class TestPathPredicates:
-    def test_flattened_interleaves_vertices_and_edges(self):
-        p = Path(("I1", "C1", "I2"), (OWN, REF))
-        assert p.flattened() == ("I1", OWN, "C1", REF, "I2")
-        # vertices sit at even indices, edges at odd ones
-        for i, element in enumerate(p.flattened()):
-            assert isinstance(element, Link) == (i % 2 == 1)
+    def test_evaluated_paths_interleave_vertices_and_links(self, f1_data, g):
+        expr = parse_expression("{user}.Participation.Event.Participation.Identity")
+        paths = evaluate(expr, g, f1_data, USER_I1)
+        assert paths
+        for p in paths:
+            # the walk v0, e0, v1, …, vn: vertices at even indices, links
+            # at odd ones, each link joining its two neighbours
+            assert len(p) % 2 == 1 and p[0] == "I1"
+            for i, element in enumerate(p):
+                assert isinstance(element, Link) == (i % 2 == 1)
+                if i % 2:
+                    assert {element.src, element.dst} == {p[i - 1], p[i + 1]}
 
-    def test_path_shape_validation(self):
-        with pytest.raises(ValueError):
-            Path(("I1", "C1"), ())  # edge count must be len(vertices) - 1
+    def test_path_shape_validation(self, g):
+        # a walk ends on a vertex, so it has one more vertex than links
+        assert not is_path(("I1", OWN, "C1", REF), g)
+        assert not is_path(("I1", "C1"), g)
+        assert not is_path((), g)
+        assert not is_path((OWN,), g)  # a link where a vertex belongs
 
     def test_is_path(self, g):
-        assert is_path(Path(("I1", "C1", "I2"), (OWN, REF)), g)
-        assert not is_path(Path(("I1", "C1"), (REF,)), g)  # wrong edge
-        assert not is_path(Path(("I1", "I2"), (OWN,)), g)  # wrong endpoint
-        assert not is_path(Path(("ghost",)), g)
+        assert is_path(("I1", OWN, "C1", REF, "I2"), g)
+        assert not is_path(("I1", REF, "C1"), g)  # wrong edge
+        assert not is_path(("I1", OWN, "I2"), g)  # wrong endpoint
+        assert not is_path(("ghost",), g)
 
     def test_is_sub_path(self, g):
-        whole = Path(("I1", "C1", "I2"), (OWN, REF))
-        head = Path(("I1", "C1"), (OWN,))
+        whole = ("I1", OWN, "C1", REF, "I2")
+        head = ("I1", OWN, "C1")
         assert is_sub_path(head, whole, g)
         assert is_sub_path(whole, whole, g)
         assert not is_sub_path(whole, whole, g, proper=True)
@@ -177,7 +185,7 @@ class TestPathPredicates:
         assert not is_sub_path(whole, head, g)
 
     def test_is_in_path(self):
-        p = Path(("I1", "C1", "I2"), (OWN, REF))
+        p = ("I1", OWN, "C1", REF, "I2")
         assert is_in_path("C1", p)
         assert is_in_path(OWN, p)
         assert not is_in_path("I3", p)
@@ -197,13 +205,13 @@ class TestRootSemantics:
 
     def test_missing_instance_refs_match_nothing(self, schema, f1_data, g):
         expr = parse_expression("{ghost,I1}")
-        assert evaluate(expr, g, f1_data, USER_I1) == {Path(("I1",))}
+        assert evaluate(expr, g, f1_data, USER_I1) == {("I1",)}
 
     def test_class_and_filter_roots(self, schema, f1_data, g):
         all_ids = evaluate(parse_expression("Identity"), g, f1_data)
-        assert {p.vertices[0] for p in all_ids} == {"I1", "I2", "I3"}
+        assert {p[0] for p in all_ids} == {"I1", "I2", "I3"}
         ana = evaluate(parse_expression('Identity[name="ana"]'), g, f1_data)
-        assert {p.vertices[0] for p in ana} == {"I1"}
+        assert {p[0] for p in ana} == {"I1"}
 
 
 def test_budget_overflow_raises(schema, f1_data):
