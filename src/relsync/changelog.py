@@ -33,6 +33,11 @@ class ActionType(enum.Enum):
     UPDATE = "update"
     DELETE = "delete"
 
+    # Enum hashes by name in Python code; members are singletons compared
+    # by identity, so the C-level identity hash agrees with `==` and keeps
+    # the per-action dict probe in `ts` off the interpreter.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class ChangeLog:

@@ -85,7 +85,7 @@ def _cmd_eval_paths(args) -> int:
     store = _replay_transactions(scenario)
     expr = parse_expression(args.expr)
     graph = TypedGraph(store.data, scenario.schema)
-    paths = evaluate(expr, graph, store.data, {"user": args.user})
+    paths = evaluate(expr, graph, user=args.user)
     for line in sorted(render_path(p) for p in paths):
         print(line)
     return 0

@@ -53,7 +53,7 @@ class ExpressionSyntaxError(RelsyncError):
 
 
 class UnboundVariableError(RelsyncError):
-    """An expression uses a variable the evaluation binding does not define."""
+    """An expression uses `{user}` but the evaluation was given no user."""
 
 
 class UnknownClassError(RelsyncError):

@@ -95,6 +95,9 @@ class Schema:
     def __init__(self, classes: set[str], assocs: list[AssociationDef] | None = None):
         self.classes: set[str] = set()
         self.assocs: dict[str, AssociationDef] = {}
+        # (association, role, end is the link's src) -> class of that end;
+        # one probe tells whether a link's far end carries a role
+        self.ends: dict[tuple[str, str, bool], str] = {}
         for cls in classes:
             self.add_class(cls)
         for assoc in assocs or []:
@@ -115,6 +118,8 @@ class Schema:
                     f"association {assoc.name!r} references unknown class {cls!r}"
                 )
         self.assocs[assoc.name] = assoc
+        self.ends[(assoc.name, assoc.role_a, True)] = assoc.class_a
+        self.ends[(assoc.name, assoc.role_b, False)] = assoc.class_b
 
 
 @dataclass

@@ -73,9 +73,8 @@ def oracle_sync(
     ts_now: int,
 ) -> DeltaSet:
     """Diff the relevant slices of two full snapshots into a DeltaSet."""
-    binding = {"user": root}
-    rel_prev = select_relevant(schema, data_prev, exprs, binding)
-    rel_now = select_relevant(schema, data_now, exprs, binding)
+    rel_prev = select_relevant(schema, data_prev, exprs, user=root)
+    rel_now = select_relevant(schema, data_now, exprs, user=root)
     return _diff_slices(rel_prev, rel_now, ts_now)
 
 
@@ -101,7 +100,7 @@ class SnapshotOracle:
         ts_now: int,
         exprs: list[PathExpr],
     ) -> DeltaSet:
-        rel_now = select_relevant(self.schema, data_now, exprs, {"user": root})
+        rel_now = select_relevant(self.schema, data_now, exprs, user=root)
         delta = _diff_slices(self.last.get(client, SystemData()), rel_now, ts_now)
         self.last[client] = rel_now
         return delta

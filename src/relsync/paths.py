@@ -5,16 +5,20 @@ even indices, links at odd ones.  An id never equals a link, so one
 membership test or one set covers both kinds of element.
 
 An expression names a set of start vertices and a sequence of role names.
-Evaluation walks the typed graph one segment at a time: a path grows by one
-link when the far endpoint of that link carries the segment's role, stays a
-simple path (no repeated vertex or edge), and paths that cannot grow are
-retained as they are — a reader who can no longer follow the chain still
-cares about the part they reached.  Only full-length paths keep growing;
-a path retired at segment k is never picked up again by segment k+1.
+Evaluation grows paths depth-first from an explicit stack, so the number of
+segments is not bounded by the interpreter's recursion limit.  A path grows
+by one link when the far endpoint of that link carries the next segment's
+role and the path stays simple (no repeated vertex or edge).  A path
+becomes a result once it has matched every segment, or once nothing
+extends it: a reader who can no longer follow the chain still cares about
+the part they reached.  A path that could grow is never a result itself,
+so the set is prefix-free and is used both to select relevant data and to
+drive the timestamp sync.
 
-The resulting set is prefix-free (a retired path cannot be the prefix of a
-survivor, or it could have grown) and is used both to select relevant data
-and to drive the timestamp sync.
+A path leaves the stack either as a result or replaced by at least one
+extension, and distinct paths have distinct extensions.  So the results
+only ever accumulate toward the final set, and one check on their count
+raises exactly when that set would exceed the budget.
 """
 
 from __future__ import annotations
@@ -31,47 +35,25 @@ from .model import Link, Schema, SystemData
 
 DEFAULT_MAX_PATHS = 100_000
 
-Binding = dict[str, str]
-
 
 class TypedGraph:
     """System data seen as a graph with typed edges.
 
-    The graph builds nothing: it reads the data's objects and its
-    `incident` index in place.  The data keeps that index current through
-    `SystemData.apply`, and store versions are never edited once committed,
-    so a graph over a held version stays valid."""
+    The graph copies nothing: it reads the data's objects and its
+    `incident` index in place, building the index here if nothing has read
+    it yet.  The data keeps that index current through `SystemData.apply`,
+    and store versions are never edited once committed, so a graph over a
+    held version stays valid."""
 
     def __init__(self, data: SystemData, schema: Schema):
         self.schema = schema
         self.data = data
-        self._incident = data.incident
-
-    def class_of(self, vertex: str) -> str | None:
-        return self.data.objects.get(vertex)
-
-    def adjacent(self, vertex: str) -> frozenset[Link]:
-        return self._incident.get(vertex, frozenset())
+        self.incident = data.incident
 
 
 # A simple path v0 -e0- v1 -e1- … -e(n-1)- vn, n >= 0, as the tuple of its
 # walk (v0, e0, v1, …, vn): vertices at even indices, links at odd ones.
 Path = tuple[str | Link, ...]
-
-
-def is_in_role(g: TypedGraph, vertex: str, edge: Link, role: str) -> bool:
-    """True iff the association types this end of the link with `role`.
-
-    Both orientations are checked: the vertex may sit at either end, and it
-    carries the role declared for that end's class."""
-    assoc = g.schema.assocs.get(edge.assoc)
-    if assoc is None:
-        return False
-    if vertex == edge.src and g.class_of(vertex) == assoc.class_a and role == assoc.role_a:
-        return True
-    if vertex == edge.dst and g.class_of(vertex) == assoc.class_b and role == assoc.role_b:
-        return True
-    return False
 
 
 def is_path(p: Path, g: TypedGraph) -> bool:
@@ -97,23 +79,17 @@ def is_sub_path(p: Path, q: Path, g: TypedGraph, proper: bool = False) -> bool:
     return q[: len(p)] == p
 
 
-def is_in_path(element: str | Link, p: Path) -> bool:
-    return element in p
-
-
-def _direct_vertices(
-    expr: PathExpr, g: TypedGraph, data: SystemData, binding: Binding | None
-) -> set[str]:
+def _direct_vertices(expr: PathExpr, g: TypedGraph, user: str | None) -> set[str]:
     root = expr.root
     if isinstance(root, InstanceSet):
         vertices: set[str] = set()
         for ref in root.refs:
             if ref == USER_VARIABLE:
-                if not binding or USER_VARIABLE not in binding:
+                if user is None:
                     raise UnboundVariableError(
                         f"expression uses {USER_VARIABLE!r} but no binding was given"
                     )
-                ref = binding[USER_VARIABLE]
+                ref = user
             if ref in g.data.objects:
                 vertices.add(ref)
         return vertices
@@ -122,70 +98,69 @@ def _direct_vertices(
     members = {v for v, cls in g.data.objects.items() if cls == root.class_name}
     if isinstance(root, ClassAll):
         return members
-    return {v for v in members if satisfies_filter(data.states.get(v, {}), root)}
+    return {v for v in members if satisfies_filter(g.data.states.get(v, {}), root)}
 
 
 def evaluate(
     expr: PathExpr,
     g: TypedGraph,
-    data: SystemData,
-    binding: Binding | None = None,
     *,
+    user: str | None = None,
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> frozenset[Path]:
-    """All paths the expression defines over the graph.
-
-    Works segment by segment over a frontier of full-length matches.  A
-    frontier path with no valid extension retires into the result as-is;
-    extended paths move forward.  The final set is frontier ∪ retired."""
-    frontier: set[Path] = {(v,) for v in _direct_vertices(expr, g, data, binding)}
-    retired: set[Path] = set()
-
-    def check_budget(extra: int = 0) -> None:
-        if len(frontier) + len(retired) + extra > max_paths:
-            raise PathBudgetError(
-                f"path budget of {max_paths} exceeded while evaluating expression"
-            )
-
-    check_budget()
-    for role in expr.segments:
-        grown: set[Path] = set()
-        for path in frontier:
-            end = path[-1]
+    """All paths the expression defines over the graph; `user` is the
+    object id the `{user}` root stands for.  Whether a link's far end
+    carries a role is one probe of the schema's `ends` table."""
+    segments = expr.segments
+    ends = g.schema.ends
+    objects = g.data.objects
+    incident = g.incident
+    results: list[Path] = []
+    stack: list[Path] = [(v,) for v in _direct_vertices(expr, g, user)]
+    while stack:
+        path = stack.pop()
+        matched = len(path) // 2
+        if matched < len(segments):
+            role = segments[matched]
+            tip = path[-1]
             extended = False
-            for edge in g.adjacent(end):
-                far = edge.dst if end == edge.src else edge.src
+            for edge in incident.get(tip, ()):
+                # The end away from the tip.  A self-link's far end is the
+                # tip itself, which the next test drops, so only one side of
+                # a link is ever looked up.
+                far_is_src = tip != edge.src
+                far = edge.src if far_is_src else edge.dst
                 # A link already on the path has both ends on it, so testing
                 # the far end alone keeps the path simple.
                 if far in path:
                     continue
-                if not is_in_role(g, far, edge, role):
+                cls = ends.get((edge.assoc, role, far_is_src))
+                if cls is None or objects.get(far) != cls:
                     continue
-                grown.add(path + (edge, far))
+                stack.append(path + (edge, far))
                 extended = True
-                if len(grown) + len(retired) > max_paths:
-                    raise PathBudgetError(
-                        f"path budget of {max_paths} exceeded while evaluating expression"
-                    )
-            if not extended:
-                retired.add(path)
-        frontier = grown
-        check_budget()
-    return frozenset(frontier | retired)
+            if extended:
+                continue  # replaced by its extensions
+        results.append(path)
+        if len(results) > max_paths:
+            raise PathBudgetError(
+                f"path budget of {max_paths} exceeded while evaluating expression"
+            )
+    return frozenset(results)
 
 
 def relevant_paths(
     schema: Schema,
     data: SystemData,
     exprs: list[PathExpr],
-    binding: Binding | None = None,
     *,
+    user: str | None = None,
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> frozenset[Path]:
     g = TypedGraph(data, schema)
     paths: set[Path] = set()
     for expr in exprs:
-        paths |= evaluate(expr, g, data, binding, max_paths=max_paths)
+        paths |= evaluate(expr, g, user=user, max_paths=max_paths)
     return frozenset(paths)
 
 
@@ -193,15 +168,15 @@ def select_relevant(
     schema: Schema,
     data: SystemData,
     exprs: list[PathExpr],
-    binding: Binding | None = None,
     *,
+    user: str | None = None,
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> SystemData:
     """The slice of the data on the expressions' paths: their objects with
     copies of their states, and their links."""
     objects: dict[str, str] = {}
     links: set[Link] = set()
-    for path in relevant_paths(schema, data, exprs, binding, max_paths=max_paths):
+    for path in relevant_paths(schema, data, exprs, user=user, max_paths=max_paths):
         for vertex in path[0::2]:
             objects[vertex] = data.objects[vertex]
         links.update(path[1::2])
@@ -210,13 +185,10 @@ def select_relevant(
 
 
 __all__ = [
-    "Binding",
     "DEFAULT_MAX_PATHS",
     "Path",
     "TypedGraph",
     "evaluate",
-    "is_in_path",
-    "is_in_role",
     "is_path",
     "is_sub_path",
     "relevant_paths",

@@ -104,9 +104,7 @@ class Replica:
         """Drop everything not on a locally-relevant path (the root object
         always stays).  Returns the removed object ids.  One pass reaches a
         fixed point: removal only ever shrinks the path sets further."""
-        paths = relevant_paths(
-            self.schema, self.data, self.exprs, {"user": self.root}
-        )
+        paths = relevant_paths(self.schema, self.data, self.exprs, user=self.root)
         # Object ids and links never compare equal, so one set keeps both.
         keep: set[str | Link] = {self.root}
         for p in paths:

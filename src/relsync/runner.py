@@ -84,7 +84,7 @@ def compare_replica(
     if rel is None:
         decl = ctx.scenario.clients[client]
         rel = select_relevant(
-            ctx.scenario.schema, ctx.store.data, decl.exprs, {"user": decl.root}
+            ctx.scenario.schema, ctx.store.data, decl.exprs, user=decl.root
         )
     local = ctx.replicas[client].data
     missing = [f"obj {oid}" for oid in sorted(set(rel.objects) - set(local.objects))]

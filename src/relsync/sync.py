@@ -27,7 +27,7 @@ from .changelog import ActionType, ChangeLog
 from .delta import DeltaSet
 from .expr import PathExpr
 from .model import Link, Schema, SystemData
-from .paths import DEFAULT_MAX_PATHS, relevant_paths
+from .paths import relevant_paths
 
 
 @dataclass
@@ -42,13 +42,9 @@ def timestamp_sync(
     log: ChangeLog,
     exprs: list[PathExpr],
     schema: Schema,
-    *,
-    max_paths: int = DEFAULT_MAX_PATHS,
 ) -> DeltaSet:
     ts_ls = cursor.ts_ls
-    paths = relevant_paths(
-        schema, data, exprs, {"user": cursor.user}, max_paths=max_paths
-    )
+    paths = relevant_paths(schema, data, exprs, user=cursor.user)
 
     crt_ids: set[str] = set()
     upd_ids: set[str] = set()

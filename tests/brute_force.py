@@ -52,16 +52,14 @@ def _filter_passes(state: dict, node: ClassFilter) -> bool:
     return value < node.literal if node.comparator == "<" else value > node.literal
 
 
-def root_objects(
-    expr: PathExpr, data: SystemData, binding: dict[str, str] | None
-) -> set[str]:
+def root_objects(expr: PathExpr, data: SystemData, user: str | None) -> set[str]:
     root = expr.root
     if isinstance(root, InstanceSet):
         refs = set()
         for ref in root.refs:
             if ref == "user":
-                assert binding and "user" in binding, "trial forgot its binding"
-                ref = binding["user"]
+                assert user is not None, "trial forgot its user"
+                ref = user
             refs.add(ref)
         return {r for r in refs if r in data.objects}
     if isinstance(root, ClassAll):
@@ -128,12 +126,12 @@ def brute_force_paths(
     schema: Schema,
     data: SystemData,
     expr: PathExpr,
-    binding: dict[str, str] | None = None,
+    user: str | None = None,
 ) -> set[PathPair]:
     """All maximal role-matched simple paths, the slow honest way."""
     n = len(expr.segments)
     keep: set[PathPair] = set()
-    for start in root_objects(expr, data, binding):
+    for start in root_objects(expr, data, user):
         for walk in _all_simple_walks(data, start, n):
             if not _matches(schema, data, walk, expr.segments):
                 continue
@@ -174,7 +172,7 @@ def brute_force_timestamp_delta(
     upd_ids: set[str] = set()
     crt_links: set[Link] = set()
     for expr in exprs:
-        for verts, edges in brute_force_paths(schema, data, expr, {"user": user}):
+        for verts, edges in brute_force_paths(schema, data, expr, user):
             elements: list = [verts[0]]
             for edge, vertex in zip(edges, verts[1:]):
                 elements += [edge, vertex]
@@ -270,18 +268,20 @@ def random_data(
 
 def random_expr(
     rng: random.Random, schema: Schema, data: SystemData
-) -> tuple[PathExpr, dict[str, str] | None]:
+) -> tuple[PathExpr, str | None]:
+    """An expression over the data, and the user its `{user}` root stands
+    for (None when the root is not `{user}`)."""
     roles = sorted(
         {a.role_a for a in schema.assocs.values()}
         | {a.role_b for a in schema.assocs.values()}
     ) + ["nosuchrole"]
     segments = tuple(rng.choice(roles) for _ in range(rng.randint(0, 4)))
     ids = sorted(data.objects)
-    binding: dict[str, str] | None = None
+    user: str | None = None
     roll = rng.random()
     if roll < 0.4 and ids:
         root = InstanceSet(("user",))
-        binding = {"user": rng.choice(ids)}
+        user = rng.choice(ids)
     elif roll < 0.6:
         pool = ids + ["zz"]  # a ref may dangle; it simply matches nothing
         refs = tuple(dict.fromkeys(rng.choice(pool) for _ in range(rng.randint(1, 2))))
@@ -297,16 +297,16 @@ def random_expr(
             rng.choice(["=", "!=", "<", ">"]),
             literal,
         )
-    return PathExpr(root=root, segments=segments), binding
+    return PathExpr(root=root, segments=segments), user
 
 
 def random_instance(
     rng: random.Random, max_objects: int = 8
-) -> tuple[Schema, SystemData, PathExpr, dict[str, str] | None]:
+) -> tuple[Schema, SystemData, PathExpr, str | None]:
     schema = random_schema(rng)
     data = random_data(rng, schema, max_objects)
-    expr, binding = random_expr(rng, schema, data)
-    return schema, data, expr, binding
+    expr, user = random_expr(rng, schema, data)
+    return schema, data, expr, user
 
 
 # -- plain delta replay ---------------------------------------------------------

@@ -38,7 +38,6 @@ ENUM_SEED = 550814
 LOG_SEED = 1009
 CORPUS_SIZE = 200
 
-USER_I1 = {"user": "I1"}
 
 
 def _corpus(count: int, seed: int) -> list:
@@ -60,14 +59,14 @@ def test_criterion_1_fixture_relevance_matches_brute_force(
     and an independent path enumerator agrees."""
     t0 = time.perf_counter()
 
-    rel = select_relevant(schema, f1_data, fixture_exprs, USER_I1)
+    rel = select_relevant(schema, f1_data, fixture_exprs, user="I1")
     assert rel.objects == F1_OBJECTS
     assert rel.links == F1_LINKS
 
     brute_objects: set[str] = set()
     brute_links: set = set()
     for expr in fixture_exprs:
-        for vertices, edges in brute_force_paths(schema, f1_data, expr, USER_I1):
+        for vertices, edges in brute_force_paths(schema, f1_data, expr, "I1"):
             brute_objects.update(vertices)
             brute_links.update(edges)
     assert brute_objects == set(F1_OBJECTS)
@@ -85,26 +84,26 @@ def test_criterion_2_relevant_slice_is_always_subdata():
         schema = random_schema(rng)
         data = random_data(rng, schema, max_objects=30)
         exprs = []
-        binding = None
+        user = None
         for _ in range(rng.randint(1, 2)):
             expr, bound = random_expr(rng, schema, data)
             exprs.append(expr)
-            binding = binding or bound
-        rel = select_relevant(schema, data, exprs, binding, max_paths=500_000)
+            user = user or bound
+        rel = select_relevant(schema, data, exprs, user=user, max_paths=500_000)
         assert is_subdata(rel, data), f"trial {trial} broke the subset law"
     _budget(t0, 30.0, "subset law")
 
 
 def test_criterion_3_path_evaluator_matches_enumerator():
-    """500 random graphs of up to 8 vertices: the frontier evaluator returns
+    """500 random graphs of up to 8 vertices: the depth-first evaluator returns
     exactly the enumerator's path set — prefix-free, dead ends retained."""
     t0 = time.perf_counter()
     rng = random.Random(ENUM_SEED)
     for trial in range(500):
-        schema, data, expr, binding = random_instance(rng, max_objects=8)
+        schema, data, expr, user = random_instance(rng, max_objects=8)
         g = TypedGraph(data, schema)
-        got = evaluate(expr, g, data, binding)
-        want = brute_force_paths(schema, data, expr, binding)
+        got = evaluate(expr, g, user=user)
+        want = brute_force_paths(schema, data, expr, user)
         assert as_pairs(got) == want, f"trial {trial} diverged on {expr}"
         assert not any(
             is_sub_path(p, q, g, proper=True) for p in got for q in got
@@ -126,7 +125,7 @@ def test_criterion_4_oracle_delta_reconstructs_relevant_slice():
             rebuilt = apply_plainly(shadows.get(client, SystemData()), applied)
             decl = ctx.scenario.clients[client]
             want = select_relevant(
-                ctx.scenario.schema, ctx.store.data, decl.exprs, {"user": decl.root}
+                ctx.scenario.schema, ctx.store.data, decl.exprs, user=decl.root
             )
             assert rebuilt.objects == want.objects
             assert rebuilt.links == want.links

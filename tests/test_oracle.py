@@ -31,7 +31,7 @@ class TestGetSets:
 
 
 def relevant_now(store, exprs, user="I1") -> SystemData:
-    return select_relevant(store.schema, store.data, exprs, {"user": user})
+    return select_relevant(store.schema, store.data, exprs, user=user)
 
 
 def data_equal(a: SystemData, b: SystemData) -> bool:

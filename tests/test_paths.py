@@ -15,8 +15,6 @@ from relsync.model import AssociationDef, Link, Schema, SystemData, is_subdata
 from relsync.paths import (
     TypedGraph,
     evaluate,
-    is_in_path,
-    is_in_role,
     is_path,
     is_sub_path,
     relevant_paths,
@@ -32,8 +30,6 @@ EN1 = Link("P1", "E1", "Enrollment")
 EN2 = Link("P2", "E1", "Enrollment")
 EN3 = Link("P3", "E1", "Enrollment")
 
-USER_I1 = {"user": "I1"}
-
 
 @pytest.fixture
 def g(schema, f1_data):
@@ -43,12 +39,12 @@ def g(schema, f1_data):
 class TestFixtureDerivation:
     def test_contact_expression(self, schema, f1_data, g):
         expr = parse_expression("{user}.Contact.contactIdentity")
-        got = evaluate(expr, g, f1_data, USER_I1)
+        got = evaluate(expr, g, user="I1")
         assert got == {("I1", OWN, "C1", REF, "I2")}
 
     def test_event_expression(self, schema, f1_data, g):
         expr = parse_expression("{user}.Participation.Event.Participation.Identity")
-        got = evaluate(expr, g, f1_data, USER_I1)
+        got = evaluate(expr, g, user="I1")
         assert got == {
             ("I1", AT1, "P1", EN1, "E1", EN2, "P2", AT2, "I2"),
             ("I1", AT1, "P1", EN1, "E1", EN3, "P3", AT3, "I3"),
@@ -57,12 +53,12 @@ class TestFixtureDerivation:
     def test_matches_brute_force_on_fixture(self, schema, f1_data, fixture_exprs):
         for expr in fixture_exprs:
             g = TypedGraph(f1_data, schema)
-            assert as_pairs(evaluate(expr, g, f1_data, USER_I1)) == brute_force_paths(
-                schema, f1_data, expr, USER_I1
+            assert as_pairs(evaluate(expr, g, user="I1")) == brute_force_paths(
+                schema, f1_data, expr, "I1"
             )
 
     def test_select_relevant_covers_whole_fixture(self, schema, f1_data, fixture_exprs):
-        rel = select_relevant(schema, f1_data, fixture_exprs, USER_I1)
+        rel = select_relevant(schema, f1_data, fixture_exprs, user="I1")
         assert rel.objects == F1_OBJECTS
         assert rel.links == F1_LINKS
 
@@ -75,7 +71,7 @@ class TestFixtureDerivation:
         # path expressions are strictly wider: they also pull in co-attending
         # strangers (P3) and their identities (I3).
         friends_only = {"I1", "C1", "I2", "P1", "E1", "P2"}
-        rel = select_relevant(schema, f1_data, fixture_exprs, USER_I1)
+        rel = select_relevant(schema, f1_data, fixture_exprs, user="I1")
         assert set(rel.objects) == friends_only | {"P3", "I3"}
 
 
@@ -85,15 +81,15 @@ class TestDeadEnds:
         data.links.discard(REF)  # C1 no longer references anyone
         g = TypedGraph(data, schema)
         expr = parse_expression("{user}.Contact.contactIdentity")
-        assert evaluate(expr, g, data, USER_I1) == {("I1", OWN, "C1")}
+        assert evaluate(expr, g, user="I1") == {("I1", OWN, "C1")}
 
     def test_root_only_dead_end(self, schema, f1_data, g):
         expr = parse_expression("{user}.Contact.contactIdentity")
-        assert evaluate(expr, g, f1_data, {"user": "I3"}) == {("I3",)}
+        assert evaluate(expr, g, user="I3") == {("I3",)}
 
     def test_zero_length_expression(self, schema, f1_data, g):
         expr = parse_expression("{user}")
-        assert evaluate(expr, g, f1_data, USER_I1) == {("I1",)}
+        assert evaluate(expr, g, user="I1") == {("I1",)}
 
     def test_mixed_full_and_dead_end_paths(self, schema, f1_data):
         data = f1_data.copy()
@@ -103,14 +99,14 @@ class TestDeadEnds:
         data.links.add(own2)  # C2 references nobody
         g = TypedGraph(data, schema)
         expr = parse_expression("{user}.Contact.contactIdentity")
-        assert evaluate(expr, g, data, USER_I1) == {
+        assert evaluate(expr, g, user="I1") == {
             ("I1", OWN, "C1", REF, "I2"),
             ("I1", own2, "C2"),
         }
 
     def test_result_is_prefix_free(self, schema, f1_data, fixture_exprs, g):
         for expr in fixture_exprs:
-            paths = evaluate(expr, g, f1_data, USER_I1)
+            paths = evaluate(expr, g, user="I1")
             for p in paths:
                 for q in paths:
                     assert not is_sub_path(p, q, g, proper=True)
@@ -119,14 +115,20 @@ class TestDeadEnds:
 class TestRoles:
     def test_far_end_role_names(self, g):
         # role names belong to the far vertex's end of the association
-        assert is_in_role(g, "C1", OWN, "Contact")
-        assert is_in_role(g, "I1", OWN, "owner")
-        assert not is_in_role(g, "C1", OWN, "owner")
-        assert not is_in_role(g, "I1", OWN, "Contact")
-        assert not is_in_role(g, "C1", OWN, "nosuchrole")
+        assert evaluate(parse_expression("{I1}.Contact"), g) == {("I1", OWN, "C1")}
+        assert evaluate(parse_expression("{C1}.owner"), g) == {("C1", OWN, "I1")}
+        # a wrong or unknown role dead-ends at the root
+        assert evaluate(parse_expression("{I1}.owner"), g) == {("I1",)}
+        assert evaluate(parse_expression("{C1}.Contact"), g) == {("C1",)}
+        assert evaluate(parse_expression("{I1}.nosuchrole"), g) == {("I1",)}
 
-    def test_unknown_association_never_matches(self, g):
-        assert not is_in_role(g, "C1", Link("I1", "C1", "Bogus"), "Contact")
+    def test_unknown_association_never_matches(self, schema, f1_data):
+        data = f1_data.copy()
+        data.links.discard(OWN)
+        data.links.add(Link("I1", "C1", "Bogus"))  # undeclared association
+        g = TypedGraph(data, schema)
+        assert evaluate(parse_expression("{I1}.Contact"), g) == {("I1",)}
+        assert evaluate(parse_expression("{C1}.owner"), g) == {("C1",)}
 
     def test_self_association_distinguishes_direction(self):
         schema = Schema(
@@ -140,9 +142,9 @@ class TestRoles:
             states={"A": {}, "B": {}},
         )
         g = TypedGraph(data, schema)
-        down = evaluate(parse_expression("{A}.child"), g, data)
-        up = evaluate(parse_expression("{B}.parent"), g, data)
-        wrong = evaluate(parse_expression("{A}.parent"), g, data)
+        down = evaluate(parse_expression("{A}.child"), g)
+        up = evaluate(parse_expression("{B}.parent"), g)
+        wrong = evaluate(parse_expression("{A}.parent"), g)
         assert down == {("A", link, "B")}
         assert up == {("B", link, "A")}
         assert wrong == {("A",)}  # dead end: A is not anyone's child
@@ -151,7 +153,7 @@ class TestRoles:
 class TestPathPredicates:
     def test_evaluated_paths_interleave_vertices_and_links(self, f1_data, g):
         expr = parse_expression("{user}.Participation.Event.Participation.Identity")
-        paths = evaluate(expr, g, f1_data, USER_I1)
+        paths = evaluate(expr, g, user="I1")
         assert paths
         for p in paths:
             # the walk v0, e0, v1, …, vn: vertices at even indices, links
@@ -184,33 +186,26 @@ class TestPathPredicates:
         assert is_sub_path(head, whole, g, proper=True)
         assert not is_sub_path(whole, head, g)
 
-    def test_is_in_path(self):
-        p = ("I1", OWN, "C1", REF, "I2")
-        assert is_in_path("C1", p)
-        assert is_in_path(OWN, p)
-        assert not is_in_path("I3", p)
-        assert not is_in_path(AT1, p)
-
 
 class TestRootSemantics:
     def test_unbound_user_variable(self, schema, f1_data, g):
         expr = parse_expression("{user}.Contact")
         with pytest.raises(UnboundVariableError):
-            evaluate(expr, g, f1_data)
+            evaluate(expr, g)
 
     def test_unknown_class_root(self, schema, f1_data, g):
         expr = parse_expression("Spaceship.Contact")
         with pytest.raises(UnknownClassError):
-            evaluate(expr, g, f1_data)
+            evaluate(expr, g)
 
     def test_missing_instance_refs_match_nothing(self, schema, f1_data, g):
         expr = parse_expression("{ghost,I1}")
-        assert evaluate(expr, g, f1_data, USER_I1) == {("I1",)}
+        assert evaluate(expr, g, user="I1") == {("I1",)}
 
     def test_class_and_filter_roots(self, schema, f1_data, g):
-        all_ids = evaluate(parse_expression("Identity"), g, f1_data)
+        all_ids = evaluate(parse_expression("Identity"), g)
         assert {p[0] for p in all_ids} == {"I1", "I2", "I3"}
-        ana = evaluate(parse_expression('Identity[name="ana"]'), g, f1_data)
+        ana = evaluate(parse_expression('Identity[name="ana"]'), g)
         assert {p[0] for p in ana} == {"I1"}
 
 
@@ -218,24 +213,42 @@ def test_budget_overflow_raises(schema, f1_data):
     g = TypedGraph(f1_data, schema)
     expr = parse_expression("{user}.Participation.Event.Participation.Identity")
     with pytest.raises(PathBudgetError):
-        evaluate(expr, g, f1_data, USER_I1, max_paths=1)
+        evaluate(expr, g, user="I1", max_paths=1)
+
+
+def test_budget_boundary_is_exact():
+    # The result count only grows during evaluation and ends at the size of
+    # the result set, so a budget of exactly that size passes and one less
+    # raises.
+    rng = random.Random(4242)
+    overflowed = 0
+    for trial in range(200):
+        schema, data, expr, user = random_instance(rng, max_objects=10)
+        g = TypedGraph(data, schema)
+        full = evaluate(expr, g, user=user)
+        assert evaluate(expr, g, user=user, max_paths=len(full)) == full, trial
+        if full:
+            with pytest.raises(PathBudgetError):
+                evaluate(expr, g, user=user, max_paths=len(full) - 1)
+            overflowed += 1
+    assert overflowed > 100
 
 
 class TestBruteForceEquivalence:
     def test_random_trials_match_enumerator(self):
         rng = random.Random(20260817)
         for trial in range(150):
-            schema, data, expr, binding = random_instance(rng, max_objects=8)
+            schema, data, expr, user = random_instance(rng, max_objects=8)
             g = TypedGraph(data, schema)
-            got = as_pairs(evaluate(expr, g, data, binding))
-            want = brute_force_paths(schema, data, expr, binding)
+            got = as_pairs(evaluate(expr, g, user=user))
+            want = brute_force_paths(schema, data, expr, user)
             assert got == want, f"trial {trial}: {expr} diverged"
 
     def test_evaluation_is_deterministic(self):
         rng = random.Random(7)
-        schema, data, expr, binding = random_instance(rng, max_objects=8)
+        schema, data, expr, user = random_instance(rng, max_objects=8)
         g = TypedGraph(data, schema)
-        runs = {evaluate(expr, g, data, binding) for _ in range(5)}
+        runs = {evaluate(expr, g, user=user) for _ in range(5)}
         assert len(runs) == 1
 
 
@@ -243,20 +256,20 @@ class TestSelection:
     def test_selection_is_subdata(self):
         rng = random.Random(99)
         for _ in range(200):
-            schema, data, expr, binding = random_instance(rng, max_objects=12)
-            rel = select_relevant(schema, data, [expr], binding)
+            schema, data, expr, user = random_instance(rng, max_objects=12)
+            rel = select_relevant(schema, data, [expr], user=user)
             assert is_subdata(rel, data)
 
     def test_selected_states_are_copies(self, schema, f1_data, fixture_exprs):
-        rel = select_relevant(schema, f1_data, fixture_exprs, USER_I1)
+        rel = select_relevant(schema, f1_data, fixture_exprs, user="I1")
         rel.states["I1"]["name"] = "tampered"
         assert f1_data.states["I1"]["name"] == "ana"
 
     def test_relevant_paths_unions_expressions(self, schema, f1_data, fixture_exprs):
-        both = relevant_paths(schema, f1_data, fixture_exprs, USER_I1)
+        both = relevant_paths(schema, f1_data, fixture_exprs, user="I1")
         single = {
             p
             for expr in fixture_exprs
-            for p in relevant_paths(schema, f1_data, [expr], USER_I1)
+            for p in relevant_paths(schema, f1_data, [expr], user="I1")
         }
         assert both == frozenset(single)

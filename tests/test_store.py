@@ -275,8 +275,7 @@ class TestApply:
     def test_held_snapshot_keeps_its_paths(self, store, fixture_exprs):
         build_f1(store)
         snap = store.snapshot()
-        user = {"user": "I1"}
-        paths = relevant_paths(store.schema, snap, fixture_exprs, user)
+        paths = relevant_paths(store.schema, snap, fixture_exprs, user="I1")
         # link creates and deletes and an object delete, on the vertices of
         # those paths, each commit deriving from the last
         store.apply([
@@ -287,8 +286,8 @@ class TestApply:
                      CreateLink(Link("I1", "P4", "Attendance")),
                      CreateLink(Link("P4", "E1", "Enrollment"))])
         store.apply([DeleteObject("P2"), DeleteLink(Link("I3", "P3", "Attendance"))])
-        assert relevant_paths(store.schema, store.data, fixture_exprs, user) != paths
-        assert relevant_paths(store.schema, snap, fixture_exprs, user) == paths
+        assert relevant_paths(store.schema, store.data, fixture_exprs, user="I1") != paths
+        assert relevant_paths(store.schema, snap, fixture_exprs, user="I1") == paths
 
 
 def test_was_deleted(store):
