@@ -8,18 +8,17 @@ without dragging their full history along.  Timestamps are logical: equal
 timestamps mean "same transaction", larger means "committed later".
 
 The log holds one dict per action type, element -> timestamp, so every
-question hashes only the element.  Cost of each question, for a log of n
-entries: `ts` and `is_deleted` are one dict probe, `actions` is three;
-`deletions_since` is O(log n + k), a bisection of the tombstone list plus
-one step per tombstone recorded after the cursor.
+question hashes only the element.  Recording moves the element to the end
+of its dict and the clock never goes backwards, so insertion order is
+timestamp order.  `ts` and `is_deleted` are one dict probe, `actions` is
+three; `since` and `deletions_since` walk back from the newest entry to the
+first older one (or past a limit), O(k+1) for k entries after the cursor.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .errors import NonMonotonicTimestampError
 from .model import Link
@@ -41,14 +40,10 @@ class ActionType(enum.Enum):
 
 @dataclass
 class ChangeLog:
-    # action -> element -> timestamp of the element's latest such action
+    # action -> element -> ts of the element's latest such action, oldest first
     _stamps: dict[ActionType, dict[Element, int]] = field(
         default_factory=lambda: {action: {} for action in ActionType}
     )
-    # (ts, element) of every delete, in record order and so in timestamp
-    # order; an entry is stale once its element's DELETE stamp no longer
-    # holds its ts (a re-created link, or a later delete)
-    _tombstones: list[tuple[int, Element]] = field(default_factory=list)
     _max_ts: int = 0
 
     @property
@@ -66,7 +61,6 @@ class ChangeLog:
             # Collapse to a tombstone: id and delete time only.
             stamps[ActionType.CREATE].pop(element, None)
             stamps[ActionType.UPDATE].pop(element, None)
-            self._tombstones.append((ts, element))
         elif action is ActionType.CREATE and isinstance(element, Link):
             # Links are identified by their triple, so the same link can be
             # re-created after a delete.  The new create supersedes the
@@ -74,6 +68,7 @@ class ChangeLog:
             # add and remove the link.  Object ids are never reused, so
             # object creates cannot hit a tombstone.
             stamps[ActionType.DELETE].pop(element, None)
+        stamps[action].pop(element, None)  # re-inserted at the newest end
         stamps[action][element] = ts
 
     def ts(self, element: Element, action: ActionType) -> int | None:
@@ -89,20 +84,29 @@ class ChangeLog:
     def is_deleted(self, element: Element) -> bool:
         return element in self._stamps[ActionType.DELETE]
 
+    def since(
+        self, action: ActionType, ts_ls: int, limit: int | None = None
+    ) -> list[Element] | None:
+        """Elements whose latest `action` is stamped after ts_ls, newest first,
+        or None if more than `limit` are (seen without a walk if all are)."""
+        stamps = self._stamps[action]
+        if limit is not None and len(stamps) > limit:
+            if stamps[next(iter(stamps))] > ts_ls:
+                return None
+        found: list[Element] = []
+        for element in reversed(stamps):
+            if stamps[element] <= ts_ls:
+                break
+            if len(found) == limit:
+                return None
+            found.append(element)
+        return found
+
     def deletions_since(self, ts_ls: int) -> tuple[set[str], set[Link]]:
         """Elements deleted strictly after ts_ls: (object ids, links)."""
-        objects: set[str] = set()
-        links: set[Link] = set()
-        deleted = self._stamps[ActionType.DELETE]
-        start = bisect_right(self._tombstones, ts_ls, key=itemgetter(0))
-        for ts, element in self._tombstones[start:]:
-            if deleted.get(element) != ts:
-                continue  # re-created, or deleted again later
-            if isinstance(element, Link):
-                links.add(element)
-            else:
-                objects.add(element)
-        return objects, links
+        deleted = set(self.since(ActionType.DELETE, ts_ls))
+        links = {e for e in deleted if isinstance(e, Link)}
+        return deleted - links, links
 
     def dump(self) -> str:
         """Canonical rendering: one `<ts> <action> <element>` line per entry,

@@ -101,12 +101,15 @@ _STATE_KEYS = ("name", "size", "flag", "note")
 
 class _Generator:
     """Builds one random valid Scenario, mirroring the server's state so
-    every generated mutation passes staging and commits cleanly."""
+    every generated mutation passes staging and commits cleanly.  Scenarios
+    built with the same `schema` share it; nothing here mutates it."""
 
-    def __init__(self, rng: random.Random, bounds: FuzzBounds):
+    def __init__(
+        self, rng: random.Random, bounds: FuzzBounds, schema: Schema | None = None
+    ):
         self.rng = rng
         self.bounds = bounds
-        self.schema = social_schema()
+        self.schema = social_schema() if schema is None else schema
         self.model = SystemData()  # what the committed server state will be
         self.counter = 0
         self.mutations_used = 0
@@ -328,8 +331,9 @@ def fuzz(
     bounds = bounds or FuzzBounds()
     rng = random.Random(seed)
     summary = FuzzSummary(seed=seed, iterations=iterations)
+    schema = social_schema()  # read-only here, so one serves every scenario
     for i in range(iterations):
-        scenario = _Generator(rng, bounds).build()
+        scenario = _Generator(rng, bounds, schema).build()
         reason: str | None = None
         try:
             reports = run_scenario(scenario, mode="both")

@@ -53,6 +53,10 @@ class Replica:
     data: SystemData = field(default_factory=SystemData)
     cursor: SyncCursor = None  # type: ignore[assignment]
     divergence_warnings: list[str] = field(default_factory=list)
+    # the data object as the last sweep left it; None once it has changed
+    _swept: SystemData | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.cursor is None:
@@ -71,12 +75,12 @@ class Replica:
                 raise IdReuseError(
                     f"create of {oid} as {cls} conflicts with existing class {existing}"
                 )
-            data.apply(CreateObject.make(oid, cls, delta.states.get(oid)))
+            self._mutate(CreateObject.make(oid, cls, delta.states.get(oid)))
         for link in sorted(delta.crt_links, key=link_text_order):
             if link in data.links:
                 continue  # re-delivered
             if link.src in data.objects and link.dst in data.objects:
-                data.apply(CreateLink(link))
+                self._mutate(CreateLink(link))
             else:
                 # Can happen when the server over-delivers a link whose
                 # endpoint this client is not entitled to; holding the link
@@ -84,7 +88,7 @@ class Replica:
                 self.warn(f"dropped link {link}: endpoint missing")
         for oid in sorted(delta.upd_objects):
             if oid in data.objects:
-                data.apply(UpdateState.make(oid, delta.states.get(oid, {})))
+                self._mutate(UpdateState.make(oid, delta.states.get(oid, {})))
             else:
                 # The update wire format carries no class, so the unknown
                 # target cannot be materialized as a create; skip it.  Any
@@ -93,23 +97,28 @@ class Replica:
                 self.warn(f"skipped update of unknown object {oid}")
         for link in delta.del_links:
             if link in data.links:  # deletions are broadcast
-                data.apply(DeleteLink(link))
+                self._mutate(DeleteLink(link))
         for oid in delta.del_objects:
             if oid not in data.objects:
                 continue  # deletions are broadcast; unknown ids are expected
-            data.apply(DeleteObject(oid))
+            self._mutate(DeleteObject(oid))
         self.cursor.ts_ls = delta.ts_cs
 
     def gc_sweep(self) -> set[str]:
         """Drop everything not on a locally-relevant path (the root object
         always stays).  Returns the removed object ids.  One pass reaches a
-        fixed point: removal only ever shrinks the path sets further."""
-        paths = relevant_paths(self.schema, self.data, self.exprs, user=self.root)
+        fixed point: removal only ever shrinks the path sets further.  So
+        while the data is the object the last sweep left, and the replica
+        has applied nothing to it since, a sweep would remove nothing and is
+        skipped."""
+        data = self.data
+        if self._swept is data:
+            return set()
+        paths = relevant_paths(self.schema, data, self.exprs, user=self.root)
         # Object ids and links never compare equal, so one set keeps both.
         keep: set[str | Link] = {self.root}
         for p in paths:
             keep.update(p)
-        data = self.data
         removed = {oid for oid in data.objects if oid not in keep}
         # Every link of a removed object is off-path too, so the objects'
         # cascades find nothing left to remove.
@@ -117,6 +126,7 @@ class Replica:
             data.apply(DeleteLink(link))
         for oid in removed:
             data.apply(DeleteObject(oid))
+        self._swept = data
         return removed
 
     # -- local changes ----------------------------------------------------------
@@ -161,7 +171,11 @@ class Replica:
         elif isinstance(mutation, DeleteLink):
             if mutation.link not in data.links:
                 raise UnknownIdError(f"link {mutation.link} not replicated")
-        data.apply(mutation)
+        self._mutate(mutation)
+
+    def _mutate(self, mutation: Mutation) -> None:
+        self._swept = None  # changed since the last sweep
+        self.data.apply(mutation)
 
     # -- rendering ---------------------------------------------------------------
 

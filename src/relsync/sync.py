@@ -1,22 +1,19 @@
 """Timestamp-based sync: the production algorithm.
 
-Instead of snapshot diffs, this walks the client's current relevant paths
-and uses the change log to decide what the client is missing.  A path is
-the tuple of its walk, v0, e0, v1, …, vn, and each one is walked once, in
-that order, against the client's last-sync timestamp:
+Instead of snapshot diffs, this asks the change log what changed since the
+client's last-sync timestamp and keeps what lies on the client's current
+relevant paths (each the tuple of its walk, v0, e0, v1, …, vn): elements
+created since then go to the create sets, and objects updated since then,
+unless created, to the update set.  Because a new link can splice an old
+subgraph into relevance, on a path that holds a new link everything from
+the first such link on goes to the create sets regardless of age.
 
-  * an element created since then goes to the create sets,
-  * an object updated since then goes to the update set,
-  * and — because a new link can splice an old subgraph into relevance —
-    the first newly-created edge turns on a sweep: that edge and every
-    element after it go to the create sets regardless of age.
-
-A path with nothing created or updated since then contributes nothing.
-Deletions are broadcast from the log to every client regardless of
-relevance; the receiving side is expected to ignore deletes it never knew
-about.  The returned ts_cs advances the cursor to the newest action
-timestamp among everything delivered, which is what makes an immediate
-re-sync empty.
+Per action the log walks its k changes while k is at most the slice's size;
+past that (a new or long-offline client) each slice element is probed.
+Deletions are broadcast to every client regardless of relevance; the
+receiving side ignores deletes it never knew about.  ts_cs advances the
+cursor to the newest action timestamp among everything delivered, which is
+what makes an immediate re-sync empty.
 """
 
 from __future__ import annotations
@@ -46,30 +43,32 @@ def timestamp_sync(
     ts_ls = cursor.ts_ls
     paths = relevant_paths(schema, data, exprs, user=cursor.user)
 
-    crt_ids: set[str] = set()
-    upd_ids: set[str] = set()
-    crt_links: set[Link] = set()
+    on_path: set[str | Link] = set().union(*paths)
 
-    for p in paths:
-        # A newly created edge may have attached a pre-existing subgraph the
-        # client has never seen; from that edge onward everything goes out
-        # as creates, whatever its age.
-        swept = False
-        for element in p:
-            is_link = isinstance(element, Link)
-            created = log.ts(element, ActionType.CREATE)
-            is_new = created is not None and created > ts_ls
-            if is_new and is_link:
-                swept = True
-            if is_new or swept:
-                (crt_links if is_link else crt_ids).add(element)
-            elif not is_link:
-                # An object in the create sets is never sent as an update.
-                updated = log.ts(element, ActionType.UPDATE)
-                if updated is not None and updated > ts_ls:
-                    upd_ids.add(element)
+    def changed(action: ActionType) -> set[str | Link]:
+        newer = log.since(action, ts_ls, limit=len(on_path))
+        if newer is None:  # more changes than slice elements: probe those
+            newer = [e for e in on_path if (log.ts(e, action) or 0) > ts_ls]
+        return on_path.intersection(newer)
 
-    upd_ids -= crt_ids
+    created = changed(ActionType.CREATE)
+    crt_links: set[Link] = {e for e in created if isinstance(e, Link)}
+    crt_ids: set[str] = created - crt_links
+
+    if crt_links:
+        # A new edge may have attached an old subgraph the client never saw:
+        # from a path's first new edge on, everything goes out as creates.
+        new_links = frozenset(crt_links)
+        for p in paths:
+            if new_links.isdisjoint(p):
+                continue
+            for first in range(1, len(p), 2):
+                if p[first] in new_links:
+                    break
+            crt_links.update(p[first::2])
+            crt_ids.update(p[first + 1::2])
+
+    upd_ids = changed(ActionType.UPDATE) - crt_ids
     del_objects, del_links = log.deletions_since(ts_ls)
 
     delta = DeltaSet(ts_cs=ts_ls)

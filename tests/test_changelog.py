@@ -84,6 +84,23 @@ def test_deletions_since_is_strict():
     assert log.deletions_since(4) == ({"o1"}, {L})
 
 
+def test_rerecorded_element_moves_to_the_newest_end():
+    log = ChangeLog()
+    log.record("o1", ActionType.UPDATE, 1)
+    log.record("o2", ActionType.UPDATE, 2)
+    log.record("o1", ActionType.UPDATE, 3)
+    assert log.since(ActionType.UPDATE, 0) == ["o1", "o2"]
+    assert log.since(ActionType.UPDATE, 2) == ["o1"]
+    # a re-created link leaves the deletes; its next delete is the newest
+    log.record(L, ActionType.DELETE, 4)
+    log.record("o2", ActionType.DELETE, 5)
+    log.record(L, ActionType.CREATE, 6)
+    assert log.since(ActionType.DELETE, 0) == ["o2"]
+    log.record(L, ActionType.DELETE, 7)
+    assert log.since(ActionType.DELETE, 0) == [L, "o2"]
+    assert log.deletions_since(5) == (set(), {L})
+
+
 def test_dump_is_sorted_and_canonical():
     log = ChangeLog()
     log.record("o1", ActionType.CREATE, 1)
@@ -153,6 +170,17 @@ def test_log_matches_brute_force_replay(seed):
     max_ts = records[-1][2]
     assert log.max_ts == max_ts
     for t in range(max_ts + 1):
+        for action in ActionType:
+            found = log.since(action, t)
+            assert set(found) == {
+                e for e, held in expected.items() if held.get(action, -1) > t
+            }
+            stamps = [log.ts(e, action) for e in found]
+            assert len(found) == len(set(found))
+            assert stamps == sorted(stamps, reverse=True)  # newest first
+            for limit in {0, 1, len(found) - 1, len(found)} - {-1}:
+                capped = log.since(action, t, limit=limit)
+                assert capped == (found if len(found) <= limit else None)
         deleted = {
             e for e, held in expected.items() if held.get(ActionType.DELETE, -1) > t
         }
@@ -194,6 +222,24 @@ class _NoScan(dict):
     __iter__ = items = keys = values = _refuse
 
 
+class _CountedWalk(_NoScan):
+    """A _NoScan dict that lets a walk start from either end and counts the
+    entries it visits."""
+
+    visited = 0
+
+    def _counted(self, entries):
+        for element in entries:
+            self.visited += 1
+            yield element
+
+    def __iter__(self):
+        return self._counted(dict.__iter__(self))
+
+    def __reversed__(self):
+        return self._counted(dict.__reversed__(self))
+
+
 def test_lookups_never_scan_the_whole_log():
     log = ChangeLog()
     log.record("o1", ActionType.CREATE, 1)
@@ -210,3 +256,30 @@ def test_lookups_never_scan_the_whole_log():
     assert log.is_deleted("o2")
     assert log.deletions_since(2) == ({"o2"}, {L})
     assert log.deletions_since(3) == (set(), {L})
+    assert log.since(ActionType.CREATE, 0) == ["o1"]  # o2 deleted, L deleted
+    assert log.since(ActionType.UPDATE, 2) == []
+
+    # A walk from the newest end visits the k entries stamped after the
+    # cursor and the one older entry that stops it, however long the log.
+    log = ChangeLog()
+    for ts in range(1, 1001):
+        log.record(f"o{ts}", ActionType.UPDATE, ts)
+        log.record(f"d{ts}", ActionType.DELETE, ts)
+    plain = dict(log._stamps)
+    for k in (0, 1, 10, 999, 1000):
+        for action in (ActionType.UPDATE, ActionType.DELETE):
+            log._stamps[action] = _CountedWalk(plain[action])
+        assert len(log.since(ActionType.UPDATE, 1000 - k)) == k
+        assert len(log.deletions_since(1000 - k)[0]) == k
+        for action in (ActionType.UPDATE, ActionType.DELETE):
+            assert 1 <= log._stamps[action].visited <= k + 1
+    # With a limit, the walk gives up on the first entry past it, and does
+    # not start when even the oldest entry is newer than the cursor.
+    for limit in (0, 1, 10, 998):
+        for cursor, visited in ((1, 1 + limit + 1), (0, 1)):
+            log._stamps[ActionType.UPDATE] = _CountedWalk(plain[ActionType.UPDATE])
+            assert log.since(ActionType.UPDATE, cursor, limit=limit) is None
+            assert log._stamps[ActionType.UPDATE].visited == visited
+    log._stamps[ActionType.UPDATE] = _CountedWalk(plain[ActionType.UPDATE])
+    assert len(log.since(ActionType.UPDATE, 990, limit=10)) == 10
+    assert log._stamps[ActionType.UPDATE].visited == 1 + 11

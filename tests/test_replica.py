@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import relsync
+import relsync.replica as replica_module
 from conftest import build_f1
 from relsync.delta import DeltaSet
 from relsync.errors import (
@@ -240,6 +241,75 @@ class TestPush:
         assert replica.dump() == dump
         assert replica.data.states == states
         assert replica.data.incident == rebuilt_index(replica.data.links)
+
+
+class TestSweepSkip:
+    """The sweep is a fixed point, so it skips its walk while the data is
+    the object it last left, with nothing applied to it since."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        walk = replica_module.relevant_paths
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(replica_module, "relevant_paths", counted)
+        return calls
+
+    @pytest.fixture
+    def synced(self, schema, fixture_exprs):
+        store = build_f1(Store(schema))
+        replica = make_replica(schema, fixture_exprs)
+        full_sync(store, replica)
+        return store, replica
+
+    def test_delta_that_changes_nothing_skips_the_walk(self, synced, walks):
+        store, replica = synced
+        assert full_sync(store, replica).is_empty()
+        # a broadcast delete of an element the replica never held
+        ghost = DeltaSet(ts_cs=replica.cursor.ts_ls)
+        ghost.del_objects = {"ghost"}
+        ghost.del_links = {Link("I1", "ghost", "Ownership")}
+        replica.apply_delta(ghost)
+        assert replica.gc_sweep() == set()
+        assert walks == []
+
+    def test_applied_delta_runs_the_sweep(self, synced, walks):
+        store, replica = synced
+        tx = store.begin_transaction()
+        tx.unlink("C1", "Reference", "I2")
+        tx.commit()
+        full_sync(store, replica)
+        assert len(walks) == 1
+        assert REF not in replica.data.links
+
+    def test_push_runs_the_sweep(self, synced, walks):
+        store, replica = synced
+        replica.push_local_change(CreateObject.make("E7", "Event"), store)
+        assert replica.gc_sweep() == {"E7"}  # no path reaches a lone event
+        assert len(walks) == 1
+
+    def test_rollback_runs_the_sweep(self, synced, walks):
+        store, replica = synced
+        replica.push_local_change(CreateObject.make("E7", "Event"), store)
+        tx = store.begin_transaction()
+        tx.create("X1", "Event")
+        tx.commit()
+        with pytest.raises(DuplicateIdError):
+            replica.push_local_change(CreateObject.make("X1", "Event"), store)
+        # the rollback restored the unswept version the first push made
+        assert replica.gc_sweep() == {"E7"}
+        assert len(walks) == 1
+
+    def test_replaced_data_runs_the_sweep(self, synced, walks):
+        _, replica = synced
+        # a new object is matched by identity, not by its content
+        replica.data = replica.data.copy()
+        assert replica.gc_sweep() == set()
+        assert len(walks) == 1
 
 
 def test_dump_is_sorted_and_stable(schema, fixture_exprs):

@@ -17,6 +17,7 @@ from relsync.model import Link, SystemData
 from relsync.scenario import PushStep, SyncStep, TxStep
 from relsync.store import Store
 from relsync.sync import SyncCursor, timestamp_sync
+from test_changelog import _CountedWalk
 
 OWN = Link("I1", "C1", "Ownership")
 REF = Link("C1", "I2", "Reference")
@@ -114,6 +115,94 @@ class TestSweepRule:
         assert delta.crt_links == set()
         assert delta.upd_objects == {"C1", "I2"}
         assert delta.ts_cs == 2
+
+    def test_two_new_edges_sweep_from_the_first(self):
+        # OWN and REF are both new; the sweep starts at OWN, so the old C1
+        # between them goes out too, as a create and not as an update
+        data = contact_chain()
+        log = logged(
+            *((x, ActionType.CREATE, 1) for x in ("I1", "C1", "I2")),
+            (OWN, ActionType.CREATE, 2),
+            (REF, ActionType.CREATE, 2),
+            ("C1", ActionType.UPDATE, 2),
+        )
+        delta = sync_at(1, data, log)
+        assert delta.crt_links == {OWN, REF}
+        assert crt_ids(delta) == {"C1", "I2"}
+        assert delta.upd_objects == set()
+
+    def test_new_edge_does_not_sweep_a_sibling_path(self):
+        # I1 -OWN- C1 branches to I2 (old link) and to I3 (new link); the
+        # sweep covers the new branch only, so the shared prefix and I2
+        # are not resent and I2's update goes out as an update
+        new_ref = Link("C1", "I3", "Reference")
+        data = contact_chain()
+        data.objects["I3"] = "Identity"
+        data.states["I3"] = {}
+        data.links.add(new_ref)
+        log = logged(
+            *((x, ActionType.CREATE, 1) for x in ("I1", "C1", "I2", "I3", OWN, REF)),
+            (new_ref, ActionType.CREATE, 2),
+            ("I2", ActionType.UPDATE, 2),
+        )
+        delta = sync_at(1, data, log)
+        assert delta.crt_links == {new_ref}
+        assert crt_ids(delta) == {"I3"}
+        assert delta.upd_objects == {"I2"}
+
+
+class TestChangedSince:
+    """Per action, the sync walks the log's changes since the cursor while
+    they are no more than the slice's elements, and past that probes each
+    element of the slice instead."""
+
+    def walked(self, log):
+        for action in (ActionType.CREATE, ActionType.UPDATE):
+            log._stamps[action] = _CountedWalk(dict.items(log._stamps[action]))
+        return log._stamps
+
+    def test_long_history_is_probed_per_slice_element(self):
+        # 1000 off-path objects created and updated after the chain: the
+        # walk gives up one entry past the 5 elements of the slice, or at
+        # once when even the oldest entry is newer than the cursor
+        data = contact_chain()
+        log = logged(
+            *((x, ActionType.CREATE, 1) for x in ("I1", "C1", "I2", OWN, REF)),
+            ("C1", ActionType.UPDATE, 2),
+            *((f"X{i}", action, 3 + i) for i in range(1000) for action in ActionType
+              if action is not ActionType.DELETE),
+        )
+        stamps = self.walked(log)
+        delta = sync_at(0, data, log)
+        assert crt_ids(delta) == {"I1", "C1", "I2"}
+        assert delta.crt_links == {OWN, REF}
+        assert delta.upd_objects == set()
+        assert stamps[ActionType.CREATE].visited == 1
+        assert stamps[ActionType.UPDATE].visited == 1
+        # from a later cursor the oldest create is not newer, so that walk
+        # starts, and the probe finds C1's update
+        stamps = self.walked(log)
+        delta = sync_at(1, data, log)
+        assert delta.upd_objects == {"C1"} and crt_ids(delta) == set()
+        assert stamps[ActionType.CREATE].visited == 1 + 6
+        assert stamps[ActionType.UPDATE].visited == 1
+
+    def test_short_history_is_walked(self):
+        data = contact_chain()
+        log = logged(
+            *((x, ActionType.CREATE, 1) for x in ("I1", "C1", "I2", OWN, REF)),
+            ("X1", ActionType.CREATE, 2),
+            ("I2", ActionType.UPDATE, 3),
+        )
+        stamps = self.walked(log)
+        delta = sync_at(1, data, log)
+        assert delta.upd_objects == {"I2"} and crt_ids(delta) == set()
+        # CREATE holds more entries than the slice, so it looks at its oldest
+        # (I1, not newer) and walks X1 and then REF, which stops it; UPDATE
+        # holds one entry and walks I2
+        assert stamps[ActionType.CREATE].visited == 1 + 2
+        assert stamps[ActionType.UPDATE].visited == 1
+        assert delta.crt_links == set() and delta.del_objects == set()
 
 
 @pytest.mark.parametrize("seed", range(0, 120, 10))
