@@ -111,7 +111,8 @@ def parse_delta(text: str) -> DeltaSet:
                 delta.upd_objects.add(oid)
                 delta.states[oid] = parse_state(state_part)
             elif kind == "del-obj":
-                delta.del_objects.add(rest.strip())
+                (oid,) = rest.split()
+                delta.del_objects.add(oid)
             elif kind == "crt-link":
                 src, assoc, dst = rest.split()
                 delta.crt_links.add(Link(src, dst, assoc))

@@ -9,10 +9,6 @@ class TokenError(RelsyncError):
     """A name is not a legal token (empty, whitespace, or reserved punctuation)."""
 
 
-class TransactionError(RelsyncError):
-    """Transaction protocol violation (nested begin, commit of a dead handle)."""
-
-
 class UnknownIdError(RelsyncError):
     """A mutation references an object or link that does not exist."""
 

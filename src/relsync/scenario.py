@@ -215,7 +215,7 @@ def parse_scenario(text: str) -> Scenario:
     steps: list[Step] = []
     in_steps = False
     tx_block: list[Mutation] | None = None
-    delta_block: tuple[str, list[str]] | None = None  # (client, raw lines)
+    delta_block: tuple[str, int, list[str]] | None = None  # (client, open line, raw lines)
     tx_open_line = 0
 
     def require_client(name: str, lineno: int) -> str:
@@ -244,7 +244,7 @@ def parse_scenario(text: str) -> Scenario:
             continue
         if delta_block is not None:
             if line == "end":
-                client, lines = delta_block
+                client, _, lines = delta_block
                 try:
                     expected = parse_delta("\n".join(lines))
                 except RelsyncError as exc:
@@ -254,7 +254,7 @@ def parse_scenario(text: str) -> Scenario:
                 steps.append(AssertDeltaStep(client, expected))
                 delta_block = None
             else:
-                delta_block[1].append(line)
+                delta_block[2].append(line)
             continue
 
         if keyword in ("class", "assoc", "client"):
@@ -295,7 +295,7 @@ def parse_scenario(text: str) -> Scenario:
         elif keyword == "assert-converged":
             steps.append(AssertConvergedStep(require_client(rest, lineno)))
         elif keyword == "assert-delta":
-            delta_block = (require_client(rest, lineno), [])
+            delta_block = (require_client(rest, lineno), lineno, [])
         elif keyword == "push":
             client, _, mutation_part = rest.partition(" ")
             require_client(client, lineno)
@@ -312,7 +312,7 @@ def parse_scenario(text: str) -> Scenario:
     if tx_block is not None:
         raise ScenarioParseError("tx block never closed", line=tx_open_line)
     if delta_block is not None:
-        raise ScenarioParseError("assert-delta block never closed")
+        raise ScenarioParseError("assert-delta block never closed", line=delta_block[1])
     if not schema.classes:
         raise ScenarioParseError("no schema block")
     return Scenario(schema=schema, clients=clients, steps=steps)

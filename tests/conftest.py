@@ -12,7 +12,7 @@ import pytest
 
 from relsync.expr import parse_expression
 from relsync.fuzz import EXPR_CONTACTS, EXPR_EVENTS, social_schema
-from relsync.model import Link
+from relsync.model import CreateLink, CreateObject, Link
 from relsync.store import Store
 
 F1_OBJECTS = {
@@ -40,30 +40,30 @@ F1_LINKS = {
 
 def build_f1(store: Store) -> Store:
     """Commit the fixture graph in three transactions (ts 1..3)."""
-    tx = store.begin_transaction()
-    tx.create("I1", "Identity", {"name": "ana"})
-    tx.create("I2", "Identity", {"name": "bo"})
-    tx.create("I3", "Identity", {"name": "cy"})
-    tx.commit()
+    store.apply([
+        CreateObject.make("I1", "Identity", {"name": "ana"}),
+        CreateObject.make("I2", "Identity", {"name": "bo"}),
+        CreateObject.make("I3", "Identity", {"name": "cy"}),
+    ])
 
-    tx = store.begin_transaction()
-    tx.create("C1", "Contact", {"nick": "bo-cell"})
-    tx.link("I1", "Ownership", "C1")
-    tx.link("C1", "Reference", "I2")
-    tx.commit()
+    store.apply([
+        CreateObject.make("C1", "Contact", {"nick": "bo-cell"}),
+        CreateLink(Link("I1", "C1", "Ownership")),
+        CreateLink(Link("C1", "I2", "Reference")),
+    ])
 
-    tx = store.begin_transaction()
-    tx.create("E1", "Event", {"title": "picnic"})
-    tx.create("P1", "Participation")
-    tx.create("P2", "Participation")
-    tx.create("P3", "Participation")
-    tx.link("I1", "Attendance", "P1")
-    tx.link("P1", "Enrollment", "E1")
-    tx.link("I2", "Attendance", "P2")
-    tx.link("P2", "Enrollment", "E1")
-    tx.link("I3", "Attendance", "P3")
-    tx.link("P3", "Enrollment", "E1")
-    tx.commit()
+    store.apply([
+        CreateObject.make("E1", "Event", {"title": "picnic"}),
+        CreateObject.make("P1", "Participation"),
+        CreateObject.make("P2", "Participation"),
+        CreateObject.make("P3", "Participation"),
+        CreateLink(Link("I1", "P1", "Attendance")),
+        CreateLink(Link("P1", "E1", "Enrollment")),
+        CreateLink(Link("I2", "P2", "Attendance")),
+        CreateLink(Link("P2", "E1", "Enrollment")),
+        CreateLink(Link("I3", "P3", "Attendance")),
+        CreateLink(Link("P3", "E1", "Enrollment")),
+    ])
     return store
 
 

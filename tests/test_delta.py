@@ -88,3 +88,8 @@ class TestDeltaParseErrors:
     def test_bad_link_shape(self):
         with pytest.raises(ScenarioParseError):
             parse_delta("ts_cs 1\ncrt-link I1 Ownership\n")
+
+    @pytest.mark.parametrize("rest", ["", " A B"])
+    def test_del_obj_takes_exactly_one_id(self, rest):
+        with pytest.raises(ScenarioParseError, match="bad delta line"):
+            parse_delta(f"ts_cs 3\ndel-obj{rest}\n")

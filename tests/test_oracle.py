@@ -5,7 +5,14 @@ from __future__ import annotations
 from brute_force import apply_plainly
 from conftest import build_f1
 from relsync.expr import parse_expression
-from relsync.model import CreateObject, DeleteObject, Link, SystemData, UpdateState
+from relsync.model import (
+    CreateObject,
+    DeleteLink,
+    DeleteObject,
+    Link,
+    SystemData,
+    UpdateState,
+)
 from relsync.oracle import SnapshotOracle, get_set_crt, get_set_del, get_set_upd
 from relsync.paths import select_relevant
 from relsync.store import Store
@@ -62,19 +69,13 @@ class TestSnapshotOracle:
 
         sync_and_check()
 
-        tx = store.begin_transaction()
-        tx.update("I2", {"name": "bob", "mood": "sunny"})
-        tx.commit()
+        store.apply([UpdateState.make("I2", {"name": "bob", "mood": "sunny"})])
         sync_and_check()
 
-        tx = store.begin_transaction()
-        tx.delete("C1")  # I2 stays relevant through the shared event
-        tx.commit()
+        store.apply([DeleteObject("C1")])  # I2 stays relevant through the shared event
         sync_and_check()
 
-        tx = store.begin_transaction()
-        tx.create("E9", "Event", {"title": "secret"})
-        tx.commit()
+        store.apply([CreateObject.make("E9", "Event", {"title": "secret"})])
         sync_and_check()  # E9 is not relevant: delta must be empty
         assert oracle.sync(
             "A", "I1", store.data, store.counter, fixture_exprs
@@ -87,9 +88,7 @@ class TestSnapshotOracle:
         oracle = SnapshotOracle(schema)
         oracle.sync("A", "I1", store.data, store.counter, fixture_exprs)
         # unlink P3 from E1: P3 and I3 leave relevance but stay alive
-        tx = store.begin_transaction()
-        tx.unlink("P3", "Enrollment", "E1")
-        tx.commit()
+        store.apply([DeleteLink(Link("P3", "E1", "Enrollment"))])
         delta = oracle.sync("A", "I1", store.data, store.counter, fixture_exprs)
         assert delta.del_objects == {"P3", "I3"}
         assert delta.del_links == {
@@ -102,9 +101,7 @@ class TestSnapshotOracle:
         store = build_f1(Store(schema))
         oracle = SnapshotOracle(schema)
         oracle.sync("A", "I1", store.data, store.counter, fixture_exprs)
-        tx = store.begin_transaction()
-        tx.update("I1", {"name": "ana2"})
-        tx.commit()
+        store.apply([UpdateState.make("I1", {"name": "ana2"})])
         # B has never synced: it gets the full download, A only the update
         delta_b = oracle.sync("B", "I2", store.data, store.counter, fixture_exprs)
         delta_a = oracle.sync("A", "I1", store.data, store.counter, fixture_exprs)
@@ -117,9 +114,7 @@ class TestSnapshotOracle:
         oracle = SnapshotOracle(schema)
         delta = oracle.sync("A", "I1", store.data, store.counter, fixture_exprs)
         assert delta.ts_cs == 3
-        tx = store.begin_transaction()
-        tx.update("I1", {"name": "x"})
-        tx.commit()
+        store.apply([UpdateState.make("I1", {"name": "x"})])
         delta = oracle.sync("A", "I1", store.data, store.counter, fixture_exprs)
         assert delta.ts_cs == 4
 

@@ -22,7 +22,14 @@ from relsync.errors import (
     UnknownIdError,
 )
 from relsync.expr import parse_expression
-from relsync.model import CreateLink, CreateObject, DeleteObject, Link, UpdateState
+from relsync.model import (
+    CreateLink,
+    CreateObject,
+    DeleteLink,
+    DeleteObject,
+    Link,
+    UpdateState,
+)
 from relsync.replica import Replica
 from relsync.store import Store
 from relsync.sync import timestamp_sync
@@ -133,9 +140,7 @@ class TestGcSweep:
         store = build_f1(Store(schema))
         replica = make_replica(schema, fixture_exprs)
         full_sync(store, replica)
-        tx = store.begin_transaction()
-        tx.delete("C1")
-        tx.commit()
+        store.apply([DeleteObject("C1")])
         full_sync(store, replica)
         # I2 lost its contact path but still attends the shared event
         assert "I2" in replica.data.objects
@@ -147,9 +152,7 @@ class TestGcSweep:
         replica = Replica(name="A", root="I1", exprs=exprs, schema=schema)
         full_sync(store, replica)
         assert set(replica.data.objects) == {"I1", "C1", "I2"}
-        tx = store.begin_transaction()
-        tx.unlink("C1", "Reference", "I2")
-        tx.commit()
+        store.apply([DeleteLink(REF)])
         delta = full_sync(store, replica)
         # the link deletion is broadcast; I2 itself is *not* deleted
         # server-side, the local sweep has to notice it went dark
@@ -211,9 +214,7 @@ class TestPush:
         full_sync(store, replica)
         # X1 exists on the server but is irrelevant to A, so the replica
         # does not know it: locally fine, server says duplicate
-        tx = store.begin_transaction()
-        tx.create("X1", "Event")
-        tx.commit()
+        store.apply([CreateObject.make("X1", "Event")])
         with pytest.raises(DuplicateIdError):
             replica.push_local_change(CreateObject.make("X1", "Event"), store)
         assert "X1" not in replica.data.objects
@@ -279,9 +280,7 @@ class TestSweepSkip:
 
     def test_applied_delta_runs_the_sweep(self, synced, walks):
         store, replica = synced
-        tx = store.begin_transaction()
-        tx.unlink("C1", "Reference", "I2")
-        tx.commit()
+        store.apply([DeleteLink(REF)])
         full_sync(store, replica)
         assert len(walks) == 1
         assert REF not in replica.data.links
@@ -295,9 +294,7 @@ class TestSweepSkip:
     def test_rollback_runs_the_sweep(self, synced, walks):
         store, replica = synced
         replica.push_local_change(CreateObject.make("E7", "Event"), store)
-        tx = store.begin_transaction()
-        tx.create("X1", "Event")
-        tx.commit()
+        store.apply([CreateObject.make("X1", "Event")])
         with pytest.raises(DuplicateIdError):
             replica.push_local_change(CreateObject.make("X1", "Event"), store)
         # the rollback restored the unswept version the first push made

@@ -159,6 +159,12 @@ class TestParseErrors:
         message = str(self.err(text))
         assert "never closed" in message and "line 2" in message
 
+    def test_unclosed_assert_delta_block_points_at_its_start(self):
+        text = MINIMAL + "assert-delta A\n  ts_cs 1\n"
+        error = self.err(text)
+        assert error.line == MINIMAL.count("\n") + 1
+        assert "never closed" in str(error)
+
     def test_unknown_keyword(self):
         assert "unknown keyword" in str(self.err("class Identity\nfrobnicate\n"))
 

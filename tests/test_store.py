@@ -1,4 +1,4 @@
-"""Server store: transactional staging, commit order, the logical clock."""
+"""Server store: batch checks, commit order, the logical clock."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from relsync.errors import (
     DuplicateIdError,
     DuplicateLinkError,
     SchemaMismatchError,
-    TransactionError,
     UnknownIdError,
 )
 from relsync.model import (
@@ -40,181 +39,151 @@ def store(schema):
     return Store(schema)
 
 
+def contents(store: Store) -> tuple:
+    """A copy of everything a rejected batch must leave as it was.  The
+    index is copied only once something has built it (reading builds it)."""
+    data = store.data
+    return (
+        dict(data.objects),
+        set(data.links),
+        {oid: dict(state) for oid, state in data.states.items()},
+        None if data._incident is None else dict(data._incident),
+        store.log.dump(),
+        store.counter,
+    )
+
+
+def rejects(store: Store, batch: list, error: type, match: str | None = None) -> None:
+    """Apply a batch that must fail with `error`, and check it changed nothing."""
+    before = contents(store)
+    with pytest.raises(error, match=match):
+        store.apply(batch)
+    assert contents(store) == before
+
+
+def shuffle_kinds(batch: list, rng: random.Random) -> list:
+    """The batch in a random order that keeps each kind's own order."""
+    queues: dict[type, list] = {}
+    for m in reversed(batch):
+        queues.setdefault(type(m), []).append(m)
+    kinds = [type(m) for m in batch]
+    rng.shuffle(kinds)
+    return [queues[kind].pop() for kind in kinds]
+
+
+I1 = CreateObject.make("I1", "Identity")
+C1 = CreateObject.make("C1", "Contact")
+OWN = Link("I1", "C1", "Ownership")
+
+
 class TestStaging:
     def test_create_unknown_class(self, store):
-        tx = store.begin_transaction()
-        with pytest.raises(SchemaMismatchError, match="unknown class"):
-            tx.create("X1", "Spaceship")
+        rejects(store, [CreateObject.make("X1", "Spaceship")], SchemaMismatchError,
+                "unknown class")
 
     def test_duplicate_id_within_tx(self, store):
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity")
-        with pytest.raises(DuplicateIdError):
-            tx.create("I1", "Contact")
+        rejects(store, [I1, CreateObject.make("I1", "Contact")], DuplicateIdError)
 
     def test_duplicate_id_against_live_data(self, store):
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity")
-        tx.commit()
-        tx = store.begin_transaction()
-        with pytest.raises(DuplicateIdError):
-            tx.create("I1", "Identity")
+        store.apply([I1])
+        rejects(store, [I1], DuplicateIdError)
 
     def test_ids_are_never_reused(self, store):
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity")
-        tx.commit()
-        tx = store.begin_transaction()
-        tx.delete("I1")
-        tx.commit()
-        tx = store.begin_transaction()
-        with pytest.raises(DuplicateIdError, match="never reused"):
-            tx.create("I1", "Identity")
+        store.apply([I1])
+        store.apply([DeleteObject("I1")])
+        rejects(store, [I1], DuplicateIdError, "never reused")
 
     def test_staging_is_order_free_within_tx(self, store):
         # the link may precede the creates it depends on
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity")
-        tx.link("I1", "Ownership", "C1")
-        tx.create("C1", "Contact")
-        assert tx.commit() == 1
-        assert Link("I1", "C1", "Ownership") in store.data.links
+        assert store.apply([I1, CreateLink(OWN), C1]) == 1
+        assert OWN in store.data.links
+
+    def test_a_batch_commits_in_kind_order_whatever_its_list_order(self, store):
+        # every mutation here names an object the batch creates after it
+        batch = [DeleteObject("C1"), UpdateState.make("C1", {"nick": "x"}),
+                 DeleteLink(OWN), CreateLink(OWN), C1, I1]
+        assert store.apply(batch) == 1
+        assert store.data.objects == {"I1": "Identity"}
+        assert store.data.links == set()
+        assert store.log.actions("C1") == {ActionType.DELETE: 1}
+        assert store.log.actions(OWN) == {ActionType.DELETE: 1}
 
     def test_link_to_never_created_object_fails_at_commit(self, store):
-        # forward references are provisionally accepted at stage time, so
-        # the unknown endpoint only surfaces when the batch is resolved
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity")
-        tx.link("I1", "Ownership", "C9")
-        with pytest.raises(UnknownIdError, match="C9"):
-            tx.commit()
+        # the batch is checked in commit order, so the unknown endpoint is
+        # named as soon as the link's check runs
+        rejects(store, [I1, CreateLink(Link("I1", "C9", "Ownership"))], UnknownIdError,
+                "unknown object C9")
         assert store.counter == 0
         assert store.data.objects == {}
-        store.begin_transaction().abort()  # writer slot was released
+        assert store.apply([I1]) == 1
 
     def test_link_to_tombstoned_object_fails_at_stage(self, store):
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity")
-        tx.create("C1", "Contact")
-        tx.commit()
-        tx = store.begin_transaction()
-        tx.delete("C1")
-        tx.commit()
-        tx = store.begin_transaction()
-        with pytest.raises(AlreadyDeletedError):
-            tx.link("I1", "Ownership", "C1")
+        store.apply([I1, C1])
+        store.apply([DeleteObject("C1")])
+        rejects(store, [CreateLink(OWN)], AlreadyDeletedError)
 
     def test_forward_link_with_wrong_classes_fails_at_commit(self, store):
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity")
-        tx.link("C1", "Ownership", "I1")  # backwards, but C1 not staged yet
-        tx.create("C1", "Contact")
-        with pytest.raises(SchemaMismatchError, match="do not fit"):
-            tx.commit()
+        # backwards, and listed before C1's create
+        rejects(store, [I1, CreateLink(Link("C1", "I1", "Ownership")), C1],
+                SchemaMismatchError, "do not fit")
         assert store.counter == 0
 
     def test_backwards_link_rejected(self, store):
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity")
-        tx.create("C1", "Contact")
-        with pytest.raises(SchemaMismatchError, match="do not fit"):
-            tx.link("C1", "Ownership", "I1")
+        rejects(store, [I1, C1, CreateLink(Link("C1", "I1", "Ownership"))],
+                SchemaMismatchError, "do not fit")
 
     def test_duplicate_link(self, store):
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity")
-        tx.create("C1", "Contact")
-        tx.link("I1", "Ownership", "C1")
-        with pytest.raises(DuplicateLinkError):
-            tx.link("I1", "Ownership", "C1")
+        rejects(store, [I1, C1, CreateLink(OWN), CreateLink(OWN)], DuplicateLinkError)
 
     def test_unlink_then_relink_in_one_tx_is_rejected(self, store):
-        # staging checks are order-free, so a re-create cannot see the
-        # staged delete; issue the delete and the create in separate
+        # a batch checks link creates before link deletes, so a re-create
+        # cannot see the delete; issue the delete and the create in separate
         # transactions instead
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity")
-        tx.create("C1", "Contact")
-        tx.link("I1", "Ownership", "C1")
-        tx.commit()
-        tx = store.begin_transaction()
-        tx.unlink("I1", "Ownership", "C1")
-        with pytest.raises(DuplicateLinkError):
-            tx.link("I1", "Ownership", "C1")
+        store.apply([I1, C1, CreateLink(OWN)])
+        rejects(store, [DeleteLink(OWN), CreateLink(OWN)], DuplicateLinkError)
 
     def test_update_of_deleted_object(self, store):
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity")
-        tx.commit()
-        tx = store.begin_transaction()
-        tx.delete("I1")
-        tx.commit()
-        tx = store.begin_transaction()
-        with pytest.raises(AlreadyDeletedError):
-            tx.update("I1", {"name": "x"})
+        store.apply([I1])
+        store.apply([DeleteObject("I1")])
+        rejects(store, [UpdateState.make("I1", {"name": "x"})], AlreadyDeletedError)
 
     def test_double_delete_in_one_tx(self, store):
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity")
-        tx.commit()
-        tx = store.begin_transaction()
-        tx.delete("I1")
-        with pytest.raises(AlreadyDeletedError, match="twice"):
-            tx.delete("I1")
-
-    def test_failed_stage_leaves_tx_usable(self, store):
-        tx = store.begin_transaction()
-        with pytest.raises(SchemaMismatchError):
-            tx.create("X1", "Spaceship")
-        tx.create("I1", "Identity")
-        assert tx.commit() == 1
+        store.apply([I1])
+        rejects(store, [DeleteObject("I1"), DeleteObject("I1")], AlreadyDeletedError,
+                "twice")
 
 
 class TestCommit:
     def test_empty_commit_returns_none_and_leaves_no_trace(self, store):
-        tx = store.begin_transaction()
-        assert tx.commit() is None
+        assert store.apply([]) is None
         assert store.counter == 0
         assert store.log.dump() == ""
 
     def test_commit_stamps_every_entry_with_one_timestamp(self, store):
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity")
-        tx.create("C1", "Contact")
-        tx.link("I1", "Ownership", "C1")
-        ts = tx.commit()
+        ts = store.apply([I1, C1, CreateLink(OWN)])
         assert ts == 1
-        link = Link("I1", "C1", "Ownership")
         assert store.log.ts("I1", ActionType.CREATE) == 1
         assert store.log.ts("C1", ActionType.CREATE) == 1
-        assert store.log.ts(link, ActionType.CREATE) == 1
+        assert store.log.ts(OWN, ActionType.CREATE) == 1
 
     def test_counter_follows_commit_order(self, store):
         for i, oid in enumerate(["I1", "I2", "I3"], start=1):
-            tx = store.begin_transaction()
-            tx.create(oid, "Identity")
-            assert tx.commit() == i
+            assert store.apply([CreateObject.make(oid, "Identity")]) == i
         assert store.counter == 3
 
     def test_delete_cascades_to_links_and_logs_them(self, schema):
         store = build_f1(Store(schema))
-        tx = store.begin_transaction()
-        tx.delete("C1")
-        ts = tx.commit()
+        ts = store.apply([DeleteObject("C1")])
         assert "C1" not in store.data.objects
-        owned = Link("I1", "C1", "Ownership")
         referenced = Link("C1", "I2", "Reference")
-        assert owned not in store.data.links
+        assert OWN not in store.data.links
         assert referenced not in store.data.links
-        assert store.log.ts(owned, ActionType.DELETE) == ts
+        assert store.log.ts(OWN, ActionType.DELETE) == ts
         assert store.log.ts(referenced, ActionType.DELETE) == ts
 
     def test_update_then_delete_collapses_in_log(self, store):
-        store.apply([CreateObject.make("I1", "Identity")])
-        tx = store.begin_transaction()
-        tx.update("I1", {"name": "x"})
-        tx.delete("I1")
-        tx.commit()
+        store.apply([I1])
+        store.apply([UpdateState.make("I1", {"name": "x"}), DeleteObject("I1")])
         assert store.log.actions("I1") == {ActionType.DELETE: 2}
 
     def test_update_replaces_whole_state(self, store):
@@ -222,28 +191,26 @@ class TestCommit:
         store.apply([UpdateState.make("I1", {"name": "bo"})])
         assert store.data.states["I1"] == {"name": "bo"}
 
-
-class TestSingleWriter:
-    def test_second_begin_while_open_is_rejected(self, store):
-        store.begin_transaction()
-        with pytest.raises(TransactionError, match="single writer"):
-            store.begin_transaction()
-
-    def test_abort_frees_the_writer_slot(self, store):
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity")
-        tx.abort()
-        tx = store.begin_transaction()
-        assert tx.commit() is None
-        assert "I1" not in store.data.objects
-
-    def test_finished_tx_rejects_further_use(self, store):
-        tx = store.begin_transaction()
-        tx.commit()
-        with pytest.raises(TransactionError, match="finished"):
-            tx.create("I1", "Identity")
-        with pytest.raises(TransactionError, match="finished"):
-            tx.commit()
+    def test_list_order_does_not_change_a_commit(self):
+        # Each generated tx batch, committed once as listed and once with
+        # its kinds shuffled, must leave the same store behind.  List order
+        # holds within a kind (two updates of one object), so the shuffle
+        # keeps each kind's mutations in their listed order.
+        for seed in range(120):
+            scenario = fuzz_module._Generator(
+                random.Random(seed), fuzz_module.FuzzBounds()
+            ).build()
+            listed, shuffled = Store(scenario.schema), Store(scenario.schema)
+            rng = random.Random(seed)
+            for step in scenario.steps:
+                if isinstance(step, TxStep):
+                    listed.apply(step.mutations)
+                    shuffled.apply(shuffle_kinds(step.mutations, rng))
+                elif isinstance(step, PushStep):
+                    listed.apply([step.mutation])
+                    shuffled.apply([step.mutation])
+            assert listed.counter > 0
+            assert contents(shuffled) == contents(listed), seed
 
 
 class TestApply:
@@ -253,17 +220,11 @@ class TestApply:
         assert store.data.states["I1"] == {"name": "ana"}
 
     def test_apply_failure_releases_writer_and_changes_nothing(self, store):
-        with pytest.raises(SchemaMismatchError):
-            store.apply(
-                [
-                    CreateObject.make("I1", "Identity"),
-                    CreateObject.make("X1", "Spaceship"),
-                ]
-            )
+        rejects(store, [I1, CreateObject.make("X1", "Spaceship")], SchemaMismatchError)
         assert store.counter == 0
         assert store.data.objects == {}
-        # writer slot must be free again
-        store.begin_transaction().abort()
+        # the store takes the next batch
+        assert store.apply([I1]) == 1
 
     def test_snapshot_is_isolated_from_later_commits(self, store):
         store.apply([CreateObject.make("I1", "Identity")])
@@ -291,12 +252,11 @@ class TestApply:
 
 
 def test_was_deleted(store):
-    store.apply([CreateObject.make("I1", "Identity")])
-    assert not store.was_deleted("I1")
-    tx = store.begin_transaction()
-    tx.delete("I1")
-    tx.commit()
-    assert store.was_deleted("I1")
+    store.apply([I1])
+    assert not store.log.is_deleted("I1")
+    store.apply([DeleteObject("I1")])
+    assert "I1" not in store.data.objects
+    assert store.log.is_deleted("I1")
 
 
 # Faults in SystemData.apply that commit's scoped check must catch.  Each
@@ -389,6 +349,7 @@ class TestScopedValidation:
         if index_built:
             store.data.incident  # a sync reads it; commits then keep it
         data, counter, log = store.data, store.counter, store.log.dump()
+        before = contents(store)
         assert (data._incident is not None) == index_built
         monkeypatch.setattr(SystemData, "apply", fault(SystemData.apply))
         with pytest.raises(CommitError, match=re.escape(named)):
@@ -396,6 +357,7 @@ class TestScopedValidation:
         assert store.data is data
         assert store.counter == counter
         assert store.log.dump() == log
+        assert contents(store) == before
 
     def test_every_commit_of_a_fuzz_stream_leaves_the_store_valid(self):
         # The scoped check is sound only while each version it derives from

@@ -13,7 +13,14 @@ from conftest import build_f1
 from relsync.changelog import ActionType, ChangeLog
 from relsync.expr import parse_expression
 from relsync.fuzz import FuzzBounds, _Generator, social_schema
-from relsync.model import Link, SystemData
+from relsync.model import (
+    CreateLink,
+    CreateObject,
+    DeleteObject,
+    Link,
+    SystemData,
+    UpdateState,
+)
 from relsync.scenario import PushStep, SyncStep, TxStep
 from relsync.store import Store
 from relsync.sync import SyncCursor, timestamp_sync
@@ -251,9 +258,7 @@ class TestFirstSync:
 
     def test_zero_length_expression_delivers_the_root(self, schema):
         store = Store(schema)
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity", {"name": "ana"})
-        tx.commit()
+        store.apply([CreateObject.make("I1", "Identity", {"name": "ana"})])
         delta = sync_once(store, SyncCursor("I1"), [parse_expression("{user}")])
         assert delta.crt_objects == {("I1", "Identity")}
         assert delta.states == {"I1": {"name": "ana"}}
@@ -272,9 +277,7 @@ class TestIncrementalSync:
         store = build_f1(Store(schema))
         cursor = SyncCursor("I1")
         sync_once(store, cursor, fixture_exprs)
-        tx = store.begin_transaction()
-        tx.update("I2", {"name": "bob"})
-        tx.commit()
+        store.apply([UpdateState.make("I2", {"name": "bob"})])
         delta = sync_once(store, cursor, fixture_exprs)
         assert delta.upd_objects == {"I2"}
         assert delta.crt_objects == set()
@@ -287,17 +290,15 @@ class TestIncrementalSync:
         # though its create-timestamp predates the cursor.
         store = build_f1(Store(schema))
         cursor = SyncCursor("I1")
-        tx = store.begin_transaction()
-        tx.create("I4", "Identity", {"name": "dee"})
-        tx.commit()
+        store.apply([CreateObject.make("I4", "Identity", {"name": "dee"})])
         sync_once(store, cursor, fixture_exprs)  # I4 not delivered: irrelevant
         assert cursor.ts_ls == 3  # nothing delivered at ts 4 concerned us
 
-        tx = store.begin_transaction()
-        tx.create("C2", "Contact")
-        tx.link("I1", "Ownership", "C2")
-        tx.link("C2", "Reference", "I4")
-        tx.commit()
+        store.apply([
+            CreateObject.make("C2", "Contact"),
+            CreateLink(Link("I1", "C2", "Ownership")),
+            CreateLink(Link("C2", "I4", "Reference")),
+        ])
         delta = sync_once(store, cursor, fixture_exprs)
         assert crt_ids(delta) == {"C2", "I4"}
         assert ("I4", "Identity") in delta.crt_objects
@@ -315,14 +316,12 @@ class TestIncrementalSync:
         store = build_f1(Store(schema))
         cursor = SyncCursor("I1")
         sync_once(store, cursor, fixture_exprs)
-        tx = store.begin_transaction()
-        tx.update("I3", {"name": "cy2"})
-        tx.commit()
-        tx = store.begin_transaction()
-        tx.create("C2", "Contact")
-        tx.link("I1", "Ownership", "C2")
-        tx.link("C2", "Reference", "I3")
-        tx.commit()
+        store.apply([UpdateState.make("I3", {"name": "cy2"})])
+        store.apply([
+            CreateObject.make("C2", "Contact"),
+            CreateLink(Link("I1", "C2", "Ownership")),
+            CreateLink(Link("C2", "I3", "Reference")),
+        ])
         delta = sync_once(store, cursor, fixture_exprs)
         # I3 is both updated (event path) and swept (new contact path);
         # it must arrive exactly once, as a create carrying fresh state
@@ -336,12 +335,8 @@ class TestDeletionBroadcast:
         store = build_f1(Store(schema))
         cursor = SyncCursor("I1")
         sync_once(store, cursor, fixture_exprs)
-        tx = store.begin_transaction()
-        tx.create("E9", "Event", {"title": "secret"})
-        tx.commit()
-        tx = store.begin_transaction()
-        tx.delete("E9")
-        tx.commit()
+        store.apply([CreateObject.make("E9", "Event", {"title": "secret"})])
+        store.apply([DeleteObject("E9")])
         delta = sync_once(store, cursor, fixture_exprs)
         assert delta.del_objects == {"E9"}
         assert delta.crt_objects == set()  # created and deleted inside the window
@@ -351,9 +346,7 @@ class TestDeletionBroadcast:
         store = build_f1(Store(schema))
         cursor = SyncCursor("I1")
         sync_once(store, cursor, fixture_exprs)
-        tx = store.begin_transaction()
-        tx.delete("C1")
-        tx.commit()
+        store.apply([DeleteObject("C1")])
         delta = sync_once(store, cursor, fixture_exprs)
         assert delta.del_objects == {"C1"}
         assert delta.del_links == {OWN, REF}
@@ -361,16 +354,14 @@ class TestDeletionBroadcast:
 
     def test_sync_with_only_deletions_still_advances_cursor(self, schema):
         store = Store(schema)
-        tx = store.begin_transaction()
-        tx.create("I1", "Identity")
-        tx.create("E1", "Event")
-        tx.commit()
+        store.apply([
+            CreateObject.make("I1", "Identity"),
+            CreateObject.make("E1", "Event"),
+        ])
         cursor = SyncCursor("I1")
         exprs = [parse_expression("{user}")]
         sync_once(store, cursor, exprs)
-        tx = store.begin_transaction()
-        tx.delete("E1")
-        tx.commit()
+        store.apply([DeleteObject("E1")])
         delta = sync_once(store, cursor, exprs)
         assert not delta.is_empty()
         assert delta.ts_cs == 2 > 1
@@ -388,6 +379,4 @@ def test_nonempty_delta_always_advances_cursor(schema, fixture_exprs):
         else:
             assert delta.ts_cs == before
         seen.append(delta)
-        tx = store.begin_transaction()
-        tx.update("I2", {"round": round_no})
-        tx.commit()
+        store.apply([UpdateState.make("I2", {"round": round_no})])
