@@ -18,6 +18,13 @@ from .scenario import Scenario, TxStep, load_scenario
 from .store import Store
 
 
+def positive_int(text: str) -> int:
+    """A count; zero or less would make a run that checks nothing succeed."""
+    if int(text) <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relsync",
@@ -33,8 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fuzz_p = sub.add_parser("fuzz", help="generate and run random scenarios")
     fuzz_p.add_argument("--seed", type=int, required=True)
-    fuzz_p.add_argument("--iterations", type=int, required=True)
-    fuzz_p.add_argument("--max-objects", type=int, default=30)
+    fuzz_p.add_argument("--iterations", type=positive_int, required=True)
+    fuzz_p.add_argument("--max-objects", type=positive_int, default=30)
     fuzz_p.add_argument("--out", metavar="DIR", default=None,
                         help="directory for replayable failure dumps")
 

@@ -284,8 +284,9 @@ class _Generator:
                 # one transaction of a few batches
                 block: list[Mutation] = []
                 # Links live at tx start or created within the tx may not be
-                # (re-)created by a later mutation of the same tx: staging
-                # checks are order-free and would see a duplicate.
+                # (re-)created by a later mutation of the same tx: a batch is
+                # checked in kind order, so a re-create meets the live link
+                # before its delete and is a duplicate.
                 forbidden = set(self.model.links)
                 for _ in range(rng.randint(1, 3)):
                     batch = self.next_batch(forbidden)

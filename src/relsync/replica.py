@@ -11,7 +11,8 @@ the tuple of its walk, objects and links interleaved, so the sweep keeps
 every element of every path in one set.  Every change goes through
 `SystemData.apply`, which keeps the data's link index current for the
 sweep's path evaluation.  Links and updates are applied in text and id
-order, so the divergence warnings come in a stable order.
+order, so the divergence warnings come in a stable order.  A push is
+applied locally only once the server has taken it.
 """
 
 from __future__ import annotations
@@ -132,26 +133,21 @@ class Replica:
     # -- local changes ----------------------------------------------------------
 
     def push_local_change(self, mutation: Mutation, server) -> int | None:
-        """Apply a local mutation and forward it as one server transaction.
+        """Forward a local mutation as one server transaction, and apply it
+        locally once the server has taken it.
 
-        The local copy changes first (the mutation must make sense against
-        the replica's view), but a server rejection rolls it back, so a
-        failed push leaves no trace.  The change goes to a derived version,
-        and `apply` never edits what versions share, so the version before
-        it, link index included, is the rollback."""
+        The mutation must first make sense against the replica's view.  A
+        push that fails that check or that the server rejects never touches
+        the replica, so a failed push leaves no trace."""
         if server is None:
             raise OfflinePushError(f"{self.name} is offline; push not queued")
-        before = self.data
-        self.data = before.derive()
-        try:
-            self._apply_local(mutation)
-            return server.apply([mutation])
-        except Exception:
-            self.data = before
-            raise
+        self._check_local(mutation)
+        ts = server.apply([mutation])
+        self._mutate(mutation)
+        return ts
 
-    def _apply_local(self, mutation: Mutation) -> None:
-        """Check a mutation against the replica's view, then apply it."""
+    def _check_local(self, mutation: Mutation) -> None:
+        """Check a mutation against the replica's view."""
         data = self.data
         if isinstance(mutation, CreateObject):
             if mutation.object_id in data.objects:
@@ -171,7 +167,6 @@ class Replica:
         elif isinstance(mutation, DeleteLink):
             if mutation.link not in data.links:
                 raise UnknownIdError(f"link {mutation.link} not replicated")
-        self._mutate(mutation)
 
     def _mutate(self, mutation: Mutation) -> None:
         self._swept = None  # changed since the last sweep

@@ -4,21 +4,22 @@ All server-side changes go through `Store.apply`: one `Store.apply` call
 is one commit, and a batch may list its mutations in any order.  `apply`
 sorts the batch by kind, stably, in the order of the `_COMMIT_ORDER`
 table — object creates, link creates, updates, link deletes, object
-deletes — so every id or link a mutation names is already live or already
-staged when its check runs.  The commit then applies the batch in that
-order through `SystemData.apply` to the next version of the data,
-validates what the batch touched, and only then swaps it in.  Validating only the touched
+deletes — and stages it in that order into the next version of the data
+(`SystemData.derive`): each mutation is checked against that version,
+which holds everything the batch applied before it, then applied there
+through `SystemData.apply`.  The commit validates what the batch touched
+and only then swaps the next version in.  Validating only the touched
 elements (the logged ones, cascaded link deletes included) costs O(batch)
 and checks everything the batch could have broken: every committed version
 was validated and the data changes only through commit, an object's class
 never changes, and an endpoint vanishes only through a `DeleteObject` in
 the batch, whose cascade is logged and so touched too.  The next version
-(`SystemData.derive`) has containers of its own but shares every state
-dict and per-vertex link set that the commit did not replace, so a held
-version never changes and a commit makes no deep copy.  Every mutation in one
-commit is logged at the same logical timestamp; the counter advances once
-per nonempty commit, so equal timestamps mean "same transaction" and order
-of timestamps is commit order.
+has containers of its own but shares every state dict and per-vertex link
+set that the batch did not replace, so a held version never changes and a
+commit makes no deep copy.  Every mutation in one commit is logged at the
+same logical timestamp; the counter advances once per nonempty commit, so
+equal timestamps mean "same transaction" and order of timestamps is
+commit order.
 
 Object ids are never reused, even after deletion: the change log keeps
 every object's tombstone.  Deleting an object cascades to its links, and
@@ -52,8 +53,7 @@ from .model import (
 )
 
 # The commit order: kind -> (rank, logged action).  `Store.apply` stages
-# and commit applies a batch sorted by rank, stably, so list order holds
-# within a kind.
+# a batch sorted by rank, stably, so list order holds within a kind.
 _COMMIT_ORDER: dict[type, tuple[int, ActionType]] = {
     CreateObject: (0, ActionType.CREATE),
     CreateLink: (1, ActionType.CREATE),
@@ -64,41 +64,45 @@ _COMMIT_ORDER: dict[type, tuple[int, ActionType]] = {
 
 
 class Transaction:
-    """One batch on its way to a commit; `Store.apply` makes one per call."""
+    """One batch staged into the next version of the data, which commit
+    swaps in; `Store.apply` makes one per call."""
 
     def __init__(self, store: Store):
         self._store = store
-        self._staged: list[Mutation] = []
-        self._created_ids: dict[str, str] = {}  # id -> class
-        self._created_links: set[Link] = set()
-        self._deleted_ids: set[str] = set()
-        self._deleted_links: set[Link] = set()
+        self._next = store.data.derive()
+        self._log: list[tuple[str | Link, ActionType]] = []
+        self._deleted: set[str | Link] = set()
 
     # -- staging ------------------------------------------------------------
 
     def stage_mutation(self, mutation: Mutation) -> None:
-        """Check a mutation against live data plus what this transaction has
-        staged so far, then queue it.  Mutations arrive in commit order, so
-        every id or link one names must be live or already staged."""
+        """Check a mutation against the next version, then apply it there
+        and log it.  Mutations arrive in commit order, so every id or link
+        one names must already be in the next version."""
         if isinstance(mutation, CreateObject):
             self._check_create(mutation)
         elif isinstance(mutation, UpdateState):
             self._require_object(mutation.object_id)
         elif isinstance(mutation, DeleteObject):
-            self._check_delete_object(mutation.object_id)
+            self._check_delete(mutation.object_id)
         elif isinstance(mutation, CreateLink):
             self._check_create_link(mutation.link)
         elif isinstance(mutation, DeleteLink):
-            self._check_delete_link(mutation.link)
+            self._check_delete(mutation.link)
         else:  # pragma: no cover - exhaustive over the Mutation union
             raise TypeError(f"not a mutation: {mutation!r}")
-        self._staged.append(mutation)
+        # The log must name the links a delete cascaded away, or replicas
+        # would keep them dangling.
+        for link in self._next.apply(mutation):
+            self._log.append((link, ActionType.DELETE))
+        element = (
+            mutation.link if isinstance(mutation, (CreateLink, DeleteLink)) else mutation.object_id
+        )
+        self._log.append((element, _COMMIT_ORDER[type(mutation)][1]))
 
     def _require_object(self, object_id: str) -> str:
-        """The class of a live or staged object."""
-        cls = self._store.data.objects.get(object_id)
-        if cls is None:
-            cls = self._created_ids.get(object_id)
+        """The class of an object in the next version."""
+        cls = self._next.objects.get(object_id)
         if cls is None:
             if self._store.log.is_deleted(object_id):
                 raise AlreadyDeletedError(f"object {object_id} was deleted")
@@ -110,23 +114,29 @@ class Transaction:
         validate_token(mutation.class_name, "class name")
         if mutation.class_name not in self._store.schema.classes:
             raise SchemaMismatchError(f"unknown class {mutation.class_name!r}")
-        if oid in self._store.data.objects or oid in self._created_ids:
+        if oid in self._next.objects:
             raise DuplicateIdError(f"object id {oid} already in use")
         if self._store.log.is_deleted(oid):
             raise DuplicateIdError(f"object id {oid} was used before; ids are never reused")
-        self._created_ids[oid] = mutation.class_name
 
-    def _check_delete_object(self, object_id: str) -> None:
-        self._require_object(object_id)
-        if object_id in self._deleted_ids:
-            raise AlreadyDeletedError(f"object {object_id} deleted twice in one transaction")
-        self._deleted_ids.add(object_id)
+    def _check_delete(self, element: str | Link) -> None:
+        """An object or link to delete must be in the next version, and not
+        have been deleted earlier in the batch."""
+        is_link = isinstance(element, Link)
+        if element in self._deleted:
+            what = "link" if is_link else "object"
+            raise AlreadyDeletedError(f"{what} {element} deleted twice in one transaction")
+        if not is_link:
+            self._require_object(element)
+        elif element not in self._next.links:
+            raise UnknownIdError(f"unknown link {element}")
+        self._deleted.add(element)
 
     def _check_create_link(self, link: Link) -> None:
         assoc = self._store.schema.assocs.get(link.assoc)
         if assoc is None:
             raise SchemaMismatchError(f"unknown association {link.assoc!r}")
-        if link in self._store.data.links or link in self._created_links:
+        if link in self._next.links:
             raise DuplicateLinkError(f"link {link} already exists")
         src_cls = self._require_object(link.src)
         dst_cls = self._require_object(link.dst)
@@ -135,46 +145,26 @@ class Transaction:
                 f"link {link}: classes {src_cls}-{dst_cls} "
                 f"do not fit {assoc.class_a}-{assoc.class_b}"
             )
-        self._created_links.add(link)
-
-    def _check_delete_link(self, link: Link) -> None:
-        if link in self._deleted_links:
-            raise AlreadyDeletedError(f"link {link} deleted twice in one transaction")
-        if link not in self._store.data.links and link not in self._created_links:
-            raise UnknownIdError(f"unknown link {link}")
-        self._deleted_links.add(link)
 
     # -- commit -------------------------------------------------------------
 
     def commit(self) -> int | None:
-        """Apply the staged batch in staging order; returns its timestamp, or
-        None when nothing was staged (empty commits leave no trace)."""
-        if not self._staged:
+        """Validate what the batch touched and swap the next version in;
+        returns the commit's timestamp, or None when nothing was staged
+        (empty commits leave no trace)."""
+        if not self._log:
             return None
         store = self._store
-        scratch = store.data.derive()
-        ts = store._counter + 1
-        log_entries: list[tuple[str | Link, ActionType]] = []
-
-        for m in self._staged:
-            # The log must name the links a delete cascaded away, or
-            # replicas would keep them dangling.
-            for link in scratch.apply(m):
-                log_entries.append((link, ActionType.DELETE))
-            element = m.link if isinstance(m, (CreateLink, DeleteLink)) else m.object_id
-            log_entries.append((element, _COMMIT_ORDER[type(m)][1]))
-
         report = validate_schema(
-            store.schema, scratch, touched=(element for element, _ in log_entries)
+            store.schema, self._next, touched=(element for element, _ in self._log)
         )
         if not report.ok:
             raise CommitError("; ".join(report.violations))
-
-        store._counter = ts
-        store.data = scratch
-        for element, action in log_entries:
-            store.log.record(element, action, ts)
-        return ts
+        store._counter += 1
+        store.data = self._next
+        for element, action in self._log:
+            store.log.record(element, action, store._counter)
+        return store._counter
 
 
 class Store:

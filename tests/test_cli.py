@@ -76,6 +76,21 @@ class TestFuzz:
             main(["fuzz", "--iterations", "5"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--iterations", "-3"],
+            ["--iterations", "0"],
+            ["--iterations", "2", "--max-objects", "-4"],
+            ["--iterations", "2", "--max-objects", "0"],
+        ],
+    )
+    def test_counts_must_be_positive(self, flags, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["fuzz", "--seed", "1", *flags])
+        assert info.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
 
 class TestEvalPaths:
     def test_fixture_contact_path(self, capsys):

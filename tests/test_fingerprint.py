@@ -6,13 +6,18 @@ modes and hashes what they produce: each sync's applied and shadow deltas
 and the replica's dump right after it, every divergence report, and the
 final change-log dump.  The digest is pinned; a change that moves it
 changes behaviour and must say so.  Everything hashed is rendered in a
-canonical order, so the digest does not depend on the hash seed.
+canonical order, so the digest does not depend on the hash seed; a second
+test recomputes it in a child interpreter under another `PYTHONHASHSEED`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from relsync.delta import render_delta
 from relsync.fuzz import FuzzBounds, _Generator
@@ -52,3 +57,18 @@ def fingerprint() -> str:
 
 def test_behaviour_matches_the_pinned_fingerprint():
     assert fingerprint() == PINNED
+
+
+def test_fingerprint_does_not_depend_on_the_hash_seed():
+    here = Path(__file__).resolve().parent
+    src = here.parent / "src"
+    # a seed other than this process's, if it has a fixed one
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(
+        os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join([str(src), str(here)])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", "from test_fingerprint import fingerprint; print(fingerprint())"],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert out.stdout.strip() == PINNED

@@ -301,6 +301,16 @@ class TestSweepSkip:
         assert replica.gc_sweep() == {"E7"}
         assert len(walks) == 1
 
+    def test_rejected_push_keeps_the_skip(self, synced, walks):
+        store, replica = synced
+        # X1 is on the server but not on the replica: locally fine, and the
+        # server rejects it as a duplicate
+        store.apply([CreateObject.make("X1", "Event")])
+        with pytest.raises(DuplicateIdError):
+            replica.push_local_change(CreateObject.make("X1", "Event"), store)
+        assert replica.gc_sweep() == set()
+        assert walks == []
+
     def test_replaced_data_runs_the_sweep(self, synced, walks):
         _, replica = synced
         # a new object is matched by identity, not by its content

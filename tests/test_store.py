@@ -151,6 +151,8 @@ class TestStaging:
         store.apply([I1])
         rejects(store, [DeleteObject("I1"), DeleteObject("I1")], AlreadyDeletedError,
                 "twice")
+        store.apply([C1, CreateLink(OWN)])
+        rejects(store, [DeleteLink(OWN), DeleteLink(OWN)], AlreadyDeletedError, "twice")
 
 
 class TestCommit:
