@@ -25,7 +25,6 @@ from .model import (
     Schema,
     SystemData,
     UpdateState,
-    is_subdata,
     validate_schema,
 )
 from .oracle import SnapshotOracle, oracle_sync
@@ -70,7 +69,6 @@ __all__ = [
     "TypedGraph",
     "UpdateState",
     "evaluate",
-    "is_subdata",
     "load_scenario",
     "oracle_sync",
     "parse_delta",

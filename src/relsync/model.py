@@ -369,26 +369,6 @@ def validate_schema(
     return ValidationReport(violations)
 
 
-def is_subdata(d2: SystemData, d1: SystemData) -> bool:
-    """True iff d2 is a restriction of d1 to a subset of its objects.
-
-    Objects keep their classes, links are a subset of d1's links between
-    d2's objects, and states agree exactly on d2's objects.
-    """
-    for oid, cls in d2.objects.items():
-        if d1.objects.get(oid) != cls:
-            return False
-    for link in d2.links:
-        if link not in d1.links:
-            return False
-        if link.src not in d2.objects or link.dst not in d2.objects:
-            return False
-    for oid in d2.objects:
-        if d2.states.get(oid) != d1.states.get(oid):
-            return False
-    return True
-
-
 __all__ = [
     "AssociationDef",
     "CreateLink",
@@ -403,7 +383,6 @@ __all__ = [
     "SystemData",
     "UpdateState",
     "ValidationReport",
-    "is_subdata",
     "link_text_order",
     "validate_schema",
     "validate_token",

@@ -56,29 +56,6 @@ class TypedGraph:
 Path = tuple[str | Link, ...]
 
 
-def is_path(p: Path, g: TypedGraph) -> bool:
-    """True iff p is a simple path of the graph: odd length, no repeated
-    element, live vertices, and each link joining its two neighbours."""
-    if len(p) % 2 == 0 or len(set(p)) != len(p):
-        return False
-    if any(vertex not in g.data.objects for vertex in p[0::2]):
-        return False
-    for i in range(1, len(p), 2):
-        edge = p[i]
-        if edge not in g.data.links or {edge.src, edge.dst} != {p[i - 1], p[i + 1]}:
-            return False
-    return True
-
-
-def is_sub_path(p: Path, q: Path, g: TypedGraph, proper: bool = False) -> bool:
-    """True iff q starts with p (and extends it strictly, when `proper`)."""
-    if not is_path(p, g) or not is_path(q, g):
-        return False
-    if proper and len(p) == len(q):
-        return False
-    return q[: len(p)] == p
-
-
 def _direct_vertices(expr: PathExpr, g: TypedGraph, user: str | None) -> set[str]:
     root = expr.root
     if isinstance(root, InstanceSet):
@@ -112,36 +89,41 @@ def evaluate(
     object id the `{user}` root stands for.  Whether a link's far end
     carries a role is one probe of the schema's `ends` table."""
     segments = expr.segments
+    n_segments = len(segments)
     ends = g.schema.ends
     objects = g.data.objects
     incident = g.incident
     results: list[Path] = []
     stack: list[Path] = [(v,) for v in _direct_vertices(expr, g, user)]
+    pop, push, emit = stack.pop, stack.append, results.append
     while stack:
-        path = stack.pop()
+        path = pop()
         matched = len(path) // 2
-        if matched < len(segments):
+        if matched < n_segments:
             role = segments[matched]
             tip = path[-1]
             extended = False
             for edge in incident.get(tip, ()):
+                src, dst, assoc = edge
                 # The end away from the tip.  A self-link's far end is the
-                # tip itself, which the next test drops, so only one side of
+                # tip itself, which the last test drops, so only one side of
                 # a link is ever looked up.
-                far_is_src = tip != edge.src
-                far = edge.src if far_is_src else edge.dst
+                if tip == src:
+                    far, key = dst, (assoc, role, False)
+                else:
+                    far, key = src, (assoc, role, True)
+                cls = ends.get(key)
+                if cls is None or objects.get(far) != cls:
+                    continue
                 # A link already on the path has both ends on it, so testing
                 # the far end alone keeps the path simple.
                 if far in path:
                     continue
-                cls = ends.get((edge.assoc, role, far_is_src))
-                if cls is None or objects.get(far) != cls:
-                    continue
-                stack.append(path + (edge, far))
+                push(path + (edge, far))
                 extended = True
             if extended:
                 continue  # replaced by its extensions
-        results.append(path)
+        emit(path)
         if len(results) > max_paths:
             raise PathBudgetError(
                 f"path budget of {max_paths} exceeded while evaluating expression"
@@ -189,8 +171,6 @@ __all__ = [
     "Path",
     "TypedGraph",
     "evaluate",
-    "is_path",
-    "is_sub_path",
     "relevant_paths",
     "select_relevant",
 ]

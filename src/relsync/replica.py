@@ -8,11 +8,13 @@ had — and is ordered so no step observes a dangling reference: object
 creates, link creates, updates, link deletes, object deletes, then the GC
 sweep drops whatever is no longer on any locally-relevant path.  A path is
 the tuple of its walk, objects and links interleaved, so the sweep keeps
-every element of every path in one set.  Every change goes through
-`SystemData.apply`, which keeps the data's link index current for the
-sweep's path evaluation.  Links and updates are applied in text and id
-order, so the divergence warnings come in a stable order.  A push is
-applied locally only once the server has taken it.
+every element of every path in one set.  The walk reads a state only to
+test a filter root, so the sweep skips it when the replica has changed
+nothing since the last sweep but states of classes no filter root names.
+Every change goes through `SystemData.apply`, which keeps the data's link
+index current for the sweep's path evaluation.  Links and updates are
+applied in text and id order, so the divergence warnings come in a stable
+order.  A push is applied locally only once the server has taken it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     OfflinePushError,
     UnknownIdError,
 )
-from .expr import PathExpr
+from .expr import ClassFilter, PathExpr
 from .model import (
     CreateLink,
     CreateObject,
@@ -54,7 +56,8 @@ class Replica:
     data: SystemData = field(default_factory=SystemData)
     cursor: SyncCursor = None  # type: ignore[assignment]
     divergence_warnings: list[str] = field(default_factory=list)
-    # the data object as the last sweep left it; None once it has changed
+    # the data object as the last sweep left it; None once a change may have
+    # moved its paths (anything but an update no filter root reads)
     _swept: SystemData | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -110,8 +113,9 @@ class Replica:
         always stays).  Returns the removed object ids.  One pass reaches a
         fixed point: removal only ever shrinks the path sets further.  So
         while the data is the object the last sweep left, and the replica
-        has applied nothing to it since, a sweep would remove nothing and is
-        skipped."""
+        has applied nothing to it since but updates to objects of classes
+        no filter root names, a sweep would remove nothing and is skipped:
+        roles, links and instance roots ignore states."""
         data = self.data
         if self._swept is data:
             return set()
@@ -120,10 +124,10 @@ class Replica:
         keep: set[str | Link] = {self.root}
         for p in paths:
             keep.update(p)
-        removed = {oid for oid in data.objects if oid not in keep}
+        removed = data.objects.keys() - keep
         # Every link of a removed object is off-path too, so the objects'
         # cascades find nothing left to remove.
-        for link in [l for l in data.links if l not in keep]:
+        for link in data.links - keep:
             data.apply(DeleteLink(link))
         for oid in removed:
             data.apply(DeleteObject(oid))
@@ -169,8 +173,18 @@ class Replica:
                 raise UnknownIdError(f"link {mutation.link} not replicated")
 
     def _mutate(self, mutation: Mutation) -> None:
-        self._swept = None  # changed since the last sweep
+        if not isinstance(mutation, UpdateState) or self._filtered(mutation.object_id):
+            self._swept = None  # the paths may have changed since the last sweep
         self.data.apply(mutation)
+
+    def _filtered(self, oid: str) -> bool:
+        """Whether a filter root tests the object's state: the one place
+        the sweep's walk reads a state."""
+        cls = self.data.objects.get(oid)
+        return any(
+            isinstance(expr.root, ClassFilter) and expr.root.class_name == cls
+            for expr in self.exprs
+        )
 
     # -- rendering ---------------------------------------------------------------
 

@@ -11,6 +11,9 @@ in the engine's incremental derivation cannot hide here.
 enumerator's paths, step by step as the rule is stated, so the engine's
 folded single walk has a reference to answer to.
 
+The spec's reference predicates (`is_path`, `is_sub_path`, `is_subdata`)
+live here too: only the tests ask them.
+
 Also hosts the random instance generator shared by the property tests and
 the acceptance suite (same seeds -> same instances in both places).
 """
@@ -205,6 +208,56 @@ def as_pairs(paths) -> set[PathPair]:
     """Engine output (interleaved walks) -> the enumerator's
     (vertices, edges) form."""
     return {(p[0::2], p[1::2]) for p in paths}
+
+
+# -- reference predicates ------------------------------------------------------
+#
+# The spec's definitions, stated directly over the raw data.  A path is the
+# engine's interleaved walk `(v0, e0, v1, …, vn)`; `g` is anything with a
+# `data` attribute, such as the engine's `TypedGraph`.
+
+
+def is_path(p, g) -> bool:
+    """True iff p is a simple path of the graph: odd length, no repeated
+    element, live vertices, and each link joining its two neighbours."""
+    if len(p) % 2 == 0 or len(set(p)) != len(p):
+        return False
+    if any(vertex not in g.data.objects for vertex in p[0::2]):
+        return False
+    for i in range(1, len(p), 2):
+        edge = p[i]
+        if edge not in g.data.links or {edge.src, edge.dst} != {p[i - 1], p[i + 1]}:
+            return False
+    return True
+
+
+def is_sub_path(p, q, g, proper: bool = False) -> bool:
+    """True iff q starts with p (and extends it strictly, when `proper`)."""
+    if not is_path(p, g) or not is_path(q, g):
+        return False
+    if proper and len(p) == len(q):
+        return False
+    return q[: len(p)] == p
+
+
+def is_subdata(d2: SystemData, d1: SystemData) -> bool:
+    """True iff d2 is a restriction of d1 to a subset of its objects.
+
+    Objects keep their classes, links are a subset of d1's links between
+    d2's objects, and states agree exactly on d2's objects.
+    """
+    for oid, cls in d2.objects.items():
+        if d1.objects.get(oid) != cls:
+            return False
+    for link in d2.links:
+        if link not in d1.links:
+            return False
+        if link.src not in d2.objects or link.dst not in d2.objects:
+            return False
+    for oid in d2.objects:
+        if d2.states.get(oid) != d1.states.get(oid):
+            return False
+    return True
 
 
 # -- random instances ----------------------------------------------------------

@@ -16,6 +16,8 @@ from brute_force import (
     apply_plainly,
     as_pairs,
     brute_force_paths,
+    is_sub_path,
+    is_subdata,
     random_data,
     random_expr,
     random_instance,
@@ -25,8 +27,8 @@ from conftest import F1_LINKS, F1_OBJECTS
 from relsync.cli import main
 from relsync.delta import render_delta
 from relsync.fuzz import FuzzBounds, _Generator
-from relsync.model import SystemData, is_subdata
-from relsync.paths import TypedGraph, evaluate, is_sub_path, select_relevant
+from relsync.model import SystemData
+from relsync.paths import TypedGraph, evaluate, select_relevant
 from relsync.runner import run_scenario
 from relsync.scenario import PushStep, TxStep, load_scenario
 from relsync.store import Store

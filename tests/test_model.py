@@ -9,6 +9,7 @@ import random
 import pytest
 
 import relsync
+from brute_force import is_subdata
 from relsync.errors import TokenError
 from relsync.model import (
     AssociationDef,
@@ -20,7 +21,6 @@ from relsync.model import (
     Schema,
     SystemData,
     UpdateState,
-    is_subdata,
     validate_schema,
     validate_token,
 )

@@ -7,16 +7,21 @@ import random
 
 import pytest
 
-from brute_force import as_pairs, brute_force_paths, random_instance
+from brute_force import (
+    as_pairs,
+    brute_force_paths,
+    is_path,
+    is_sub_path,
+    is_subdata,
+    random_instance,
+)
 from conftest import F1_LINKS, F1_OBJECTS
 from relsync.errors import PathBudgetError, UnboundVariableError, UnknownClassError
 from relsync.expr import parse_expression
-from relsync.model import AssociationDef, Link, Schema, SystemData, is_subdata
+from relsync.model import AssociationDef, Link, Schema, SystemData
 from relsync.paths import (
     TypedGraph,
     evaluate,
-    is_path,
-    is_sub_path,
     relevant_paths,
     select_relevant,
 )

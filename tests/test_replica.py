@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from relsync.errors import (
     UnknownIdError,
 )
 from relsync.expr import parse_expression
+from relsync.fuzz import FuzzBounds, _Generator
 from relsync.model import (
     CreateLink,
     CreateObject,
@@ -30,7 +32,9 @@ from relsync.model import (
     Link,
     UpdateState,
 )
+from relsync.paths import relevant_paths
 from relsync.replica import Replica
+from relsync.runner import MODES, run_scenario
 from relsync.store import Store
 from relsync.sync import timestamp_sync
 from test_model import rebuilt_index
@@ -246,7 +250,8 @@ class TestPush:
 
 class TestSweepSkip:
     """The sweep is a fixed point, so it skips its walk while the data is
-    the object it last left, with nothing applied to it since."""
+    the object it last left, with nothing applied to it since but updates
+    no filter root reads."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -291,13 +296,14 @@ class TestSweepSkip:
         assert replica.gc_sweep() == {"E7"}  # no path reaches a lone event
         assert len(walks) == 1
 
-    def test_rollback_runs_the_sweep(self, synced, walks):
+    def test_rejected_push_keeps_an_earlier_push_unswept(self, synced, walks):
         store, replica = synced
         replica.push_local_change(CreateObject.make("E7", "Event"), store)
         store.apply([CreateObject.make("X1", "Event")])
         with pytest.raises(DuplicateIdError):
             replica.push_local_change(CreateObject.make("X1", "Event"), store)
-        # the rollback restored the unswept version the first push made
+        # the rejected push touched nothing, so the taken push's change is
+        # still unswept and the next sweep walks and removes it
         assert replica.gc_sweep() == {"E7"}
         assert len(walks) == 1
 
@@ -317,6 +323,52 @@ class TestSweepSkip:
         replica.data = replica.data.copy()
         assert replica.gc_sweep() == set()
         assert len(walks) == 1
+
+    def test_update_no_filter_root_reads_keeps_the_skip(self, synced, walks):
+        store, replica = synced
+        # every root of the fixture expressions is {user}: no walk reads I2
+        store.apply([UpdateState.make("I2", {"name": "bo2"})])
+        delta = full_sync(store, replica)
+        assert delta.upd_objects == {"I2"}
+        assert replica.data.states["I2"] == {"name": "bo2"}
+        assert walks == []
+
+    def test_update_a_filter_root_reads_runs_the_sweep(self, schema, walks):
+        exprs = [parse_expression('Event[title="b"].Participation.Identity')]
+        store = build_f1(Store(schema))
+        store.apply([UpdateState.make("E1", {"title": "b"})])
+        replica = Replica(name="A", root="I1", exprs=exprs, schema=schema)
+        full_sync(store, replica)
+        assert set(replica.data.objects) == set(store.data.objects) - {"C1"}
+        walks.clear()
+        # the rename takes the event off the filter, and its subtree with it
+        replica.push_local_change(UpdateState.make("E1", {"title": "a"}), store)
+        assert replica.gc_sweep() == {"E1", "P1", "P2", "P3", "I2", "I3"}
+        assert len(walks) == 1
+        assert set(replica.data.objects) == {"I1"}
+        assert replica.data.links == set()
+
+    def test_generated_runs_leave_every_synced_replica_swept(self):
+        rng = random.Random(1616)
+        for _ in range(100):
+            scenario = _Generator(rng, FuzzBounds()).build()
+            for mode in MODES:
+                bad: list[str] = []
+
+                def hook(ctx, index, client, applied, shadow):
+                    replica = ctx.replicas[client]
+                    data = replica.data
+                    on = {replica.root}
+                    for path in relevant_paths(
+                        replica.schema, data, replica.exprs, user=replica.root
+                    ):
+                        on.update(path)
+                    stray = (data.objects.keys() | data.links) - on
+                    if stray:
+                        bad.append(f"{mode} step {index} {client}: {sorted(map(str, stray))}")
+
+                run_scenario(scenario, mode=mode, on_sync=hook)
+                assert bad == []
 
 
 def test_dump_is_sorted_and_stable(schema, fixture_exprs):
