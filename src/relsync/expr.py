@@ -15,7 +15,7 @@ spaces — and `render(parse(text))` is the canonical form of `text`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ExpressionSyntaxError
 from .model import Scalar
@@ -43,6 +43,12 @@ class ClassFilter:
     attribute: str
     comparator: str  # one of = != < >
     literal: Scalar
+    # 1 == True, yet `[k=1]` and `[k=true]` select different objects, so
+    # the literal's kind takes part in equality and hashing
+    kind: str = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "kind", _value_kind(self.literal))
 
 
 Direct = InstanceSet | ClassAll | ClassFilter

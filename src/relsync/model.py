@@ -131,20 +131,40 @@ class SystemData:
     runs `validate_schema` on the elements its batch touched, which is
     enough because the version it derives from already held them.
 
-    `incident` indexes the links by the vertices they touch.  It is built
-    from `links` the first time something reads it, and from then on links
-    change only through `apply`, which keeps it current.  Store versions
-    made by `derive` share every state dict and every per-vertex link set
-    with the version they came from, so neither is ever edited in place:
-    `apply` replaces a state, and replaces a vertex's frozenset of links.
+    Three indexes are derived from the data; once read, each is kept
+    exact by `apply`, the one way the data changes:
+    - `incident` maps each vertex to the links touching it.  It is built
+      from `links` the first time something reads it; `apply` replaces the
+      frozensets of a link's ends.  `derive` copies the dict and shares
+      every frozenset.
+    - `members(cls)` is the frozenset of ids of a class's objects, filled
+      per class on first read.  `apply` drops a class's entry when it
+      creates or deletes one of its objects, and never edits a set, so
+      `derive` copies the dict and shares every set.  A create never
+      changes an existing object's class: the store refuses a used id, and
+      the replica a re-create under another class.
+    - `walks` memoises the paths of expressions that do not name
+      `{user}` (see `paths.evaluate`).  Every `apply` clears it, `derive`
+      starts the next version without one, and a commit clears the memo
+      of the version it replaces, so a superseded version holds none.
+
+    Store versions made by `derive` also share every state dict with the
+    version they came from, so none is ever edited in place: `apply`
+    replaces a state.
     """
 
     objects: dict[str, str] = field(default_factory=dict)
     links: set[Link] = field(default_factory=set)
     states: dict[str, State] = field(default_factory=dict)
+    # (expression, path budget, schema) -> the expression's paths
+    walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # vertex -> links touching it; None until first read
     _incident: dict[str, frozenset[Link]] | None = field(
         default=None, init=False, repr=False, compare=False
+    )
+    # class -> ids of its objects; an entry is filled on first read
+    _members: dict[str, frozenset[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     @property
@@ -160,6 +180,16 @@ class SystemData:
             index = self._incident = {v: frozenset(s) for v, s in building.items()}
         return index
 
+    def members(self, class_name: str) -> frozenset[str]:
+        """The ids of the class's objects; one scan of the objects on the
+        first read after a create or delete of the class."""
+        ids = self._members.get(class_name)
+        if ids is None:
+            ids = self._members[class_name] = frozenset(
+                oid for oid, cls in self.objects.items() if cls == class_name
+            )
+        return ids
+
     def copy(self) -> SystemData:
         """An independent copy, states included; the index is rebuilt on
         the copy's first read."""
@@ -171,10 +201,12 @@ class SystemData:
 
     def derive(self) -> SystemData:
         """The next version, for a commit to apply to: fresh dicts and link
-        set, sharing this version's state dicts and per-vertex link sets."""
+        set, sharing this version's state dicts, per-vertex link sets and
+        per-class id sets, with no walks memoised."""
         following = SystemData(dict(self.objects), set(self.links), dict(self.states))
         if self._incident is not None:
             following._incident = dict(self._incident)
+        following._members = dict(self._members)
         return following
 
     def apply(self, mutation: Mutation) -> list[Link]:
@@ -184,9 +216,11 @@ class SystemData:
         been read it finds them in O(degree); until then one scan of the
         links costs what building the index would, and data that nobody
         walks (a fuzzer's model, a bulk load) never pays for the index."""
+        self.walks.clear()
         if isinstance(mutation, CreateObject):
             self.objects[mutation.object_id] = mutation.class_name
             self.states[mutation.object_id] = mutation.state_dict()
+            self._members.pop(mutation.class_name, None)
         elif isinstance(mutation, CreateLink):
             self.links.add(mutation.link)
             if self._incident is not None:
@@ -207,7 +241,7 @@ class SystemData:
                 for link in cascade:
                     _unindex_link(index, link)
             self.links.difference_update(cascade)
-            del self.objects[oid]
+            self._members.pop(self.objects.pop(oid), None)
             self.states.pop(oid, None)
             return cascade
         else:  # pragma: no cover - exhaustive over the Mutation union

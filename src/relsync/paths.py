@@ -19,6 +19,12 @@ A path leaves the stack either as a result or replaced by at least one
 extension, and distinct paths have distinct extensions.  So the results
 only ever accumulate toward the final set, and one check on their count
 raises exactly when that set would exceed the budget.
+
+An expression whose root does not name `{user}` has one result per data
+version, whichever client asks, so it is walked once and its frozenset is
+memoised in the data's `walks` (see `SystemData`).  Class and filter roots
+start from the data's per-class member sets instead of scanning every
+object.
 """
 
 from __future__ import annotations
@@ -56,7 +62,9 @@ class TypedGraph:
 Path = tuple[str | Link, ...]
 
 
-def _direct_vertices(expr: PathExpr, g: TypedGraph, user: str | None) -> set[str]:
+def _direct_vertices(
+    expr: PathExpr, g: TypedGraph, user: str | None
+) -> set[str] | frozenset[str]:
     root = expr.root
     if isinstance(root, InstanceSet):
         vertices: set[str] = set()
@@ -72,7 +80,7 @@ def _direct_vertices(expr: PathExpr, g: TypedGraph, user: str | None) -> set[str
         return vertices
     if root.class_name not in g.schema.classes:
         raise UnknownClassError(f"unknown class {root.class_name!r}")
-    members = {v for v, cls in g.data.objects.items() if cls == root.class_name}
+    members = g.data.members(root.class_name)
     if isinstance(root, ClassAll):
         return members
     return {v for v in members if satisfies_filter(g.data.states.get(v, {}), root)}
@@ -87,7 +95,18 @@ def evaluate(
 ) -> frozenset[Path]:
     """All paths the expression defines over the graph; `user` is the
     object id the `{user}` root stands for.  Whether a link's far end
-    carries a role is one probe of the schema's `ends` table."""
+    carries a role is one probe of the schema's `ends` table.  A root
+    without `{user}` is walked once per data version, schema and budget:
+    later calls return the memoised frozenset.  A walk over budget raises
+    and memoises nothing."""
+    root = expr.root
+    shared = not (isinstance(root, InstanceSet) and USER_VARIABLE in root.refs)
+    if shared:
+        walks = g.data.walks
+        walk_key = (expr, max_paths, g.schema)
+        memo = walks.get(walk_key)
+        if memo is not None:
+            return memo
     segments = expr.segments
     n_segments = len(segments)
     ends = g.schema.ends
@@ -128,7 +147,10 @@ def evaluate(
             raise PathBudgetError(
                 f"path budget of {max_paths} exceeded while evaluating expression"
             )
-    return frozenset(results)
+    paths = frozenset(results)
+    if shared:
+        walks[walk_key] = paths
+    return paths
 
 
 def relevant_paths(
@@ -140,10 +162,10 @@ def relevant_paths(
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> frozenset[Path]:
     g = TypedGraph(data, schema)
-    paths: set[Path] = set()
-    for expr in exprs:
-        paths |= evaluate(expr, g, user=user, max_paths=max_paths)
-    return frozenset(paths)
+    found = [evaluate(expr, g, user=user, max_paths=max_paths) for expr in exprs]
+    if len(found) == 1:
+        return found[0]  # shared with every caller of a memoised walk
+    return frozenset().union(*found)
 
 
 def select_relevant(

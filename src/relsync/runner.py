@@ -7,7 +7,9 @@ and `both` applies the timestamp delta while also computing the oracle
 delta as a shadow and checking, after apply + GC, that the replica equals
 the relevant slice of the server data exactly.  Assertion steps append
 DivergenceReports instead of raising; step-level execution errors abort
-with the step index attached.
+with the step index attached.  In `both` mode a convergence assertion
+reuses the diff its client's last sync made, unless a transaction or a
+push has run since: nothing else changes the store or that replica.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ class DivergenceReport:
         return "".join(line + "\n" for line in lines)
 
 
+# (missing, extra, state mismatches), each a sorted list of element texts
+Diff = tuple[list[str], list[str], list[str]]
+
+
 # Called after every sync step: (ctx, step_index, client, applied delta,
 # shadow oracle delta or None).  Lets tests observe both algorithms mid-run.
 SyncHook = Callable[["RunContext", int, str, DeltaSet, DeltaSet | None], None]
@@ -74,11 +80,14 @@ class RunContext:
     reports: list[DivergenceReport] = field(default_factory=list)
     dump_dir: Path | None = None
     on_sync: SyncHook | None = None
+    # both mode: client -> the diff its last sync made.  A transaction or a
+    # push clears it; a sync changes only its own client's replica.
+    diffs: dict[str, Diff] = field(default_factory=dict)
 
 
 def compare_replica(
     ctx: RunContext, client: str, rel: SystemData | None = None
-) -> tuple[list[str], list[str], list[str]]:
+) -> Diff:
     """Diff a replica against the relevant slice of current server data;
     `rel` is that slice when the caller has already selected it."""
     if rel is None:
@@ -105,11 +114,9 @@ def compare_replica(
     return missing, extra, mismatches
 
 
-def _check_converged(
-    ctx: RunContext, index: int, client: str, rel: SystemData | None = None
-) -> None:
+def _report(ctx: RunContext, index: int, client: str, diff: Diff) -> None:
     """Report the replica's differences from its slice, if it has any."""
-    missing, extra, mismatches = compare_replica(ctx, client, rel)
+    missing, extra, mismatches = diff
     if missing or extra or mismatches:
         ctx.reports.append(DivergenceReport(index, client, missing, extra, mismatches))
 
@@ -165,7 +172,8 @@ def _do_sync(
 
     if ctx.mode == "both":
         # The oracle just selected this client's slice of the same data.
-        _check_converged(ctx, index, client, ctx.oracle.last[client])
+        diff = ctx.diffs[client] = compare_replica(ctx, client, ctx.oracle.last[client])
+        _report(ctx, index, client, diff)
     if ctx.on_sync is not None:
         ctx.on_sync(ctx, index, client, applied, shadow)
 
@@ -195,15 +203,20 @@ def run_scenario(
     for index, step in enumerate(scenario.steps):
         try:
             if isinstance(step, TxStep):
+                ctx.diffs.clear()
                 ctx.store.apply(step.mutations)
             elif isinstance(step, SyncStep):
                 _do_sync(ctx, index, step.client, step.use_oracle)
             elif isinstance(step, AssertDeltaStep):
                 _do_sync(ctx, index, step.client, use_oracle=False, expected=step.expected)
             elif isinstance(step, PushStep):
+                ctx.diffs.clear()
                 ctx.replicas[step.client].push_local_change(step.mutation, ctx.store)
             elif isinstance(step, AssertConvergedStep):
-                _check_converged(ctx, index, step.client)
+                diff = ctx.diffs.get(step.client)
+                if diff is None:
+                    diff = compare_replica(ctx, step.client)
+                _report(ctx, index, step.client, diff)
             else:  # pragma: no cover - exhaustive over Step union
                 raise TypeError(f"unknown step {step!r}")
         except RelsyncError as exc:

@@ -16,10 +16,11 @@ never changes, and an endpoint vanishes only through a `DeleteObject` in
 the batch, whose cascade is logged and so touched too.  The next version
 has containers of its own but shares every state dict and per-vertex link
 set that the batch did not replace, so a held version never changes and a
-commit makes no deep copy.  Every mutation in one commit is logged at the
-same logical timestamp; the counter advances once per nonempty commit, so
-equal timestamps mean "same transaction" and order of timestamps is
-commit order.
+commit makes no deep copy.  The version a commit replaces loses its
+memoised walks (`SystemData.walks`), so only the live version keeps any.
+Every mutation in one commit is logged at the same logical timestamp; the
+counter advances once per nonempty commit, so equal timestamps mean "same
+transaction" and order of timestamps is commit order.
 
 Object ids are never reused, even after deletion: the change log keeps
 every object's tombstone.  Deleting an object cascades to its links, and
@@ -161,6 +162,8 @@ class Transaction:
         if not report.ok:
             raise CommitError("; ".join(report.violations))
         store._counter += 1
+        # a superseded version may still be held; it keeps no walk results
+        store.data.walks.clear()
         store.data = self._next
         for element, action in self._log:
             store.log.record(element, action, store._counter)

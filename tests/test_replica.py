@@ -212,7 +212,7 @@ class TestPush:
         with pytest.raises(AlreadyDeletedError):
             replica.push_local_change(DeleteObject("ghost"), store)
 
-    def test_server_rejection_rolls_the_replica_back(self, schema, fixture_exprs):
+    def test_server_rejected_push_changes_neither_replica_nor_server(self, schema, fixture_exprs):
         store = build_f1(Store(schema))
         replica = make_replica(schema, fixture_exprs)
         full_sync(store, replica)

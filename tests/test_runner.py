@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from relsync import runner
 from relsync.delta import DeltaSet
 from relsync.errors import ScenarioRuntimeError
 from relsync.runner import DivergenceReport, run_scenario
@@ -65,6 +66,66 @@ class TestConvergenceChecks:
         assert report.step_index == 1 and report.client == "A"
         assert report.missing == ["obj I1"]
         assert "1 missing" in report.render()
+
+    def test_an_assert_reuses_the_diff_of_its_clients_last_sync(self, monkeypatch):
+        calls = []
+        compare = runner.compare_replica
+
+        def counted(ctx, client, rel=None):
+            calls.append((client, rel is None))
+            return compare(ctx, client, rel)
+
+        monkeypatch.setattr(runner, "compare_replica", counted)
+        text = CONTACT_SCENARIO.replace(
+            'client A root=I1 expr="{user}.Contact.contactIdentity"',
+            'client A root=I1 expr="{user}.Contact.contactIdentity"\n'
+            'client B root=I2 expr="{user}"',
+        ) + (
+            "sync B\n"
+            "assert-converged A\n"  # B's sync changed nothing of A's
+            "tx\n"
+            '  create I3 Identity {name="cy"}\n'
+            "end\n"
+            "assert-converged A\n"  # a commit may move every slice
+            "sync A\n"
+            'push A update I1 {name="ann"}\n'
+            "assert-converged A\n"  # so may a push
+        )
+        assert run_scenario(parse_scenario(text), mode="both") == []
+        # one diff per sync, and a fresh one only for the asserts after
+        # the commit and after the push
+        assert calls == [
+            ("A", False), ("A", False), ("B", False), ("A", True), ("A", False), ("A", True),
+        ]
+
+    def test_a_reused_divergence_is_reported_at_the_asserts_index(self):
+        # A filter root the timestamp engine under-delivers to: after the
+        # update, the delta holds `upd-obj E1` alone and the replica lacks E1.
+        text = (
+            "class Identity\n"
+            "class Event\n"
+            'client A root=I1 expr="Event[title=\\"b\\"]"\n'
+            "tx\n"
+            "  create I1 Identity {}\n"
+            '  create E1 Event {title="a"}\n'
+            '  create E2 Event {title="b"}\n'
+            "end\n"
+            "sync A\n"
+            "tx\n"
+            '  update E1 {title="b"}\n'
+            "end\n"
+            "sync A\n"
+            "assert-converged A\n"
+        )
+        scenario = parse_scenario(text)
+        both = run_scenario(scenario, mode="both")
+        assert [r.step_index for r in both] == [3, 4]
+        at_sync, at_assert = both
+        assert at_sync.missing == at_assert.missing == ["obj E1"]
+        assert at_sync.render().splitlines()[1:] == at_assert.render().splitlines()[1:]
+        # the timestamp mode's own check of the same replica agrees
+        [alone] = run_scenario(scenario, mode="timestamp")
+        assert alone.render() == at_assert.render()
 
     def test_assert_delta_mismatch_is_reported_as_line_diff(self):
         text = (
