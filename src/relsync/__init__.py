@@ -8,7 +8,6 @@ sweep, a scenario-driven simulator, and a fuzzer that checks the two
 algorithms against each other.
 """
 
-from .changelog import ActionType, ChangeLog
 from .delta import DeltaSet, parse_delta, render_delta
 from .errors import RelsyncError
 from .expr import PathExpr, parse_expression, render_expression
@@ -25,15 +24,9 @@ from .model import (
     Schema,
     SystemData,
     UpdateState,
-    validate_schema,
 )
-from .oracle import SnapshotOracle, oracle_sync
-from .paths import (
-    Path,
-    TypedGraph,
-    evaluate,
-    select_relevant,
-)
+from .oracle import SnapshotOracle
+from .paths import select_relevant
 from .replica import Replica
 from .runner import DivergenceReport, run_scenario
 from .scenario import Scenario, load_scenario, parse_scenario, render_scenario
@@ -43,9 +36,7 @@ from .sync import SyncCursor, timestamp_sync
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionType",
     "AssociationDef",
-    "ChangeLog",
     "CreateLink",
     "CreateObject",
     "DeleteLink",
@@ -56,7 +47,6 @@ __all__ = [
     "FuzzSummary",
     "Link",
     "Mutation",
-    "Path",
     "PathExpr",
     "Replica",
     "RelsyncError",
@@ -66,11 +56,8 @@ __all__ = [
     "Store",
     "SyncCursor",
     "SystemData",
-    "TypedGraph",
     "UpdateState",
-    "evaluate",
     "load_scenario",
-    "oracle_sync",
     "parse_delta",
     "parse_expression",
     "parse_scenario",
@@ -82,5 +69,4 @@ __all__ = [
     "select_relevant",
     "social_schema",
     "timestamp_sync",
-    "validate_schema",
 ]

@@ -12,7 +12,7 @@ import sys
 from .errors import RelsyncError
 from .expr import parse_expression
 from .fuzz import FuzzBounds, fuzz
-from .paths import Path as GraphPath, TypedGraph, evaluate
+from .paths import Path as GraphPath, relevant_paths
 from .runner import MODES, run_scenario
 from .scenario import Scenario, TxStep, load_scenario
 from .store import Store
@@ -91,8 +91,7 @@ def _cmd_eval_paths(args) -> int:
     scenario = load_scenario(args.file)
     store = _replay_transactions(scenario)
     expr = parse_expression(args.expr)
-    graph = TypedGraph(store.data, scenario.schema)
-    paths = evaluate(expr, graph, user=args.user)
+    paths = relevant_paths(scenario.schema, store.data, [expr], user=args.user)
     for line in sorted(render_path(p) for p in paths):
         print(line)
     return 0

@@ -30,7 +30,8 @@ class SchemaMismatchError(RelsyncError):
 
 
 class CommitError(RelsyncError):
-    """Batch validation failed at commit; the transaction was rolled back."""
+    """Batch validation failed at commit; the staged version was dropped,
+    so the store's data is unchanged."""
 
 
 class NonMonotonicTimestampError(RelsyncError):

@@ -63,12 +63,15 @@ def social_schema() -> Schema:
     )
 
 
+# The scenario size every fuzz run uses; only the object cap is an option.
+MAX_MUTATIONS = 60
+MAX_SYNCS_PER_CLIENT = 4
+MAX_CLIENTS = 3
+
+
 @dataclass
 class FuzzBounds:
     max_objects: int = 30
-    max_mutations: int = 60
-    max_syncs_per_client: int = 4
-    max_clients: int = 3
 
 
 @dataclass
@@ -131,7 +134,7 @@ class _Generator:
     def room_for(self, n: int) -> bool:
         return (
             len(self.model.objects) + n <= self.bounds.max_objects
-            and self.mutations_used + n <= self.bounds.max_mutations
+            and self.mutations_used + n <= MAX_MUTATIONS
         )
 
     def rand_state(self) -> dict[str, Scalar]:
@@ -238,7 +241,7 @@ class _Generator:
         batch = makers[kind]()
         if batch is None:
             batch = self.make_update() or (self.room_for(1) and self.make_create()) or []
-        if batch and self.mutations_used + len(batch) > self.bounds.max_mutations:
+        if batch and self.mutations_used + len(batch) > MAX_MUTATIONS:
             return []
         return batch
 
@@ -246,8 +249,8 @@ class _Generator:
 
     def build(self) -> Scenario:
         rng = self.rng
-        budget = rng.randint(min(10, self.bounds.max_mutations), self.bounds.max_mutations)
-        n_clients = rng.randint(1, self.bounds.max_clients)
+        budget = rng.randint(10, MAX_MUTATIONS)
+        n_clients = rng.randint(1, MAX_CLIENTS)
         steps: list[Step] = []
 
         # Bootstrap: one identity per client (budget permitting), some state.
@@ -273,7 +276,7 @@ class _Generator:
 
         pending_syncs: list[str] = []
         for name in clients:
-            pending_syncs += [name] * rng.randint(1, self.bounds.max_syncs_per_client)
+            pending_syncs += [name] * rng.randint(1, MAX_SYNCS_PER_CLIENT)
         rng.shuffle(pending_syncs)
 
         synced: set[str] = set()
@@ -363,6 +366,9 @@ __all__ = [
     "FuzzBounds",
     "FuzzFailure",
     "FuzzSummary",
+    "MAX_CLIENTS",
+    "MAX_MUTATIONS",
+    "MAX_SYNCS_PER_CLIENT",
     "fuzz",
     "social_schema",
 ]

@@ -144,9 +144,11 @@ class SystemData:
       changes an existing object's class: the store refuses a used id, and
       the replica a re-create under another class.
     - `walks` memoises the paths of expressions that do not name
-      `{user}` (see `paths.evaluate`).  Every `apply` clears it, `derive`
-      starts the next version without one, and a commit clears the memo
-      of the version it replaces, so a superseded version holds none.
+      `{user}`, keyed by expression and schema (see `paths.evaluate`; the
+      path budget is the constant `paths.MAX_PATHS`, so no part of the
+      key).  Every `apply` clears it, `derive` starts the next version
+      without one, and a commit clears the memo of the version it
+      replaces, so a superseded version holds none.
 
     Store versions made by `derive` also share every state dict with the
     version they came from, so none is ever edited in place: `apply`
@@ -156,7 +158,7 @@ class SystemData:
     objects: dict[str, str] = field(default_factory=dict)
     links: set[Link] = field(default_factory=set)
     states: dict[str, State] = field(default_factory=dict)
-    # (expression, path budget, schema) -> the expression's paths
+    # (expression, schema) -> the expression's paths
     walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # vertex -> links touching it; None until first read
     _incident: dict[str, frozenset[Link]] | None = field(
@@ -322,49 +324,30 @@ def _freeze_state(state: State) -> tuple[tuple[str, Scalar], ...]:
     return tuple(sorted(state.items()))
 
 
-# Validation and sub-data ---------------------------------------------------
-
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
+# Validation ----------------------------------------------------------------
 
 def validate_schema(
-    schema: Schema, data: SystemData, *, touched: Iterable[str | Link] | None = None
-) -> ValidationReport:
-    """Check system data against a schema.
+    schema: Schema, data: SystemData, touched: Iterable[str | Link]
+) -> list[str]:
+    """The sorted violations of the schema among the touched elements
+    (object ids and links) of the data.
 
-    Reports one violation per offending object or link: unknown classes,
-    links whose association is undeclared or whose endpoint classes do not
-    match it, dangling link endpoints, and object/state bookkeeping drift.
-
-    `touched` (object ids and links) limits the check to those elements;
-    None checks the whole data.  Both scopes make the same per-element
-    checks: a live object's class is known and it has a state; a live link's
-    association is known, both its ends are live and their classes fit it;
-    a deleted object has no state left and, once the index has been built,
-    no link under it (until then `apply` found its cascade by scanning every
-    link).  Checking a commit's touched elements alone is enough when the
-    version it derives from was valid, because nothing the batch did not
-    touch can have changed: an object's class never changes, an endpoint
-    vanishes only through a `DeleteObject` in the batch, and the links that
-    delete cascaded away are touched too.  A whole-data check lists the
-    violations in data order; a scoped one sorts them.
+    Each element gets the same checks: a live object's class is known and
+    it has a state; a live link's association is known, both its ends are
+    live and their classes fit it; a deleted object has no state left and,
+    once the index has been built, no link under it (until then `apply`
+    found its cascade by scanning every link).  Checking a commit's touched
+    elements alone is enough when the version it derives from was valid,
+    because nothing the batch did not touch can have changed: an object's
+    class never changes, an endpoint vanishes only through a `DeleteObject`
+    in the batch, and the links that delete cascaded away are touched too.
     """
     objects, states, links = data.objects, data.states, data.links
-    index = None
-    if touched is None:
-        object_ids = [*objects, *(oid for oid in states if oid not in objects)]
-        checked_links = sorted(links)
-    else:
-        object_ids, checked_links = [], []
-        for element in dict.fromkeys(touched):
-            (checked_links if isinstance(element, Link) else object_ids).append(element)
-        index = data._incident
+    object_ids: list[str] = []
+    checked_links: list[Link] = []
+    for element in dict.fromkeys(touched):
+        (checked_links if isinstance(element, Link) else object_ids).append(element)
+    index = data._incident
     violations: list[str] = []
     for oid in object_ids:
         cls = objects.get(oid)
@@ -397,10 +380,8 @@ def validate_schema(
         if index is not None:
             for link in index.get(oid, _NO_LINKS):
                 violations.append(f"link {link}: dangling endpoint")
-    if touched is not None and violations:
-        # a link left under a deleted object may also be touched itself
-        violations = sorted(set(violations))
-    return ValidationReport(violations)
+    # a link left under a deleted object may also be touched itself
+    return sorted(set(violations))
 
 
 __all__ = [
@@ -416,7 +397,6 @@ __all__ = [
     "State",
     "SystemData",
     "UpdateState",
-    "ValidationReport",
     "link_text_order",
     "validate_schema",
     "validate_token",

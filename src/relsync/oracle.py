@@ -22,44 +22,26 @@ from __future__ import annotations
 
 from .delta import DeltaSet
 from .expr import PathExpr
-from .model import Schema, State, SystemData
+from .model import Schema, SystemData
 from .paths import select_relevant
 
 
-def get_set_crt(s_prev: set, s_now: set) -> set:
-    return {i for i in s_now if i not in s_prev}
-
-
-def get_set_del(s_prev: set, s_now: set) -> set:
-    return {i for i in s_prev if i not in s_now}
-
-
-def get_set_upd(
-    s_prev: set,
-    s_now: set,
-    state_prev: dict[str, State],
-    state_now: dict[str, State],
-) -> set:
-    return {
-        i
-        for i in s_now
-        if i in s_prev and state_prev.get(i) != state_now.get(i)
-    }
-
-
 def _diff_slices(rel_prev: SystemData, rel_now: SystemData, ts_now: int) -> DeltaSet:
-    """The delta that turns the slice `rel_prev` into the slice `rel_now`."""
-    objs_prev = set(rel_prev.objects)
-    objs_now = set(rel_now.objects)
-    crt_ids = get_set_crt(objs_prev, objs_now)
-    upd_ids = get_set_upd(objs_prev, objs_now, rel_prev.states, rel_now.states)
+    """The delta that turns the slice `rel_prev` into the slice `rel_now`:
+    set differences of their objects and links, plus the objects in both
+    whose state changed."""
+    objs_prev = rel_prev.objects.keys()
+    objs_now = rel_now.objects.keys()
+    crt_ids = objs_now - objs_prev
+    state_prev, state_now = rel_prev.states, rel_now.states
+    upd_ids = {oid for oid in objs_now & objs_prev if state_prev.get(oid) != state_now.get(oid)}
 
     delta = DeltaSet(ts_cs=ts_now)
     delta.crt_objects = {(oid, rel_now.objects[oid]) for oid in crt_ids}
     delta.upd_objects = upd_ids
-    delta.del_objects = get_set_del(objs_prev, objs_now)
-    delta.crt_links = get_set_crt(rel_prev.links, rel_now.links)
-    delta.del_links = get_set_del(rel_prev.links, rel_now.links)
+    delta.del_objects = objs_prev - objs_now
+    delta.crt_links = rel_now.links - rel_prev.links
+    delta.del_links = rel_prev.links - rel_now.links
     delta.states = {oid: dict(rel_now.states[oid]) for oid in crt_ids | upd_ids}
     return delta
 
@@ -106,10 +88,4 @@ class SnapshotOracle:
         return delta
 
 
-__all__ = [
-    "SnapshotOracle",
-    "get_set_crt",
-    "get_set_del",
-    "get_set_upd",
-    "oracle_sync",
-]
+__all__ = ["SnapshotOracle", "oracle_sync"]

@@ -18,13 +18,13 @@ drive the timestamp sync.
 A path leaves the stack either as a result or replaced by at least one
 extension, and distinct paths have distinct extensions.  So the results
 only ever accumulate toward the final set, and one check on their count
-raises exactly when that set would exceed the budget.
+raises exactly when that set would exceed the budget, `MAX_PATHS`.
 
 An expression whose root does not name `{user}` has one result per data
 version, whichever client asks, so it is walked once and its frozenset is
-memoised in the data's `walks` (see `SystemData`).  Class and filter roots
-start from the data's per-class member sets instead of scanning every
-object.
+memoised in the data's `walks`, keyed by the expression and the schema
+(see `SystemData`).  Class and filter roots start from the data's
+per-class member sets instead of scanning every object.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from .expr import (
 )
 from .model import Link, Schema, SystemData
 
-DEFAULT_MAX_PATHS = 100_000
+# The most paths one expression may yield; `evaluate` reads it per call.
+MAX_PATHS = 100_000
 
 
 class TypedGraph:
@@ -86,27 +87,22 @@ def _direct_vertices(
     return {v for v in members if satisfies_filter(g.data.states.get(v, {}), root)}
 
 
-def evaluate(
-    expr: PathExpr,
-    g: TypedGraph,
-    *,
-    user: str | None = None,
-    max_paths: int = DEFAULT_MAX_PATHS,
-) -> frozenset[Path]:
+def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> frozenset[Path]:
     """All paths the expression defines over the graph; `user` is the
     object id the `{user}` root stands for.  Whether a link's far end
     carries a role is one probe of the schema's `ends` table.  A root
-    without `{user}` is walked once per data version, schema and budget:
-    later calls return the memoised frozenset.  A walk over budget raises
-    and memoises nothing."""
+    without `{user}` is walked once per data version and schema: later
+    calls return the memoised frozenset.  A walk of more than `MAX_PATHS`
+    paths raises and memoises nothing."""
     root = expr.root
     shared = not (isinstance(root, InstanceSet) and USER_VARIABLE in root.refs)
     if shared:
         walks = g.data.walks
-        walk_key = (expr, max_paths, g.schema)
+        walk_key = (expr, g.schema)
         memo = walks.get(walk_key)
         if memo is not None:
             return memo
+    budget = MAX_PATHS
     segments = expr.segments
     n_segments = len(segments)
     ends = g.schema.ends
@@ -143,9 +139,9 @@ def evaluate(
             if extended:
                 continue  # replaced by its extensions
         emit(path)
-        if len(results) > max_paths:
+        if len(results) > budget:
             raise PathBudgetError(
-                f"path budget of {max_paths} exceeded while evaluating expression"
+                f"path budget of {budget} exceeded while evaluating expression"
             )
     paths = frozenset(results)
     if shared:
@@ -154,33 +150,23 @@ def evaluate(
 
 
 def relevant_paths(
-    schema: Schema,
-    data: SystemData,
-    exprs: list[PathExpr],
-    *,
-    user: str | None = None,
-    max_paths: int = DEFAULT_MAX_PATHS,
+    schema: Schema, data: SystemData, exprs: list[PathExpr], *, user: str | None = None
 ) -> frozenset[Path]:
     g = TypedGraph(data, schema)
-    found = [evaluate(expr, g, user=user, max_paths=max_paths) for expr in exprs]
+    found = [evaluate(expr, g, user=user) for expr in exprs]
     if len(found) == 1:
         return found[0]  # shared with every caller of a memoised walk
     return frozenset().union(*found)
 
 
 def select_relevant(
-    schema: Schema,
-    data: SystemData,
-    exprs: list[PathExpr],
-    *,
-    user: str | None = None,
-    max_paths: int = DEFAULT_MAX_PATHS,
+    schema: Schema, data: SystemData, exprs: list[PathExpr], *, user: str | None = None
 ) -> SystemData:
     """The slice of the data on the expressions' paths: their objects with
     copies of their states, and their links."""
     objects: dict[str, str] = {}
     links: set[Link] = set()
-    for path in relevant_paths(schema, data, exprs, user=user, max_paths=max_paths):
+    for path in relevant_paths(schema, data, exprs, user=user):
         for vertex in path[0::2]:
             objects[vertex] = data.objects[vertex]
         links.update(path[1::2])
@@ -189,7 +175,7 @@ def select_relevant(
 
 
 __all__ = [
-    "DEFAULT_MAX_PATHS",
+    "MAX_PATHS",
     "Path",
     "TypedGraph",
     "evaluate",

@@ -93,44 +93,52 @@ def _strip_comment(line: str) -> str:
 
 
 def _parse_mutation(line: str, schema: Schema, lineno: int) -> Mutation:
+    """One mutation line; any error comes back as a ScenarioParseError
+    that names the line."""
+
     def fail(msg: str):
         return ScenarioParseError(msg, line=lineno)
 
-    keyword, _, rest = line.partition(" ")
-    rest = rest.strip()
-    if keyword == "create":
-        brace = rest.find("{")
-        head = rest[:brace].split() if brace >= 0 else rest.split()
-        if len(head) != 2:
-            raise fail(f"create wants `create <ref> <Class> {{k=v,…}}`, got {line!r}")
-        ref, cls = head
-        if cls not in schema.classes:
-            raise fail(f"unknown class {cls!r}")
-        state = parse_state(rest[brace:]) if brace >= 0 else {}
-        return CreateObject.make(ref, cls, state)
-    if keyword == "update":
-        brace = rest.find("{")
-        if brace < 0:
-            raise fail(f"update wants `update <ref> {{k=v,…}}`, got {line!r}")
-        head = rest[:brace].split()
-        if len(head) != 1:
-            raise fail(f"update wants exactly one ref, got {line!r}")
-        return UpdateState.make(head[0], parse_state(rest[brace:]))
-    if keyword == "delete":
-        parts = rest.split()
-        if len(parts) != 1:
-            raise fail(f"delete wants exactly one ref, got {line!r}")
-        return DeleteObject(parts[0])
-    if keyword in ("link", "unlink"):
-        parts = rest.split()
-        if len(parts) != 3:
-            raise fail(f"{keyword} wants `<ref> <Assoc> <ref>`, got {line!r}")
-        src, assoc, dst = parts
-        if assoc not in schema.assocs:
-            raise fail(f"unknown association {assoc!r}")
-        link = Link(src, dst, assoc)
-        return CreateLink(link) if keyword == "link" else DeleteLink(link)
-    raise fail(f"unknown mutation {keyword!r}")
+    try:
+        keyword, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if keyword == "create":
+            brace = rest.find("{")
+            head = rest[:brace].split() if brace >= 0 else rest.split()
+            if len(head) != 2:
+                raise fail(f"create wants `create <ref> <Class> {{k=v,…}}`, got {line!r}")
+            ref, cls = head
+            if cls not in schema.classes:
+                raise fail(f"unknown class {cls!r}")
+            state = parse_state(rest[brace:]) if brace >= 0 else {}
+            return CreateObject.make(ref, cls, state)
+        if keyword == "update":
+            brace = rest.find("{")
+            if brace < 0:
+                raise fail(f"update wants `update <ref> {{k=v,…}}`, got {line!r}")
+            head = rest[:brace].split()
+            if len(head) != 1:
+                raise fail(f"update wants exactly one ref, got {line!r}")
+            return UpdateState.make(head[0], parse_state(rest[brace:]))
+        if keyword == "delete":
+            parts = rest.split()
+            if len(parts) != 1:
+                raise fail(f"delete wants exactly one ref, got {line!r}")
+            return DeleteObject(parts[0])
+        if keyword in ("link", "unlink"):
+            parts = rest.split()
+            if len(parts) != 3:
+                raise fail(f"{keyword} wants `<ref> <Assoc> <ref>`, got {line!r}")
+            src, assoc, dst = parts
+            if assoc not in schema.assocs:
+                raise fail(f"unknown association {assoc!r}")
+            link = Link(src, dst, assoc)
+            return CreateLink(link) if keyword == "link" else DeleteLink(link)
+        raise fail(f"unknown mutation {keyword!r}")
+    except RelsyncError as exc:
+        if isinstance(exc, ScenarioParseError) and exc.line is not None:
+            raise
+        raise ScenarioParseError(str(exc), line=lineno) from exc
 
 
 def _parse_assoc(rest: str, lineno: int) -> AssociationDef:
@@ -235,12 +243,7 @@ def parse_scenario(text: str) -> Scenario:
                 steps.append(TxStep(tx_block))
                 tx_block = None
             else:
-                try:
-                    tx_block.append(_parse_mutation(line, schema, lineno))
-                except RelsyncError as exc:
-                    if isinstance(exc, ScenarioParseError) and exc.line is not None:
-                        raise
-                    raise ScenarioParseError(str(exc), line=lineno) from exc
+                tx_block.append(_parse_mutation(line, schema, lineno))
             continue
         if delta_block is not None:
             if line == "end":
@@ -299,12 +302,7 @@ def parse_scenario(text: str) -> Scenario:
         elif keyword == "push":
             client, _, mutation_part = rest.partition(" ")
             require_client(client, lineno)
-            try:
-                mutation = _parse_mutation(mutation_part.strip(), schema, lineno)
-            except RelsyncError as exc:
-                if isinstance(exc, ScenarioParseError) and exc.line is not None:
-                    raise
-                raise ScenarioParseError(str(exc), line=lineno) from exc
+            mutation = _parse_mutation(mutation_part.strip(), schema, lineno)
             steps.append(PushStep(client, mutation))
         else:
             raise ScenarioParseError(f"unknown keyword {keyword!r}", line=lineno)

@@ -18,8 +18,8 @@ has containers of its own but shares every state dict and per-vertex link
 set that the batch did not replace, so a held version never changes and a
 commit makes no deep copy.  The version a commit replaces loses its
 memoised walks (`SystemData.walks`), so only the live version keeps any.
-Every mutation in one commit is logged at the same logical timestamp; the
-counter advances once per nonempty commit, so equal timestamps mean "same
+The change log is the commit clock: a nonempty commit logs every mutation
+at one timestamp, the log's `max_ts + 1`, so equal timestamps mean "same
 transaction" and order of timestamps is commit order.
 
 Object ids are never reused, even after deletion: the change log keeps
@@ -156,32 +156,33 @@ class Transaction:
         if not self._log:
             return None
         store = self._store
-        report = validate_schema(
-            store.schema, self._next, touched=(element for element, _ in self._log)
+        violations = validate_schema(
+            store.schema, self._next, (element for element, _ in self._log)
         )
-        if not report.ok:
-            raise CommitError("; ".join(report.violations))
-        store._counter += 1
+        if violations:
+            raise CommitError("; ".join(violations))
+        ts = store.log.max_ts + 1
         # a superseded version may still be held; it keeps no walk results
         store.data.walks.clear()
         store.data = self._next
         for element, action in self._log:
-            store.log.record(element, action, store._counter)
-        return store._counter
+            store.log.record(element, action, ts)
+        return ts
 
 
 class Store:
-    """The server: schema, current system data, change log, commit counter."""
+    """The server: schema, current system data, and the change log, whose
+    latest timestamp is the commit counter."""
 
     def __init__(self, schema: Schema):
         self.schema = schema
         self.data = SystemData()
         self.log = ChangeLog()
-        self._counter = 0
 
     @property
     def counter(self) -> int:
-        return self._counter
+        """The timestamp of the last commit; 0 before the first."""
+        return self.log.max_ts
 
     def apply(self, mutations: list[Mutation]) -> int | None:
         """Check and commit a batch as one transaction; returns its timestamp,

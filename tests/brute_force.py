@@ -12,7 +12,8 @@ enumerator's paths, step by step as the rule is stated, so the engine's
 folded single walk has a reference to answer to.
 
 The spec's reference predicates (`is_path`, `is_sub_path`, `is_subdata`)
-live here too: only the tests ask them.
+live here too: only the tests ask them.  So does `validate_all`, the
+store's scoped schema check run over every element of the data.
 
 Also hosts the random instance generator shared by the property tests and
 the acceptance suite (same seeds -> same instances in both places).
@@ -24,7 +25,7 @@ import random
 
 from relsync.changelog import ActionType, ChangeLog
 from relsync.expr import ClassAll, ClassFilter, InstanceSet, PathExpr
-from relsync.model import AssociationDef, Link, Schema, SystemData
+from relsync.model import AssociationDef, Link, Schema, SystemData, validate_schema
 
 PathPair = tuple[tuple[str, ...], tuple[Link, ...]]
 
@@ -258,6 +259,13 @@ def is_subdata(d2: SystemData, d1: SystemData) -> bool:
         if d2.states.get(oid) != d1.states.get(oid):
             return False
     return True
+
+
+def validate_all(schema: Schema, data: SystemData) -> list[str]:
+    """Every schema violation in the data: the scoped check over every
+    object, every state id without an object, and every link."""
+    strays = [oid for oid in data.states if oid not in data.objects]
+    return validate_schema(schema, data, [*data.objects, *strays, *data.links])
 
 
 # -- random instances ----------------------------------------------------------

@@ -91,7 +91,7 @@ def test_criterion_2_relevant_slice_is_always_subdata():
             expr, bound = random_expr(rng, schema, data)
             exprs.append(expr)
             user = user or bound
-        rel = select_relevant(schema, data, exprs, user=user, max_paths=500_000)
+        rel = select_relevant(schema, data, exprs, user=user)
         assert is_subdata(rel, data), f"trial {trial} broke the subset law"
     _budget(t0, 30.0, "subset law")
 

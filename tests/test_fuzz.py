@@ -44,7 +44,7 @@ def test_generated_scenario_replays_bit_identically():
 def test_bounds_cap_created_objects_and_clients():
     import random
 
-    bounds = FuzzBounds(max_objects=8, max_mutations=20, max_clients=2)
+    bounds = FuzzBounds(max_objects=8)
     for seed in range(5):
         scenario = fuzz_module._Generator(random.Random(seed), bounds).build()
         creates = sum(
@@ -54,7 +54,7 @@ def test_bounds_cap_created_objects_and_clients():
             for m in step.mutations
         )
         assert creates <= bounds.max_objects
-        assert len(scenario.clients) <= bounds.max_clients
+        assert len(scenario.clients) <= fuzz_module.MAX_CLIENTS
 
 
 def test_generator_model_mirrors_the_committed_store():

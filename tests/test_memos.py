@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+import relsync.paths as paths_module
 from brute_force import random_data, random_expr, random_schema
 from relsync.errors import PathBudgetError
 from relsync.expr import (
@@ -92,7 +93,7 @@ def check_memos(schema: Schema, data: SystemData, exprs: list[PathExpr]) -> None
     for expr in exprs:
         assert relevant_paths(schema, data, [expr]) == fresh_paths(schema, data, [expr])
     walked = relevant_paths(schema, data, exprs)
-    assert {expr for expr, _, _ in data.walks} == set(exprs)
+    assert {expr for expr, _ in data.walks} == set(exprs)
     assert walked == relevant_paths(schema, data, exprs) == fresh_paths(schema, data, exprs)
     for cls in schema.classes:
         assert data.members(cls) == members_by_scan(data, cls)
@@ -235,12 +236,14 @@ def test_literal_kinds_are_memoised_apart(schema):
     assert relevant_paths(schema, data, [true]) == {("E2",)}
 
 
-def test_a_walk_over_budget_is_not_memoised(f1_data, schema):
+def test_a_walk_over_budget_is_not_memoised(f1_data, schema, monkeypatch):
     g = TypedGraph(f1_data, schema)
     expr = parse_expression("Identity")
+    monkeypatch.setattr(paths_module, "MAX_PATHS", 2)
     with pytest.raises(PathBudgetError):
-        evaluate(expr, g, max_paths=2)
+        evaluate(expr, g)
     assert f1_data.walks == {}
     with pytest.raises(PathBudgetError):
-        evaluate(expr, g, max_paths=2)
-    assert evaluate(expr, g, max_paths=3) == {("I1",), ("I2",), ("I3",)}
+        evaluate(expr, g)
+    monkeypatch.setattr(paths_module, "MAX_PATHS", 3)
+    assert evaluate(expr, g) == {("I1",), ("I2",), ("I3",)}

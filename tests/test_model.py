@@ -9,7 +9,7 @@ import random
 import pytest
 
 import relsync
-from brute_force import is_subdata
+from brute_force import is_subdata, validate_all
 from relsync.errors import TokenError
 from relsync.model import (
     AssociationDef,
@@ -156,7 +156,7 @@ class TestValidation:
         )
 
     def ok(self, data):
-        return validate_schema(self.schema, data)
+        return validate_all(self.schema, data)
 
     def test_valid_data_has_no_violations(self):
         data = SystemData(
@@ -164,12 +164,12 @@ class TestValidation:
             links={Link("a", "b", "R")},
             states={"a": {}, "b": {"k": 1}},
         )
-        assert self.ok(data).ok
+        assert self.ok(data) == []
 
     def test_unknown_class(self):
         data = SystemData(objects={"a": "Z"}, states={"a": {}})
-        report = self.ok(data)
-        assert not report.ok and "unknown class" in report.violations[0]
+        violations = self.ok(data)
+        assert violations and "unknown class" in violations[0]
 
     def test_unknown_association(self):
         data = SystemData(
@@ -177,13 +177,13 @@ class TestValidation:
             links={Link("a", "b", "Nope")},
             states={"a": {}, "b": {}},
         )
-        assert any("unknown association" in v for v in self.ok(data).violations)
+        assert any("unknown association" in v for v in self.ok(data))
 
     def test_dangling_endpoint(self):
         data = SystemData(
             objects={"a": "A"}, links={Link("a", "ghost", "R")}, states={"a": {}}
         )
-        assert any("dangling" in v for v in self.ok(data).violations)
+        assert any("dangling" in v for v in self.ok(data))
 
     def test_link_class_mismatch(self):
         # R joins A to B; a B->A link is backwards
@@ -192,45 +192,60 @@ class TestValidation:
             links={Link("b", "a", "R")},
             states={"a": {}, "b": {}},
         )
-        assert any("mismatch" in v for v in self.ok(data).violations)
+        assert any("mismatch" in v for v in self.ok(data))
 
     def test_state_bookkeeping(self):
         data = SystemData(objects={"a": "A"}, states={"b": {}})
-        violations = self.ok(data).violations
+        violations = self.ok(data)
         assert any("missing state" in v for v in violations)
         assert any("no such object" in v for v in violations)
 
 
-# Each is invalid in a different way; see TestValidation.
+# Each is invalid in a different way (see TestValidation), with every
+# violation a check of all its elements reports.
 INVALID_DATA = [
-    SystemData(objects={"a": "Z"}, states={"a": {}}),
-    SystemData(
-        objects={"a": "A", "b": "B"},
-        links={Link("a", "b", "Nope"), Link("b", "a", "R")},
-        states={"a": {}, "b": {}},
+    (SystemData(objects={"a": "Z"}, states={"a": {}}), ["object a: unknown class 'Z'"]),
+    (
+        SystemData(
+            objects={"a": "A", "b": "B"},
+            links={Link("a", "b", "Nope"), Link("b", "a", "R")},
+            states={"a": {}, "b": {}},
+        ),
+        [
+            "link a Nope b: unknown association",
+            "link b R a: link class mismatch (B-A vs A-B)",
+        ],
     ),
-    SystemData(objects={"a": "A"}, links={Link("a", "ghost", "R")}, states={"a": {}}),
-    SystemData(objects={"a": "A"}, states={"b": {}}),
+    (
+        SystemData(objects={"a": "A"}, links={Link("a", "ghost", "R")}, states={"a": {}}),
+        ["link a R ghost: dangling endpoint"],
+    ),
+    (
+        SystemData(objects={"a": "A"}, states={"b": {}}),
+        ["object a: missing state entry", "state b: no such object"],
+    ),
 ]
 
 
-@pytest.mark.parametrize("data", INVALID_DATA)
-def test_scoped_check_reports_what_the_whole_check_does(data):
+@pytest.mark.parametrize(
+    "data, expected", INVALID_DATA, ids=[f"data{i}" for i in range(len(INVALID_DATA))]
+)
+def test_scoped_check_reports_what_the_whole_check_does(data, expected):
     schema = Schema({"A", "B"}, [AssociationDef("R", "A", "left", "B", "right")])
-    whole = validate_schema(schema, data).violations
+    # repeats are checked once
     everything = [*data.links, *data.objects, *data.states, *data.objects]
-    assert validate_schema(schema, data, touched=everything).violations == sorted(whole)
-    assert validate_schema(schema, data, touched=[]).ok
+    assert validate_schema(schema, data, everything) == expected
+    assert validate_schema(schema, data, []) == []
 
 
 def test_scoped_check_finds_links_left_under_a_deleted_object():
     schema = Schema({"A", "B"}, [AssociationDef("R", "A", "left", "B", "right")])
     data = SystemData(objects={"a": "A"}, links={Link("a", "b", "R")}, states={"a": {}})
     # with no index yet, apply's cascade scan is what finds such links
-    assert validate_schema(schema, data, touched=["b"]).ok
+    assert validate_schema(schema, data, ["b"]) == []
     data.incident
-    report = validate_schema(schema, data, touched=["b", Link("a", "b", "R")])
-    assert report.violations == ["link a R b: dangling endpoint"]
+    violations = validate_schema(schema, data, ["b", Link("a", "b", "R")])
+    assert violations == ["link a R b: dangling endpoint"]
 
 
 class TestSubdata:

@@ -13,28 +13,42 @@ from relsync.model import (
     SystemData,
     UpdateState,
 )
-from relsync.oracle import SnapshotOracle, get_set_crt, get_set_del, get_set_upd
+from relsync.oracle import SnapshotOracle, _diff_slices
 from relsync.paths import select_relevant
 from relsync.store import Store
 
 
+def slice_of(states: dict, links=()) -> SystemData:
+    """A hand-built slice whose objects are the keys of `states`, all of
+    class A."""
+    return SystemData(objects={oid: "A" for oid in states}, links=set(links), states=states)
+
+
 class TestGetSets:
+    """The set differences `_diff_slices` builds a delta from."""
+
     def test_crt_is_now_minus_prev(self):
-        assert get_set_crt({"a"}, {"a", "b"}) == {"b"}
+        delta = _diff_slices(slice_of({"a": {}}), slice_of({"a": {}, "b": {}}), 1)
+        assert delta.crt_objects == {("b", "A")}
 
     def test_del_is_prev_minus_now(self):
-        assert get_set_del({"a", "b"}, {"a"}) == {"b"}
+        delta = _diff_slices(slice_of({"a": {}, "b": {}}), slice_of({"a": {}}), 1)
+        assert delta.del_objects == {"b"}
 
     def test_crt_del_duality(self):
-        prev, now = {"a", "b"}, {"b", "c"}
-        assert get_set_crt(prev, now) == get_set_del(now, prev)
+        prev = slice_of({"a": {}, "b": {}}, [Link("a", "b", "R")])
+        now = slice_of({"b": {}, "c": {}}, [Link("b", "c", "R")])
+        forward, backward = _diff_slices(prev, now, 1), _diff_slices(now, prev, 1)
+        assert ({oid for oid, _ in forward.crt_objects}, forward.crt_links) == (
+            backward.del_objects,
+            backward.del_links,
+        )
 
     def test_upd_needs_presence_on_both_sides_and_changed_state(self):
-        prev, now = {"a", "b", "c"}, {"a", "b", "d"}
-        state_prev = {"a": {"k": 1}, "b": {"k": 2}, "c": {}}
-        state_now = {"a": {"k": 9}, "b": {"k": 2}, "d": {}}
+        prev = slice_of({"a": {"k": 1}, "b": {"k": 2}, "c": {}})
+        now = slice_of({"a": {"k": 9}, "b": {"k": 2}, "d": {}})
         # only a: b unchanged, c gone, d is a create
-        assert get_set_upd(prev, now, state_prev, state_now) == {"a"}
+        assert _diff_slices(prev, now, 1).upd_objects == {"a"}
 
 
 def relevant_now(store, exprs, user="I1") -> SystemData:

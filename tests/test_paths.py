@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import relsync.paths as paths_module
 from brute_force import (
     as_pairs,
     brute_force_paths,
@@ -214,28 +215,35 @@ class TestRootSemantics:
         assert {p[0] for p in ana} == {"I1"}
 
 
-def test_budget_overflow_raises(schema, f1_data):
+def test_budget_overflow_raises(schema, f1_data, monkeypatch):
     g = TypedGraph(f1_data, schema)
     expr = parse_expression("{user}.Participation.Event.Participation.Identity")
+    monkeypatch.setattr(paths_module, "MAX_PATHS", 1)
     with pytest.raises(PathBudgetError):
-        evaluate(expr, g, user="I1", max_paths=1)
+        evaluate(expr, g, user="I1")
 
 
-def test_budget_boundary_is_exact():
+def test_budget_boundary_is_exact(monkeypatch):
     # The result count only grows during evaluation and ends at the size of
     # the result set, so a budget of exactly that size passes and one less
-    # raises.
+    # raises.  The walk memo does not key on the budget, so each walk below
+    # starts from an empty one.
     rng = random.Random(4242)
     overflowed = 0
     for trial in range(200):
         schema, data, expr, user = random_instance(rng, max_objects=10)
         g = TypedGraph(data, schema)
         full = evaluate(expr, g, user=user)
-        assert evaluate(expr, g, user=user, max_paths=len(full)) == full, trial
+        data.walks.clear()
+        monkeypatch.setattr(paths_module, "MAX_PATHS", len(full))
+        assert evaluate(expr, g, user=user) == full, trial
         if full:
+            data.walks.clear()
+            monkeypatch.setattr(paths_module, "MAX_PATHS", len(full) - 1)
             with pytest.raises(PathBudgetError):
-                evaluate(expr, g, user=user, max_paths=len(full) - 1)
+                evaluate(expr, g, user=user)
             overflowed += 1
+        monkeypatch.undo()
     assert overflowed > 100
 
 
