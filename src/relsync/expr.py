@@ -58,6 +58,14 @@ Direct = InstanceSet | ClassAll | ClassFilter
 class PathExpr:
     root: Direct
     segments: tuple[str, ...]
+    # every walk memo probe hashes its expression, so the hash is taken once
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.root, self.segments)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class _Parser:

@@ -13,7 +13,7 @@ sweep, and the fuzzer's model of the server.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Set
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -122,6 +122,20 @@ class Schema:
         self.ends[(assoc.name, assoc.role_b, False)] = assoc.class_b
 
 
+# One memoised walk (see `paths.evaluate`): (paths, reads, root class,
+# admits).  A mutation can change the paths only through what the walk
+# read, so `SystemData.apply` keeps the entry unless the mutation touches
+# that:
+# - reads: the vertices whose links the walk read (the tips of unfinished
+#   paths), and an instance root's refs, each resolved;
+# - root class and admits: for class and filter roots, the root's class
+#   and whether a state of one of its objects passes the root (always,
+#   for a class root); None for instance roots.
+# No part is ever edited.  A plain tuple, as every walk of every sync
+# makes one.
+Walk = tuple[frozenset, Set[str], str | None, Callable[[State], bool] | None]
+
+
 @dataclass
 class SystemData:
     """The full content of one store: objects, links, and states.
@@ -138,17 +152,18 @@ class SystemData:
       frozensets of a link's ends.  `derive` copies the dict and shares
       every frozenset.
     - `members(cls)` is the frozenset of ids of a class's objects, filled
-      per class on first read.  `apply` drops a class's entry when it
-      creates or deletes one of its objects, and never edits a set, so
-      `derive` copies the dict and shares every set.  A create never
-      changes an existing object's class: the store refuses a used id, and
-      the replica a re-create under another class.
-    - `walks` memoises the paths of expressions that do not name
-      `{user}`, keyed by expression and schema (see `paths.evaluate`; the
-      path budget is the constant `paths.MAX_PATHS`, so no part of the
-      key).  Every `apply` clears it, `derive` starts the next version
-      without one, and a commit clears the memo of the version it
-      replaces, so a superseded version holds none.
+      per class on first read.  A create or delete of one of its objects
+      replaces a filled set with one more or one fewer id, and never edits
+      a set, so `derive` copies the dict and shares every set.  A create
+      never changes an existing object's class: the store refuses a used
+      id, and the replica a re-create under another class.
+    - `walks` memoises expression walks, keyed by expression, schema and
+      the `{user}` binding (None unless the root names `{user}`; see
+      `paths.evaluate`).  Each entry is a `Walk`: the paths and what the
+      walk read.  `apply` drops only the entries its mutation can change,
+      `derive` carries the rest into the next version, sharing them, and
+      a commit clears the memo of the version it replaces, so a
+      superseded version holds none.
 
     Store versions made by `derive` also share every state dict with the
     version they came from, so none is ever edited in place: `apply`
@@ -158,8 +173,8 @@ class SystemData:
     objects: dict[str, str] = field(default_factory=dict)
     links: set[Link] = field(default_factory=set)
     states: dict[str, State] = field(default_factory=dict)
-    # (expression, schema) -> the expression's paths
-    walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (expression, schema, user or None) -> the walk
+    walks: dict[tuple, Walk] = field(default_factory=dict, init=False, repr=False, compare=False)
     # vertex -> links touching it; None until first read
     _incident: dict[str, frozenset[Link]] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -184,7 +199,7 @@ class SystemData:
 
     def members(self, class_name: str) -> frozenset[str]:
         """The ids of the class's objects; one scan of the objects on the
-        first read after a create or delete of the class."""
+        first read of the class."""
         ids = self._members.get(class_name)
         if ids is None:
             ids = self._members[class_name] = frozenset(
@@ -203,12 +218,13 @@ class SystemData:
 
     def derive(self) -> SystemData:
         """The next version, for a commit to apply to: fresh dicts and link
-        set, sharing this version's state dicts, per-vertex link sets and
-        per-class id sets, with no walks memoised."""
+        set, sharing this version's state dicts, per-vertex link sets,
+        per-class id sets and memoised walks."""
         following = SystemData(dict(self.objects), set(self.links), dict(self.states))
         if self._incident is not None:
             following._incident = dict(self._incident)
         following._members = dict(self._members)
+        following.walks = dict(self.walks)
         return following
 
     def apply(self, mutation: Mutation) -> list[Link]:
@@ -218,21 +234,51 @@ class SystemData:
         been read it finds them in O(degree); until then one scan of the
         links costs what building the index would, and data that nobody
         walks (a fuzzer's model, a bulk load) never pays for the index."""
-        self.walks.clear()
+        # Each branch drops the memoised walks its mutation can change (see
+        # `Walk`): those that read the links of a vertex it touched, and
+        # those whose root admits its object on one side of the change only.
+        walks = self.walks
         if isinstance(mutation, CreateObject):
-            self.objects[mutation.object_id] = mutation.class_name
-            self.states[mutation.object_id] = mutation.state_dict()
-            self._members.pop(mutation.class_name, None)
+            oid, cls = mutation.object_id, mutation.class_name
+            old = self.states.get(oid) if oid in self.objects else None
+            state = self.states[oid] = mutation.state_dict()
+            if old is None:
+                self.objects[oid] = cls
+                ids = self._members.get(cls)
+                if ids is not None:
+                    self._members[cls] = ids | {oid}
+            if walks:
+                stale = []
+                for key, (_, reads, root_class, admits) in walks.items():
+                    if oid in reads:
+                        stale.append(key)
+                    # a replica re-creates an object it holds in place
+                    elif root_class == cls and (old is not None and admits(old)) != admits(state):
+                        stale.append(key)
+                _drop(walks, stale)
         elif isinstance(mutation, CreateLink):
             self.links.add(mutation.link)
             if self._incident is not None:
                 _index_link(self._incident, mutation.link)
+            if walks:
+                _drop_at_link(walks, mutation.link)
         elif isinstance(mutation, UpdateState):
-            self.states[mutation.object_id] = mutation.state_dict()
+            oid = mutation.object_id
+            state = mutation.state_dict()
+            if walks and oid in self.objects:
+                cls, old = self.objects[oid], self.states.get(oid, {})
+                stale = []
+                for key, (_, _, root_class, admits) in walks.items():
+                    if root_class == cls and admits(old) != admits(state):
+                        stale.append(key)
+                _drop(walks, stale)
+            self.states[oid] = state
         elif isinstance(mutation, DeleteLink):
             self.links.discard(mutation.link)
             if self._incident is not None:
                 _unindex_link(self._incident, mutation.link)
+            if walks:
+                _drop_at_link(walks, mutation.link)
         elif isinstance(mutation, DeleteObject):
             oid = mutation.object_id
             index = self._incident
@@ -243,12 +289,39 @@ class SystemData:
                 for link in cascade:
                     _unindex_link(index, link)
             self.links.difference_update(cascade)
-            self._members.pop(self.objects.pop(oid), None)
-            self.states.pop(oid, None)
+            cls = self.objects.pop(oid)
+            state = self.states.pop(oid, {})
+            ids = self._members.get(cls)
+            if ids is not None:
+                self._members[cls] = ids - {oid}
+            if walks:
+                ends = {oid}
+                for link in cascade:
+                    ends.update((link.src, link.dst))
+                stale = []
+                for key, (_, reads, root_class, admits) in walks.items():
+                    if not ends.isdisjoint(reads) or (root_class == cls and admits(state)):
+                        stale.append(key)
+                _drop(walks, stale)
             return cascade
         else:  # pragma: no cover - exhaustive over the Mutation union
             raise TypeError(f"not a mutation: {mutation!r}")
         return []
+
+
+def _drop_at_link(walks: dict[tuple, Walk], link: Link) -> None:
+    """Drop the walks that read the links of either end of a link."""
+    src, dst = link.src, link.dst
+    stale = []
+    for key, (_, reads, _, _) in walks.items():
+        if src in reads or dst in reads:
+            stale.append(key)
+    _drop(walks, stale)
+
+
+def _drop(walks: dict[tuple, Walk], stale: list[tuple]) -> None:
+    for key in stale:
+        del walks[key]
 
 
 _NO_LINKS: frozenset[Link] = frozenset()

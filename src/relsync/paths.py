@@ -20,14 +20,19 @@ extension, and distinct paths have distinct extensions.  So the results
 only ever accumulate toward the final set, and one check on their count
 raises exactly when that set would exceed the budget, `MAX_PATHS`.
 
-An expression whose root does not name `{user}` has one result per data
-version, whichever client asks, so it is walked once and its frozenset is
-memoised in the data's `walks`, keyed by the expression and the schema
-(see `SystemData`).  Class and filter roots start from the data's
-per-class member sets instead of scanning every object.
+Every walk is memoised in the data's `walks`, keyed by the expression,
+the schema and the `{user}` binding, which is None unless the root names
+`{user}`: a `{user}`-free expression has one result per data version,
+whichever client asks.  The entry records what the walk read (see
+`model.Walk`), and `SystemData.apply` keeps it until a mutation touches
+that, so an entry lasts across versions.  Class and filter roots start
+from the data's per-class member sets instead of scanning every object.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable, Set
+from functools import partial
 
 from .errors import PathBudgetError, UnboundVariableError, UnknownClassError
 from .expr import (
@@ -37,7 +42,7 @@ from .expr import (
     USER_VARIABLE,
     satisfies_filter,
 )
-from .model import Link, Schema, SystemData
+from .model import Link, Schema, State, SystemData
 
 # The most paths one expression may yield; `evaluate` reads it per call.
 MAX_PATHS = 100_000
@@ -63,11 +68,20 @@ class TypedGraph:
 Path = tuple[str | Link, ...]
 
 
-def _direct_vertices(
+def _admit_all(state: State) -> bool:
+    return True
+
+
+def _start(
     expr: PathExpr, g: TypedGraph, user: str | None
-) -> set[str] | frozenset[str]:
+) -> tuple[Set[str], set[str], str | None, Callable[[State], bool] | None]:
+    """The vertices a walk starts from, and what choosing them read: an
+    instance root's refs, resolved, or a class root's class and state test
+    (the last three parts of a `model.Walk`)."""
     root = expr.root
     if isinstance(root, InstanceSet):
+        objects = g.data.objects
+        refs: set[str] = set()
         vertices: set[str] = set()
         for ref in root.refs:
             if ref == USER_VARIABLE:
@@ -76,47 +90,51 @@ def _direct_vertices(
                         f"expression uses {USER_VARIABLE!r} but no binding was given"
                     )
                 ref = user
-            if ref in g.data.objects:
+            refs.add(ref)
+            if ref in objects:
                 vertices.add(ref)
-        return vertices
+        return vertices, refs, None, None
     if root.class_name not in g.schema.classes:
         raise UnknownClassError(f"unknown class {root.class_name!r}")
     members = g.data.members(root.class_name)
     if isinstance(root, ClassAll):
-        return members
-    return {v for v in members if satisfies_filter(g.data.states.get(v, {}), root)}
+        return members, set(), root.class_name, _admit_all
+    admits = partial(satisfies_filter, node=root)
+    states = g.data.states
+    return {v for v in members if admits(states.get(v, {}))}, set(), root.class_name, admits
 
 
 def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> frozenset[Path]:
     """All paths the expression defines over the graph; `user` is the
     object id the `{user}` root stands for.  Whether a link's far end
-    carries a role is one probe of the schema's `ends` table.  A root
-    without `{user}` is walked once per data version and schema: later
-    calls return the memoised frozenset.  A walk of more than `MAX_PATHS`
+    carries a role is one probe of the schema's `ends` table.  A call that
+    finds its walk memoised returns the memoised frozenset; otherwise the
+    walk is memoised with what it read.  A walk of more than `MAX_PATHS`
     paths raises and memoises nothing."""
     root = expr.root
-    shared = not (isinstance(root, InstanceSet) and USER_VARIABLE in root.refs)
-    if shared:
-        walks = g.data.walks
-        walk_key = (expr, g.schema)
-        memo = walks.get(walk_key)
-        if memo is not None:
-            return memo
+    bound = user if isinstance(root, InstanceSet) and USER_VARIABLE in root.refs else None
+    walks = g.data.walks
+    walk_key = (expr, g.schema, bound)
+    memo = walks.get(walk_key)
+    if memo is not None:
+        return memo[0]
     budget = MAX_PATHS
     segments = expr.segments
     n_segments = len(segments)
     ends = g.schema.ends
     objects = g.data.objects
     incident = g.incident
+    start, reads, root_class, admits = _start(expr, g, user)
     results: list[Path] = []
-    stack: list[Path] = [(v,) for v in _direct_vertices(expr, g, user)]
-    pop, push, emit = stack.pop, stack.append, results.append
+    stack: list[Path] = [(v,) for v in start]
+    pop, push, emit, read = stack.pop, stack.append, results.append, reads.add
     while stack:
         path = pop()
         matched = len(path) // 2
         if matched < n_segments:
             role = segments[matched]
             tip = path[-1]
+            read(tip)
             extended = False
             for edge in incident.get(tip, ()):
                 src, dst, assoc = edge
@@ -144,8 +162,7 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> froze
                 f"path budget of {budget} exceeded while evaluating expression"
             )
     paths = frozenset(results)
-    if shared:
-        walks[walk_key] = paths
+    walks[walk_key] = (paths, reads, root_class, admits)
     return paths
 
 

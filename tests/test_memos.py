@@ -1,9 +1,12 @@
-"""The memos on `SystemData`: walks of `{user}`-free expressions and the
-per-class member sets.
+"""The memos on `SystemData`: expression walks and the per-class member
+sets.
 
 A memoised answer must always be the one a fresh walk gives.  Each check
 below compares it with a walk over `data.copy()`, which starts with no
-memo, after mutations applied in place and through `Store.apply`.
+memo, after mutations applied in place and through `Store.apply`.  A walk
+stays memoised across mutations and versions until a mutation touches
+what it read; the tests of each drop rule below name the one rule that
+must catch their mutation.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import pytest
 import relsync.paths as paths_module
 from brute_force import random_data, random_expr, random_schema
 from relsync.errors import PathBudgetError
+from relsync.fuzz import FuzzBounds, _Generator
 from relsync.expr import (
     ClassAll,
     ClassFilter,
@@ -22,6 +26,7 @@ from relsync.expr import (
     PathExpr,
     USER_VARIABLE,
     parse_expression,
+    render_expression,
 )
 from relsync.model import (
     CreateLink,
@@ -34,6 +39,7 @@ from relsync.model import (
     UpdateState,
 )
 from relsync.paths import TypedGraph, evaluate, relevant_paths
+from relsync.runner import MODES, run_scenario
 from relsync.store import Store
 
 from conftest import build_f1
@@ -47,14 +53,25 @@ def members_by_scan(data: SystemData, cls: str) -> frozenset[str]:
     return frozenset(oid for oid, c in data.objects.items() if c == cls)
 
 
-def shared_exprs(rng: random.Random, schema: Schema, data: SystemData) -> list[PathExpr]:
-    """Three expressions whose roots do not name `{user}`."""
-    exprs: list[PathExpr] = []
-    while len(exprs) < 3:
-        expr, user = random_expr(rng, schema, data)
-        if user is None:
-            exprs.append(expr)
-    return exprs
+# An expression and the user its `{user}` root stands for (None for a
+# root that does not name `{user}`).
+Drawn = tuple[PathExpr, str | None]
+
+
+def stream_exprs(rng: random.Random, schema: Schema, data: SystemData) -> list[Drawn]:
+    """Four expressions, `{user}`-rooted ones among them."""
+    return [random_expr(rng, schema, data) for _ in range(4)]
+
+
+def stale_walks(data: SystemData) -> list[str]:
+    """The memoised walks of the data that a walk over a copy of it, which
+    has no memo, does not give."""
+    copy = data.copy()
+    return [
+        f"{render_expression(expr)} user={user}"
+        for (expr, schema, user), walk in list(data.walks.items())
+        if walk[0] != evaluate(expr, TypedGraph(copy, schema), user=user)
+    ]
 
 
 def random_state(rng: random.Random) -> dict:
@@ -87,14 +104,18 @@ def random_mutation(rng: random.Random, schema: Schema, data: SystemData, fresh)
     return CreateObject.make(next(fresh), rng.choice(sorted(schema.classes)), random_state(rng))
 
 
-def check_memos(schema: Schema, data: SystemData, exprs: list[PathExpr]) -> None:
+def check_memos(schema: Schema, data: SystemData, drawn: list[Drawn]) -> None:
     """Walk twice (the second call reads the memo) and compare both with a
-    fresh walk; every per-class member set read so far must be exact."""
-    for expr in exprs:
-        assert relevant_paths(schema, data, [expr]) == fresh_paths(schema, data, [expr])
-    walked = relevant_paths(schema, data, exprs)
-    assert {expr for expr, _ in data.walks} == set(exprs)
-    assert walked == relevant_paths(schema, data, exprs) == fresh_paths(schema, data, exprs)
+    fresh walk; every memoised walk and every per-class member set read so
+    far must be exact."""
+    assert stale_walks(data) == []
+    for expr, user in drawn:
+        walked = relevant_paths(schema, data, [expr], user=user)
+        assert walked == fresh_paths(schema, data, [expr], user=user)
+        assert relevant_paths(schema, data, [expr], user=user) is walked
+        bound = user if USER_VARIABLE in getattr(expr.root, "refs", ()) else None
+        assert (expr, schema, bound) in data.walks
+    assert {key[0] for key in data.walks} == {expr for expr, _ in drawn}
     for cls in schema.classes:
         assert data.members(cls) == members_by_scan(data, cls)
 
@@ -104,15 +125,15 @@ def test_memoised_walks_match_a_fresh_walk_over_mutation_streams(seed):
     rng = random.Random(seed)
     schema = random_schema(rng)
     start = random_data(rng, schema, max_objects=12)
-    exprs = shared_exprs(rng, schema, start)
+    drawn = stream_exprs(rng, schema, start)
     fresh = (f"n{i}" for i in range(10**6))
 
     # in place: each mutation goes through SystemData.apply
     data = start.copy()
-    check_memos(schema, data, exprs)
+    check_memos(schema, data, drawn)
     for _ in range(25):
         data.apply(random_mutation(rng, schema, data, fresh))
-        check_memos(schema, data, exprs)
+        check_memos(schema, data, drawn)
 
     # through the store: each batch commits a derived version
     store = Store(schema)
@@ -120,10 +141,10 @@ def test_memoised_walks_match_a_fresh_walk_over_mutation_streams(seed):
         [CreateObject.make(oid, cls, start.states[oid]) for oid, cls in start.objects.items()]
         + [CreateLink(link) for link in start.links]
     )
-    check_memos(schema, store.data, exprs)
+    check_memos(schema, store.data, drawn)
     for _ in range(12):
         previous = store.data
-        before = relevant_paths(schema, previous, exprs)
+        before = [relevant_paths(schema, previous, [e], user=u) for e, u in drawn]
         batch: list = []
         staged = previous.derive()
         for _ in range(rng.randint(1, 3)):
@@ -134,19 +155,49 @@ def test_memoised_walks_match_a_fresh_walk_over_mutation_streams(seed):
             batch.append(m)
         store.apply(batch)
         assert previous.walks == {}  # a superseded version keeps no walks
-        check_memos(schema, store.data, exprs)
+        check_memos(schema, store.data, drawn)
         # the superseded version still walks to what it did
-        assert relevant_paths(schema, previous, exprs) == before
+        assert [relevant_paths(schema, previous, [e], user=u) for e, u in drawn] == before
 
 
 def test_streams_cover_every_shared_root_kind():
     kinds = set()
+    user_rooted = 0
     for seed in range(120):
         rng = random.Random(seed)
         schema = random_schema(rng)
         start = random_data(rng, schema, max_objects=12)
-        kinds.update(type(e.root) for e in shared_exprs(rng, schema, start))
+        for expr, user in stream_exprs(rng, schema, start):
+            if user is None:
+                kinds.add(type(expr.root))
+            else:
+                user_rooted += 1
     assert kinds == {ClassAll, ClassFilter, InstanceSet}
+    assert user_rooted > 100
+
+
+def test_generated_runs_keep_every_memoised_walk_fresh():
+    """After every sync of generated scenarios, in every mode, each walk
+    memoised on the store's live data and on every replica's data equals
+    a fresh walk."""
+    rng = random.Random(1919)
+    hits = 0
+    for _ in range(100):
+        scenario = _Generator(rng, FuzzBounds()).build()
+        for mode in MODES:
+            bad: list[str] = []
+
+            def hook(ctx, index, client, applied, shadow):
+                nonlocal hits
+                for owner, data in [("store", ctx.store.data)] + [
+                    (name, replica.data) for name, replica in ctx.replicas.items()
+                ]:
+                    hits += len(data.walks)
+                    bad.extend(f"{mode} step {index} {owner}: {w}" for w in stale_walks(data))
+
+            run_scenario(scenario, mode=mode, on_sync=hook)
+            assert bad == []
+    assert hits > 1000
 
 
 def _event_store(schema) -> Store:
@@ -218,13 +269,124 @@ def test_two_clients_with_one_shared_expression_get_the_same_frozenset(f1_data, 
     assert first == fresh_paths(schema, f1_data, [parse_expression(text)])
 
 
-def test_user_rooted_walks_are_not_memoised(f1_data, schema):
-    expr = parse_expression("{user}.Participation.Event")
-    assert USER_VARIABLE in expr.root.refs
+def test_two_users_get_separate_entries_each_equal_to_a_fresh_walk(f1_data, schema):
+    expr = parse_expression("{user}.Participation.Event.Participation.Identity")
     mine = relevant_paths(schema, f1_data, [expr], user="I1")
     theirs = relevant_paths(schema, f1_data, [expr], user="I2")
     assert mine != theirs
-    assert f1_data.walks == {}
+    assert set(f1_data.walks) == {(expr, schema, "I1"), (expr, schema, "I2")}
+    assert f1_data.walks[(expr, schema, "I1")][0] == fresh_paths(
+        schema, f1_data, [expr], user="I1"
+    )
+    assert f1_data.walks[(expr, schema, "I2")][0] == fresh_paths(
+        schema, f1_data, [expr], user="I2"
+    )
+    assert relevant_paths(schema, f1_data, [expr], user="I1") is mine
+
+
+def test_an_untouched_commit_keeps_the_identical_frozenset(schema):
+    store = _event_store(schema)
+    drawn = [
+        (parse_expression("{user}.Contact.contactIdentity"), "I1"),
+        (parse_expression("{user}.Participation.Event"), "I3"),
+        (parse_expression('Event[title="picnic"].Participation.Identity'), None),
+        (parse_expression("Event"), None),
+        (parse_expression("{I2,zz}"), None),
+    ]
+    before = [relevant_paths(schema, store.data, [e], user=u) for e, u in drawn]
+    store.apply([
+        UpdateState.make("I2", {"name": "bo2"}),
+        UpdateState.make("E1", {"title": "picnic", "when": 7}),
+        CreateObject.make("C9", "Contact"),
+        CreateObject.make("I9", "Identity"),
+        CreateLink(Link("C9", "I9", "Reference")),
+    ])
+    after = [relevant_paths(schema, store.data, [e], user=u) for e, u in drawn]
+    assert all(a is b for a, b in zip(after, before))
+    assert after == [fresh_paths(schema, store.data, [e], user=u) for e, u in drawn]
+
+
+# One case per drop rule: (expression, user, setup batch, mutation).  Each
+# mutation is caught by its rule alone, so the case fails without it.
+DROP_CASES = {
+    # CreateLink: an end among the read vertices
+    "create-link": ("{user}.Contact", "I3", [CreateObject.make("C9", "Contact")],
+                    CreateLink(Link("I3", "C9", "Ownership"))),
+    # DeleteLink: an end among the read vertices
+    "delete-link": ("{user}.Contact", "I1", [], DeleteLink(Link("I1", "C1", "Ownership"))),
+    # CreateObject: its id among the read vertices (a resolved instance ref)
+    "create-read": ("{I9}", None, [], CreateObject.make("I9", "Identity")),
+    # CreateObject: of the root class, and its state passes the filter
+    "create-member": ('Event[title="quiz"]', None, [],
+                      CreateObject.make("E9", "Event", {"title": "quiz"})),
+    # DeleteObject: its id among the read vertices
+    "delete-read": ("{I9}", None, [CreateObject.make("I9", "Identity")], DeleteObject("I9")),
+    # DeleteObject: an end of a cascaded link among the read vertices
+    "delete-cascade": ("{user}.Contact", "I1", [], DeleteObject("C1")),
+    # DeleteObject: of the root class, and its state passed the filter
+    "delete-member": ('Event[title="picnic"]', None, [], DeleteObject("E1")),
+    # UpdateState: the filter's result flips
+    "update-flip": ('Event[title="picnic"]', None, [], UpdateState.make("E1", {"title": "quiz"})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DROP_CASES))
+@pytest.mark.parametrize("through", ["store", "in place"])
+def test_each_drop_rule_drops(schema, case, through):
+    text, user, setup, mutation = DROP_CASES[case]
+    expr = parse_expression(text)
+    store = build_f1(Store(schema))
+    if setup:
+        store.apply(setup)
+    before = relevant_paths(schema, store.data, [expr], user=user)
+    if through == "store":
+        store.apply([mutation])
+    else:
+        store.data.apply(mutation)
+    assert (expr, schema, user) not in store.data.walks
+    after = relevant_paths(schema, store.data, [expr], user=user)
+    assert after == fresh_paths(schema, store.data, [expr], user=user)
+    assert after != before
+
+
+def test_an_update_that_does_not_flip_the_filter_keeps_the_entry(schema):
+    expr = parse_expression('Event[title="picnic"].Participation')
+    store = _event_store(schema)
+    before = relevant_paths(schema, store.data, [expr])
+    store.apply([UpdateState.make("E1", {"title": "picnic", "when": 7})])
+    store.apply([UpdateState.make("E2", {"title": "hike"})])
+    assert relevant_paths(schema, store.data, [expr]) is before
+
+
+def test_a_create_that_fails_the_filter_keeps_the_entry(schema):
+    expr = parse_expression('Event[title="picnic"]')
+    store = _event_store(schema)
+    before = relevant_paths(schema, store.data, [expr])
+    store.apply([CreateObject.make("E9", "Event", {"title": "quiz"})])
+    assert relevant_paths(schema, store.data, [expr]) is before
+    assert before == {("E1",)}
+
+
+def test_a_recreate_that_flips_the_filter_drops_the_entry(f1_data, schema):
+    # a replica re-creates an object it holds when a create is re-delivered
+    expr = parse_expression('Event[title="picnic"]')
+    data = f1_data.copy()
+    assert relevant_paths(schema, data, [expr]) == {("E1",)}
+    data.apply(CreateObject.make("E1", "Event", {"title": "quiz"}))
+    assert relevant_paths(schema, data, [expr]) == frozenset()
+    data.apply(CreateObject.make("E1", "Event", {"title": "picnic"}))
+    assert relevant_paths(schema, data, [expr]) == {("E1",)}
+    assert data.members("Event") == {"E1"}
+
+
+def test_a_create_or_delete_edits_a_filled_member_set(f1_data, schema):
+    data = f1_data.copy()
+    identities = data.members("Identity")
+    data.apply(CreateObject.make("I9", "Identity"))
+    assert data.members("Identity") == identities | {"I9"}
+    data.apply(DeleteObject("I1"))
+    assert data.members("Identity") == identities - {"I1"} | {"I9"}
+    assert identities == {"I1", "I2", "I3"}  # the first set was not edited
 
 
 def test_literal_kinds_are_memoised_apart(schema):
