@@ -4,8 +4,9 @@ Generates random but always-valid scenarios over the shipped social-graph
 schema — identities owning contacts that reference other identities, and
 participations enrolling identities into events — then runs each one in
 `both` mode so every sync step checks the timestamp algorithm against the
-snapshot oracle and against exact replica convergence.  Failures are data:
-they are counted in the summary and written out as replayable `.scn` files.
+snapshot oracle and against exact replica convergence, and every memoised
+walk against a fresh one.  Failures are data: they are counted in the
+summary and written out as replayable `.scn` files.
 
 Everything is driven by one random.Random(seed), so a (seed, iterations,
 bounds) triple always produces the same scenarios and the same summary.
@@ -42,7 +43,8 @@ from .scenario import (
     TxStep,
     render_scenario,
 )
-from .expr import parse_expression
+from .expr import parse_expression, render_expression
+from .paths import TypedGraph, evaluate
 
 EXPR_CONTACTS = "{user}.Contact.contactIdentity"
 EXPR_EVENTS = "{user}.Participation.Event.Participation.Identity"
@@ -61,6 +63,11 @@ def social_schema() -> Schema:
             AssociationDef("Enrollment", "Participation", "Participation", "Event", "Event"),
         ],
     )
+
+
+# The schema every generated scenario carries; nothing mutates a schema
+# once built, so one instance serves them all.
+_SOCIAL_SCHEMA = social_schema()
 
 
 # The scenario size every fuzz run uses; only the object cap is an option.
@@ -103,16 +110,14 @@ _STATE_KEYS = ("name", "size", "flag", "note")
 
 
 class _Generator:
-    """Builds one random valid Scenario, mirroring the server's state so
-    every generated mutation passes staging and commits cleanly.  Scenarios
-    built with the same `schema` share it; nothing here mutates it."""
+    """Builds one random valid Scenario over the shared social schema,
+    mirroring the server's state so every generated mutation passes staging
+    and commits cleanly."""
 
-    def __init__(
-        self, rng: random.Random, bounds: FuzzBounds, schema: Schema | None = None
-    ):
+    def __init__(self, rng: random.Random, bounds: FuzzBounds):
         self.rng = rng
         self.bounds = bounds
-        self.schema = social_schema() if schema is None else schema
+        self.schema = _SOCIAL_SCHEMA
         self.model = SystemData()  # what the committed server state will be
         self.counter = 0
         self.mutations_used = 0
@@ -326,22 +331,47 @@ class _Generator:
         return Scenario(schema=self.schema, clients=clients, steps=steps)
 
 
+def stale_walks(data: SystemData) -> list[str]:
+    """The memoised walks of the data that a walk over a copy of it, which
+    has no memo, does not give, each as its expression and user."""
+    copy = data.copy()
+    return [
+        f"{render_expression(expr)} user={user}"
+        for (expr, schema, user), walk in data.walks.items()
+        if walk[0] != evaluate(expr, TypedGraph(copy, schema), user=user)
+    ]
+
+
 def fuzz(
     seed: int,
     iterations: int,
     bounds: FuzzBounds | None = None,
     out_dir: str | Path | None = None,
 ) -> FuzzSummary:
+    """Run `iterations` generated scenarios in `both` mode.  A scenario
+    fails on a divergence report, an engine error, or a memoised walk on
+    the store's live data or on a replica's that a fresh walk, checked
+    after every sync, does not give."""
     bounds = bounds or FuzzBounds()
     rng = random.Random(seed)
     summary = FuzzSummary(seed=seed, iterations=iterations)
-    schema = social_schema()  # read-only here, so one serves every scenario
+    stale: list[str] = []
+
+    def check_walks(ctx, index, client, applied, shadow):
+        owners = [("store", ctx.store.data)]
+        owners += [(name, replica.data) for name, replica in ctx.replicas.items()]
+        for owner, data in owners:
+            stale.extend(f"step {index} {owner}: {walk}" for walk in stale_walks(data))
+
     for i in range(iterations):
-        scenario = _Generator(rng, bounds, schema).build()
+        scenario = _Generator(rng, bounds).build()
         reason: str | None = None
+        stale.clear()
         try:
-            reports = run_scenario(scenario, mode="both")
-            if reports:
+            reports = run_scenario(scenario, mode="both", on_sync=check_walks)
+            if stale:
+                reason = f"{len(stale)} stale memoised walks: " + "; ".join(stale[:3])
+            elif reports:
                 reason = f"{len(reports)} divergence reports: " + "; ".join(
                     r.render().splitlines()[0] for r in reports[:3]
                 )
@@ -371,4 +401,5 @@ __all__ = [
     "MAX_SYNCS_PER_CLIENT",
     "fuzz",
     "social_schema",
+    "stale_walks",
 ]

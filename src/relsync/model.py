@@ -123,14 +123,15 @@ class Schema:
 
 
 # One memoised walk (see `paths.evaluate`): (paths, reads, root class,
-# admits).  A mutation can change the paths only through what the walk
-# read, so `SystemData.apply` keeps the entry unless the mutation touches
-# that:
+# admits), the paths and what the walk read:
 # - reads: the vertices whose links the walk read (the tips of unfinished
 #   paths), and an instance root's refs, each resolved;
 # - root class and admits: for class and filter roots, the root's class
 #   and whether a state of one of its objects passes the root (always,
 #   for a class root); None for instance roots.
+# One rule keeps it (`SystemData._forget`): a walk is stale once a
+# mutation reaches what it read, that is, touches a vertex among its reads
+# or changes whether its root admits an object of the root class.
 # No part is ever edited.  A plain tuple, as every walk of every sync
 # makes one.
 Walk = tuple[frozenset, Set[str], str | None, Callable[[State], bool] | None]
@@ -160,10 +161,10 @@ class SystemData:
     - `walks` memoises expression walks, keyed by expression, schema and
       the `{user}` binding (None unless the root names `{user}`; see
       `paths.evaluate`).  Each entry is a `Walk`: the paths and what the
-      walk read.  `apply` drops only the entries its mutation can change,
-      `derive` carries the rest into the next version, sharing them, and
-      a commit clears the memo of the version it replaces, so a
-      superseded version holds none.
+      walk read.  `apply` drops an entry once a mutation reaches what it
+      read (the one rule of `Walk`), `derive` carries the rest into the
+      next version, sharing them, and a commit clears the memo of the
+      version it replaces, so a superseded version holds none.
 
     Store versions made by `derive` also share every state dict with the
     version they came from, so none is ever edited in place: `apply`
@@ -233,52 +234,41 @@ class SystemData:
         its links with it, so no link is left dangling.  Once the index has
         been read it finds them in O(degree); until then one scan of the
         links costs what building the index would, and data that nobody
-        walks (a fuzzer's model, a bulk load) never pays for the index."""
-        # Each branch drops the memoised walks its mutation can change (see
-        # `Walk`): those that read the links of a vertex it touched, and
-        # those whose root admits its object on one side of the change only.
-        walks = self.walks
+        walks (a fuzzer's model, a bulk load) never pays for the index.
+
+        Each kind changes the data and the index, then hands `_forget` the
+        vertices it touched (a link's two ends, a created id, a deleted id
+        and the ends of its cascade; none for an update) and, for an
+        object, its id, class and states before and after.  `_forget`
+        keeps the member sets and drops every walk the mutation reached
+        (see `Walk`); data that holds no memo skips the call."""
         if isinstance(mutation, CreateObject):
+            # a create of a held object (a replica's re-delivered create)
+            # replaces its state: both states are present
             oid, cls = mutation.object_id, mutation.class_name
             old = self.states.get(oid) if oid in self.objects else None
-            state = self.states[oid] = mutation.state_dict()
-            if old is None:
-                self.objects[oid] = cls
-                ids = self._members.get(cls)
-                if ids is not None:
-                    self._members[cls] = ids | {oid}
-            if walks:
-                stale = []
-                for key, (_, reads, root_class, admits) in walks.items():
-                    if oid in reads:
-                        stale.append(key)
-                    # a replica re-creates an object it holds in place
-                    elif root_class == cls and (old is not None and admits(old)) != admits(state):
-                        stale.append(key)
-                _drop(walks, stale)
-        elif isinstance(mutation, CreateLink):
-            self.links.add(mutation.link)
-            if self._incident is not None:
-                _index_link(self._incident, mutation.link)
-            if walks:
-                _drop_at_link(walks, mutation.link)
+            self.objects[oid] = cls
+            new = self.states[oid] = mutation.state_dict()
+            if self.walks or self._members:
+                self._forget({oid}, oid, cls, old, new)
+        elif isinstance(mutation, (CreateLink, DeleteLink)):
+            link = mutation.link
+            index = self._incident
+            if isinstance(mutation, CreateLink):
+                self.links.add(link)
+                if index is not None:
+                    _index_link(index, link)
+            else:
+                self.links.discard(link)
+                if index is not None:
+                    _unindex_link(index, link)
+            if self.walks:
+                self._forget({link.src, link.dst}, None, None, None, None)
         elif isinstance(mutation, UpdateState):
-            oid = mutation.object_id
-            state = mutation.state_dict()
-            if walks and oid in self.objects:
-                cls, old = self.objects[oid], self.states.get(oid, {})
-                stale = []
-                for key, (_, _, root_class, admits) in walks.items():
-                    if root_class == cls and admits(old) != admits(state):
-                        stale.append(key)
-                _drop(walks, stale)
-            self.states[oid] = state
-        elif isinstance(mutation, DeleteLink):
-            self.links.discard(mutation.link)
-            if self._incident is not None:
-                _unindex_link(self._incident, mutation.link)
-            if walks:
-                _drop_at_link(walks, mutation.link)
+            oid, new = mutation.object_id, mutation.state_dict()
+            if self.walks:
+                self._forget(set(), oid, self.objects.get(oid), self.states.get(oid), new)
+            self.states[oid] = new
         elif isinstance(mutation, DeleteObject):
             oid = mutation.object_id
             index = self._incident
@@ -289,39 +279,46 @@ class SystemData:
                 for link in cascade:
                     _unindex_link(index, link)
             self.links.difference_update(cascade)
-            cls = self.objects.pop(oid)
-            state = self.states.pop(oid, {})
-            ids = self._members.get(cls)
-            if ids is not None:
-                self._members[cls] = ids - {oid}
-            if walks:
-                ends = {oid}
-                for link in cascade:
-                    ends.update((link.src, link.dst))
-                stale = []
-                for key, (_, reads, root_class, admits) in walks.items():
-                    if not ends.isdisjoint(reads) or (root_class == cls and admits(state)):
-                        stale.append(key)
-                _drop(walks, stale)
+            cls, old = self.objects.pop(oid), self.states.pop(oid, {})
+            if self.walks or self._members:
+                self._forget({oid}.union(*(link[:2] for link in cascade)), oid, cls, old, None)
             return cascade
         else:  # pragma: no cover - exhaustive over the Mutation union
             raise TypeError(f"not a mutation: {mutation!r}")
         return []
 
-
-def _drop_at_link(walks: dict[tuple, Walk], link: Link) -> None:
-    """Drop the walks that read the links of either end of a link."""
-    src, dst = link.src, link.dst
-    stale = []
-    for key, (_, reads, _, _) in walks.items():
-        if src in reads or dst in reads:
-            stale.append(key)
-    _drop(walks, stale)
-
-
-def _drop(walks: dict[tuple, Walk], stale: list[tuple]) -> None:
-    for key in stale:
-        del walks[key]
+    def _forget(
+        self,
+        touched: Set[str],
+        oid: str | None,
+        cls: str | None,
+        old: State | None,
+        new: State | None,
+    ) -> None:
+        """Keep the memos exact after a mutation that touched the vertices
+        `touched` and, for an object mutation, took object `oid` of class
+        `cls` from state `old` to state `new` (None where the object does
+        not exist).  An object that appears or disappears replaces its
+        class's filled member set with one holding one id more or less.  A
+        walk is stale when the mutation reached something it read: a
+        touched vertex among its reads, or, under a root of the object's
+        class, an object its root admits on one side of the change only (an
+        absent state is not admitted)."""
+        if (old is None) != (new is None):
+            ids = self._members.get(cls)
+            if ids is not None:
+                self._members[cls] = ids | {oid} if old is None else ids - {oid}
+        walks, disjoint = self.walks, touched.isdisjoint
+        stale = []
+        for key, (_, reads, root_class, admits) in walks.items():
+            if not disjoint(reads) or (
+                cls is not None
+                and root_class == cls
+                and (old is not None and admits(old)) != (new is not None and admits(new))
+            ):
+                stale.append(key)
+        for key in stale:
+            del walks[key]
 
 
 _NO_LINKS: frozenset[Link] = frozenset()

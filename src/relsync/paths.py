@@ -24,8 +24,9 @@ Every walk is memoised in the data's `walks`, keyed by the expression,
 the schema and the `{user}` binding, which is None unless the root names
 `{user}`: a `{user}`-free expression has one result per data version,
 whichever client asks.  The entry records what the walk read (see
-`model.Walk`), and `SystemData.apply` keeps it until a mutation touches
-that, so an entry lasts across versions.  Class and filter roots start
+`model.Walk`), and `SystemData.apply` keeps it, across versions, until a
+mutation reaches that: touches a vertex the walk read, or changes whether
+the root admits an object of its class.  Class and filter roots start
 from the data's per-class member sets instead of scanning every object.
 """
 

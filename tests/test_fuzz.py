@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import relsync.fuzz as fuzz_module
 from relsync.fuzz import FuzzBounds, fuzz, social_schema
-from relsync.model import CreateObject
+from relsync.model import CreateObject, SystemData
 from relsync.runner import DivergenceReport, run_scenario
 from relsync.scenario import PushStep, TxStep, parse_scenario, render_scenario
 from relsync.store import Store
@@ -108,3 +108,29 @@ def test_failure_is_dumped_as_replayable_scenario(tmp_path, monkeypatch):
     body = "\n".join(l for l in text.splitlines() if not l.startswith("#"))
     assert real(parse_scenario(body), mode="both") == []
     assert "iteration 1" in summary.render()
+
+
+def test_generated_scenarios_share_one_schema():
+    import random
+
+    rng = random.Random(3)
+    first, second = (fuzz_module._Generator(rng, FuzzBounds()).build() for _ in range(2))
+    assert first.schema is second.schema
+    assert first.schema.classes == social_schema().classes
+
+
+def test_a_stale_memoised_walk_fails_the_run(monkeypatch):
+    # keep every walk whatever a mutation touched; member sets stay exact
+    forget = SystemData._forget
+
+    def keep_walks(self, *args):
+        kept = dict(self.walks)
+        forget(self, *args)
+        self.walks.update(kept)
+
+    monkeypatch.setattr(SystemData, "_forget", keep_walks)
+    summary = fuzz(seed=42, iterations=5)
+    assert summary.failures
+    reason = summary.failures[0].reason
+    assert "stale memoised walks: step " in reason
+    assert " store: {user}." in reason
