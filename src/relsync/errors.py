@@ -58,7 +58,7 @@ class UnknownClassError(RelsyncError):
 
 
 class PathBudgetError(RelsyncError):
-    """Path enumeration exceeded the configured path cap."""
+    """Path enumeration yielded more than `paths.MAX_PATHS` paths."""
 
 
 class IdReuseError(RelsyncError):

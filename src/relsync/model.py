@@ -146,25 +146,25 @@ class SystemData:
     runs `validate_schema` on the elements its batch touched, which is
     enough because the version it derives from already held them.
 
-    Three indexes are derived from the data; once read, each is kept
-    exact by `apply`, the one way the data changes:
+    One index and one memo are derived from the data; once read, each is
+    kept exact by `apply`, the one way the data changes:
     - `incident` maps each vertex to the links touching it.  It is built
       from `links` the first time something reads it; `apply` replaces the
       frozensets of a link's ends.  `derive` copies the dict and shares
       every frozenset.
-    - `members(cls)` is the frozenset of ids of a class's objects, filled
-      per class on first read.  A create or delete of one of its objects
-      replaces a filled set with one more or one fewer id, and never edits
-      a set, so `derive` copies the dict and shares every set.  A create
-      never changes an existing object's class: the store refuses a used
-      id, and the replica a re-create under another class.
     - `walks` memoises expression walks, keyed by expression, schema and
       the `{user}` binding (None unless the root names `{user}`; see
       `paths.evaluate`).  Each entry is a `Walk`: the paths and what the
       walk read.  `apply` drops an entry once a mutation reaches what it
       read (the one rule of `Walk`), `derive` carries the rest into the
       next version, sharing them, and a commit clears the memo of the
-      version it replaces, so a superseded version holds none.
+      version it replaces, so a superseded version holds none.  A class
+      or filter root's walk scans the objects when it misses.  An object
+      of the root's class that appears or disappears changes that scan
+      only if the root admits it, and then the rule drops the walk.  A
+      create never changes an existing object's class (the store refuses
+      a used id, and the replica a re-create under another class), so
+      the class the rule tests is the one the walk scanned.
 
     Store versions made by `derive` also share every state dict with the
     version they came from, so none is ever edited in place: `apply`
@@ -180,10 +180,6 @@ class SystemData:
     _incident: dict[str, frozenset[Link]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    # class -> ids of its objects; an entry is filled on first read
-    _members: dict[str, frozenset[str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def incident(self) -> dict[str, frozenset[Link]]:
@@ -198,16 +194,6 @@ class SystemData:
             index = self._incident = {v: frozenset(s) for v, s in building.items()}
         return index
 
-    def members(self, class_name: str) -> frozenset[str]:
-        """The ids of the class's objects; one scan of the objects on the
-        first read of the class."""
-        ids = self._members.get(class_name)
-        if ids is None:
-            ids = self._members[class_name] = frozenset(
-                oid for oid, cls in self.objects.items() if cls == class_name
-            )
-        return ids
-
     def copy(self) -> SystemData:
         """An independent copy, states included; the index is rebuilt on
         the copy's first read."""
@@ -219,12 +205,11 @@ class SystemData:
 
     def derive(self) -> SystemData:
         """The next version, for a commit to apply to: fresh dicts and link
-        set, sharing this version's state dicts, per-vertex link sets,
-        per-class id sets and memoised walks."""
+        set, sharing this version's state dicts, per-vertex link sets and
+        memoised walks."""
         following = SystemData(dict(self.objects), set(self.links), dict(self.states))
         if self._incident is not None:
             following._incident = dict(self._incident)
-        following._members = dict(self._members)
         following.walks = dict(self.walks)
         return following
 
@@ -239,9 +224,9 @@ class SystemData:
         Each kind changes the data and the index, then hands `_forget` the
         vertices it touched (a link's two ends, a created id, a deleted id
         and the ends of its cascade; none for an update) and, for an
-        object, its id, class and states before and after.  `_forget`
-        keeps the member sets and drops every walk the mutation reached
-        (see `Walk`); data that holds no memo skips the call."""
+        object, its class and states before and after.  `_forget` drops
+        every walk the mutation reached (see `Walk`); data that holds no
+        walk skips the call."""
         if isinstance(mutation, CreateObject):
             # a create of a held object (a replica's re-delivered create)
             # replaces its state: both states are present
@@ -249,8 +234,8 @@ class SystemData:
             old = self.states.get(oid) if oid in self.objects else None
             self.objects[oid] = cls
             new = self.states[oid] = mutation.state_dict()
-            if self.walks or self._members:
-                self._forget({oid}, oid, cls, old, new)
+            if self.walks:
+                self._forget({oid}, cls, old, new)
         elif isinstance(mutation, (CreateLink, DeleteLink)):
             link = mutation.link
             index = self._incident
@@ -263,11 +248,11 @@ class SystemData:
                 if index is not None:
                     _unindex_link(index, link)
             if self.walks:
-                self._forget({link.src, link.dst}, None, None, None, None)
+                self._forget({link.src, link.dst}, None, None, None)
         elif isinstance(mutation, UpdateState):
             oid, new = mutation.object_id, mutation.state_dict()
             if self.walks:
-                self._forget(set(), oid, self.objects.get(oid), self.states.get(oid), new)
+                self._forget(set(), self.objects.get(oid), self.states.get(oid), new)
             self.states[oid] = new
         elif isinstance(mutation, DeleteObject):
             oid = mutation.object_id
@@ -280,8 +265,8 @@ class SystemData:
                     _unindex_link(index, link)
             self.links.difference_update(cascade)
             cls, old = self.objects.pop(oid), self.states.pop(oid, {})
-            if self.walks or self._members:
-                self._forget({oid}.union(*(link[:2] for link in cascade)), oid, cls, old, None)
+            if self.walks:
+                self._forget({oid}.union(*(link[:2] for link in cascade)), cls, old, None)
             return cascade
         else:  # pragma: no cover - exhaustive over the Mutation union
             raise TypeError(f"not a mutation: {mutation!r}")
@@ -290,24 +275,17 @@ class SystemData:
     def _forget(
         self,
         touched: Set[str],
-        oid: str | None,
         cls: str | None,
         old: State | None,
         new: State | None,
     ) -> None:
-        """Keep the memos exact after a mutation that touched the vertices
-        `touched` and, for an object mutation, took object `oid` of class
-        `cls` from state `old` to state `new` (None where the object does
-        not exist).  An object that appears or disappears replaces its
-        class's filled member set with one holding one id more or less.  A
-        walk is stale when the mutation reached something it read: a
-        touched vertex among its reads, or, under a root of the object's
-        class, an object its root admits on one side of the change only (an
-        absent state is not admitted)."""
-        if (old is None) != (new is None):
-            ids = self._members.get(cls)
-            if ids is not None:
-                self._members[cls] = ids | {oid} if old is None else ids - {oid}
+        """Drop every walk made stale by a mutation that touched the
+        vertices `touched` and, for an object mutation, took an object of
+        class `cls` from state `old` to state `new` (None where the object
+        does not exist).  A walk is stale when the mutation reached
+        something it read: a touched vertex among its reads, or, under a
+        root of the object's class, an object its root admits on one side
+        of the change only (an absent state is not admitted)."""
         walks, disjoint = self.walks, touched.isdisjoint
         stale = []
         for key, (_, reads, root_class, admits) in walks.items():

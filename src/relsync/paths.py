@@ -26,13 +26,15 @@ the schema and the `{user}` binding, which is None unless the root names
 whichever client asks.  The entry records what the walk read (see
 `model.Walk`), and `SystemData.apply` keeps it, across versions, until a
 mutation reaches that: touches a vertex the walk read, or changes whether
-the root admits an object of its class.  Class and filter roots start
-from the data's per-class member sets instead of scanning every object.
+the root admits an object of its class.  A class or filter root's walk
+finds its start vertices with one scan of the data's objects when it
+misses; an object that appears or disappears changes that scan only if
+the root admits it, and then the same rule has dropped the walk.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Set
+from collections.abc import Callable
 from functools import partial
 
 from .errors import PathBudgetError, UnboundVariableError, UnknownClassError
@@ -75,13 +77,12 @@ def _admit_all(state: State) -> bool:
 
 def _start(
     expr: PathExpr, g: TypedGraph, user: str | None
-) -> tuple[Set[str], set[str], str | None, Callable[[State], bool] | None]:
+) -> tuple[set[str], set[str], str | None, Callable[[State], bool] | None]:
     """The vertices a walk starts from, and what choosing them read: an
     instance root's refs, resolved, or a class root's class and state test
     (the last three parts of a `model.Walk`)."""
-    root = expr.root
+    root, objects = expr.root, g.data.objects
     if isinstance(root, InstanceSet):
-        objects = g.data.objects
         refs: set[str] = set()
         vertices: set[str] = set()
         for ref in root.refs:
@@ -95,14 +96,15 @@ def _start(
             if ref in objects:
                 vertices.add(ref)
         return vertices, refs, None, None
-    if root.class_name not in g.schema.classes:
-        raise UnknownClassError(f"unknown class {root.class_name!r}")
-    members = g.data.members(root.class_name)
+    cls = root.class_name
+    if cls not in g.schema.classes:
+        raise UnknownClassError(f"unknown class {cls!r}")
     if isinstance(root, ClassAll):
-        return members, set(), root.class_name, _admit_all
+        return {v for v, c in objects.items() if c == cls}, set(), cls, _admit_all
     admits = partial(satisfies_filter, node=root)
     states = g.data.states
-    return {v for v in members if admits(states.get(v, {}))}, set(), root.class_name, admits
+    start = {v for v, c in objects.items() if c == cls and admits(states.get(v, {}))}
+    return start, set(), cls, admits
 
 
 def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> frozenset[Path]:

@@ -46,9 +46,6 @@ class DivergenceReport:
     extra: list[str] = field(default_factory=list)
     state_mismatches: list[str] = field(default_factory=list)
 
-    def is_empty(self) -> bool:
-        return not (self.missing or self.extra or self.state_mismatches)
-
     def render(self) -> str:
         lines = [
             f"step {self.step_index} client {self.client}: "

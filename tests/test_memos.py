@@ -1,5 +1,4 @@
-"""The memos on `SystemData`: expression walks and the per-class member
-sets.
+"""The memo on `SystemData`: expression walks.
 
 A memoised answer must always be the one a fresh walk gives.  Each check
 below compares it with a walk over `data.copy()`, which starts with no
@@ -50,10 +49,6 @@ def fresh_paths(schema: Schema, data: SystemData, exprs, user=None):
     return relevant_paths(schema, data.copy(), exprs, user=user)
 
 
-def members_by_scan(data: SystemData, cls: str) -> frozenset[str]:
-    return frozenset(oid for oid, c in data.objects.items() if c == cls)
-
-
 # An expression and the user its `{user}` root stands for (None for a
 # root that does not name `{user}`).
 Drawn = tuple[PathExpr, str | None]
@@ -96,8 +91,7 @@ def random_mutation(rng: random.Random, schema: Schema, data: SystemData, fresh)
 
 def check_memos(schema: Schema, data: SystemData, drawn: list[Drawn]) -> None:
     """Walk twice (the second call reads the memo) and compare both with a
-    fresh walk; every memoised walk and every per-class member set read so
-    far must be exact."""
+    fresh walk; every memoised walk must be exact."""
     assert stale_walks(data) == []
     for expr, user in drawn:
         walked = relevant_paths(schema, data, [expr], user=user)
@@ -106,8 +100,6 @@ def check_memos(schema: Schema, data: SystemData, drawn: list[Drawn]) -> None:
         bound = user if USER_VARIABLE in getattr(expr.root, "refs", ()) else None
         assert (expr, schema, bound) in data.walks
     assert {key[0] for key in data.walks} == {expr for expr, _ in drawn}
-    for cls in schema.classes:
-        assert data.members(cls) == members_by_scan(data, cls)
 
 
 @pytest.mark.parametrize("seed", range(120))
@@ -238,36 +230,29 @@ def test_a_derived_version_creates_and_deletes_without_touching_its_parent(schem
     store = _event_store(schema)
     parent = store.data
     seen = relevant_paths(schema, parent, exprs)
-    events = parent.members("Event")
-    assert events == {"E1", "E2"}
 
     # create in a derived version, by hand
     child = parent.derive()
     child.apply(CreateObject.make("E3", "Event", {"title": "quiz"}))
-    assert child.members("Event") == {"E1", "E2", "E3"}
     assert relevant_paths(schema, child, exprs) == fresh_paths(schema, child, exprs)
     assert ("E3",) in relevant_paths(schema, child, exprs)
-    assert parent.members("Event") is events
     assert relevant_paths(schema, parent, exprs) == seen
 
     # delete in a derived version, by hand
     child = parent.derive()
     child.apply(DeleteObject("E1"))
-    assert child.members("Event") == {"E2"}
     assert relevant_paths(schema, child, exprs) == fresh_paths(schema, child, exprs)
-    assert parent.members("Event") is events
     assert relevant_paths(schema, parent, exprs) == seen
 
     # the same through the store, with the parent held as a snapshot
     store.apply([CreateObject.make("E3", "Event", {"title": "quiz"})])
     created = store.data
-    assert relevant_paths(schema, created, exprs) == fresh_paths(schema, created, exprs)
+    with_e3 = relevant_paths(schema, created, exprs)
+    assert with_e3 == fresh_paths(schema, created, exprs)
     store.apply([DeleteObject("E2")])
-    assert store.data.members("Event") == {"E1", "E3"}
     assert relevant_paths(schema, store.data, exprs) == fresh_paths(schema, store.data, exprs)
-    assert parent.members("Event") == {"E1", "E2"}
     assert relevant_paths(schema, parent, exprs) == seen
-    assert created.members("Event") == {"E1", "E2", "E3"}
+    assert relevant_paths(schema, created, exprs) == with_e3
 
 
 def test_two_clients_with_one_shared_expression_get_the_same_frozenset(f1_data, schema):
@@ -416,17 +401,6 @@ def test_a_recreate_that_flips_the_filter_drops_the_entry(f1_data, schema):
     assert relevant_paths(schema, data, [expr]) == frozenset()
     data.apply(CreateObject.make("E1", "Event", {"title": "picnic"}))
     assert relevant_paths(schema, data, [expr]) == {("E1",)}
-    assert data.members("Event") == {"E1"}
-
-
-def test_a_create_or_delete_edits_a_filled_member_set(f1_data, schema):
-    data = f1_data.copy()
-    identities = data.members("Identity")
-    data.apply(CreateObject.make("I9", "Identity"))
-    assert data.members("Identity") == identities | {"I9"}
-    data.apply(DeleteObject("I1"))
-    assert data.members("Identity") == identities - {"I1"} | {"I9"}
-    assert identities == {"I1", "I2", "I3"}  # the first set was not edited
 
 
 def test_literal_kinds_are_memoised_apart(schema):

@@ -45,6 +45,15 @@ class TestModes:
             scenario = load_scenario(f"scenarios/{name}.scn")
             assert run_scenario(scenario, mode="both") == [], name
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: an update that flips a filter root's test is not delivered",
+    )
+    @pytest.mark.parametrize("name", ["filter_root_entering", "filter_root_leaving"])
+    def test_filter_root_witnesses_converge(self, name):
+        scenario = load_scenario(f"scenarios/{name}.scn")
+        assert run_scenario(scenario, mode="both") == []
+
     def test_invalid_mode(self):
         with pytest.raises(ValueError, match="mode must be one of"):
             run_scenario(parse_scenario(CONTACT_SCENARIO), mode="psychic")
@@ -99,29 +108,30 @@ class TestConvergenceChecks:
         ]
 
     def test_a_reused_divergence_is_reported_at_the_asserts_index(self):
-        # A filter root the timestamp engine under-delivers to: after the
-        # update, the delta holds `upd-obj E1` alone and the replica lacks E1.
+        # The snapshot oracle's documented blind spot: the client pushed a
+        # value, the server reverted it to what the last slice held, and the
+        # oracle's diff sees nothing to send.
         text = (
             "class Identity\n"
-            "class Event\n"
-            'client A root=I1 expr="Event[title=\\"b\\"]"\n'
+            'client A root=I1 expr="{user}"\n'
             "tx\n"
-            "  create I1 Identity {}\n"
-            '  create E1 Event {title="a"}\n'
-            '  create E2 Event {title="b"}\n'
+            '  create I1 Identity {name="a"}\n'
             "end\n"
-            "sync A\n"
+            "sync-oracle A\n"
+            'push A update I1 {name="b"}\n'
             "tx\n"
-            '  update E1 {title="b"}\n'
+            '  update I1 {name="a"}\n'
             "end\n"
-            "sync A\n"
+            "sync-oracle A\n"
             "assert-converged A\n"
         )
         scenario = parse_scenario(text)
         both = run_scenario(scenario, mode="both")
-        assert [r.step_index for r in both] == [3, 4]
+        assert [r.step_index for r in both] == [4, 5]
         at_sync, at_assert = both
-        assert at_sync.missing == at_assert.missing == ["obj E1"]
+        assert at_sync.state_mismatches == at_assert.state_mismatches == [
+            'I1 {name="b"} != {name="a"}'
+        ]
         assert at_sync.render().splitlines()[1:] == at_assert.render().splitlines()[1:]
         # the timestamp mode's own check of the same replica agrees
         [alone] = run_scenario(scenario, mode="timestamp")
