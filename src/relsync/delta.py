@@ -58,36 +58,13 @@ def render_delta(d: DeltaSet) -> str:
 
 
 def parse_state(text: str) -> State:
+    reader = _Parser(text)
     try:
-        return _parse_state(text)
+        state = reader.state()
+        reader.done()
     except ExpressionSyntaxError as exc:
         # keep the delta/scenario layer's error contract: one exception type
         raise ScenarioParseError(f"bad state syntax: {exc}") from exc
-
-
-def _parse_state(text: str) -> State:
-    parser = _Parser(text)
-    parser.skip_ws()
-    parser.expect("{")
-    state: State = {}
-    parser.skip_ws()
-    if parser.peek() == "}":
-        parser.take()
-    else:
-        while True:
-            key = parser.ident("attribute name")
-            parser.skip_ws()
-            parser.expect("=")
-            state[key] = parser.literal()
-            parser.skip_ws()
-            ch = parser.take()
-            if ch == "}":
-                break
-            if ch != ",":
-                raise ScenarioParseError(f"bad state syntax near position {parser.pos}")
-    parser.skip_ws()
-    if parser.pos != len(parser.text):
-        raise ScenarioParseError(f"trailing input after state: {parser.text[parser.pos:]!r}")
     return state
 
 

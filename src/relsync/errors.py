@@ -70,9 +70,13 @@ class OfflinePushError(RelsyncError):
 
 
 class ScenarioParseError(RelsyncError):
-    """A scenario file failed to parse.
+    """Scenario, delta or state text failed to parse, or a scenario file
+    could not be read.
 
-    `line` is the 1-based line number of the failure, when known.
+    `parse_scenario` sets `line`, the 1-based number of the failing line:
+    the line itself, or the opening line of a block never closed, or the
+    `end` of an `assert-delta` block whose delta is bad.  It is None for
+    text read outside a scenario and for a scenario with no schema.
     """
 
     def __init__(self, message: str, line: int | None = None):

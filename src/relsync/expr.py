@@ -11,6 +11,9 @@ Concrete syntax (whitespace insignificant outside string literals):
 Literals are double-quoted strings (with \\ and \" escapes), decimal
 integers, or true/false.  The renderer emits the canonical spelling — no
 spaces — and `render(parse(text))` is the canonical form of `text`.
+
+The same reader serves every text format of the package: expressions,
+literals, states (`{key=literal,...}`) and the values of scenario lines.
 """
 
 from __future__ import annotations
@@ -18,11 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ExpressionSyntaxError
-from .model import Scalar
-
-# Characters that terminate an identifier inside an expression.  This is the
-# token blacklist of the data model plus the comparator characters.
-_IDENT_STOP = set(' \t\r\n.{}[]"=,:<>!')
+from .model import RESERVED_CHAR, Scalar, State
 
 USER_VARIABLE = "user"
 
@@ -96,11 +95,23 @@ class _Parser:
     def ident(self, what: str) -> str:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in _IDENT_STOP:
-            self.pos += 1
+        stop = RESERVED_CHAR.search(self.text, start)
+        self.pos = stop.start() if stop else len(self.text)
         if self.pos == start:
             raise self.error(f"expected {what}", start)
         return self.text[start:self.pos]
+
+    def bare(self) -> str:
+        """An unquoted value: everything up to the next whitespace."""
+        start = self.pos
+        while self.pos < len(self.text) and not self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[start:self.pos]
+
+    def done(self) -> None:
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise self.error("unexpected trailing input")
 
     # -- grammar ------------------------------------------------------------
 
@@ -113,8 +124,7 @@ class _Parser:
             self.take()
             segments.append(self.ident("role name (segments may not be empty)"))
             self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("unexpected trailing input")
+        self.done()
         return PathExpr(root, tuple(segments))
 
     def direct(self) -> Direct:
@@ -193,6 +203,25 @@ class _Parser:
                 out.append(esc)
             else:
                 out.append(ch)
+
+    def state(self) -> State:
+        self.skip_ws()
+        self.expect("{")
+        state: State = {}
+        self.skip_ws()
+        if self.peek() == "}":
+            self.take()
+            return state
+        while True:
+            key = self.ident("attribute name")
+            self.skip_ws()
+            self.expect("=")
+            state[key] = self.literal()
+            self.skip_ws()
+            if self.peek() == "}":
+                self.take()
+                return state
+            self.expect(",")
 
 
 def parse_expression(text: str) -> PathExpr:

@@ -24,14 +24,16 @@ Scalar = str | int | bool
 State = dict[str, Scalar]
 
 # Tokens appear in the scenario DSL, expression syntax, and canonical dumps,
-# so they must be free of the punctuation those formats reserve.
-_TOKEN_FORBIDDEN = re.compile(r'[\s.{}\[\]"=,:]')
+# so they must be free of whitespace and of the punctuation those formats
+# reserve: `#` starts a scenario comment, `<>!=` spell comparators.  The
+# expression reader ends a name at the first character this matches.
+RESERVED_CHAR = re.compile(r'[\s.{}\[\]"=,:<>!#]')
 
 
 def validate_token(name: str, what: str = "name") -> str:
     if not name:
         raise TokenError(f"{what} must be a nonempty token")
-    if _TOKEN_FORBIDDEN.search(name):
+    if RESERVED_CHAR.search(name):
         raise TokenError(f"{what} {name!r} contains whitespace or reserved punctuation")
     return name
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .delta import DeltaSet, parse_delta, parse_state, render_delta, render_state
-from .errors import RelsyncError, ScenarioParseError
-from .expr import PathExpr, parse_expression, render_expression
+from .errors import ExpressionSyntaxError, RelsyncError, ScenarioParseError
+from .expr import PathExpr, _Parser, parse_expression, render_expression, render_literal
 from .model import (
     AssociationDef,
     CreateLink,
@@ -76,144 +76,98 @@ class Scenario:
 
 
 def _strip_comment(line: str) -> str:
-    """Cut a `#` comment, ignoring `#` inside double-quoted strings."""
-    in_string = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == "\\" and in_string:
-            i += 2
-            continue
-        if ch == '"':
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            return line[:i]
-        i += 1
+    """Cut a `#` comment.  String literals are skipped whole, so a `#` in
+    one stays; a malformed literal leaves the line uncut, for the parser of
+    its line or block to report."""
+    reader = _Parser(line)
+    while (cut := line.find("#", reader.pos)) >= 0:
+        quote = line.find('"', reader.pos, cut)
+        if quote < 0:
+            return line[:cut]
+        reader.pos = quote
+        try:
+            reader.string_literal()
+        except ExpressionSyntaxError:
+            return line
     return line
 
 
-def _parse_mutation(line: str, schema: Schema, lineno: int) -> Mutation:
-    """One mutation line; any error comes back as a ScenarioParseError
-    that names the line."""
-
-    def fail(msg: str):
-        return ScenarioParseError(msg, line=lineno)
-
-    try:
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if keyword == "create":
-            brace = rest.find("{")
-            head = rest[:brace].split() if brace >= 0 else rest.split()
-            if len(head) != 2:
-                raise fail(f"create wants `create <ref> <Class> {{k=v,…}}`, got {line!r}")
-            ref, cls = head
-            if cls not in schema.classes:
-                raise fail(f"unknown class {cls!r}")
-            state = parse_state(rest[brace:]) if brace >= 0 else {}
-            return CreateObject.make(ref, cls, state)
-        if keyword == "update":
-            brace = rest.find("{")
-            if brace < 0:
-                raise fail(f"update wants `update <ref> {{k=v,…}}`, got {line!r}")
-            head = rest[:brace].split()
-            if len(head) != 1:
-                raise fail(f"update wants exactly one ref, got {line!r}")
-            return UpdateState.make(head[0], parse_state(rest[brace:]))
-        if keyword == "delete":
-            parts = rest.split()
-            if len(parts) != 1:
-                raise fail(f"delete wants exactly one ref, got {line!r}")
-            return DeleteObject(parts[0])
-        if keyword in ("link", "unlink"):
-            parts = rest.split()
-            if len(parts) != 3:
-                raise fail(f"{keyword} wants `<ref> <Assoc> <ref>`, got {line!r}")
-            src, assoc, dst = parts
-            if assoc not in schema.assocs:
-                raise fail(f"unknown association {assoc!r}")
-            link = Link(src, dst, assoc)
-            return CreateLink(link) if keyword == "link" else DeleteLink(link)
-        raise fail(f"unknown mutation {keyword!r}")
-    except RelsyncError as exc:
-        if isinstance(exc, ScenarioParseError) and exc.line is not None:
-            raise
-        raise ScenarioParseError(str(exc), line=lineno) from exc
+def _parse_mutation(line: str, schema: Schema) -> Mutation:
+    keyword, _, rest = line.partition(" ")
+    rest = rest.strip()
+    if keyword == "create":
+        brace = rest.find("{")
+        head = rest[:brace].split() if brace >= 0 else rest.split()
+        if len(head) != 2:
+            raise ScenarioParseError(
+                f"create wants `create <ref> <Class> {{k=v,…}}`, got {line!r}"
+            )
+        ref, cls = head
+        if cls not in schema.classes:
+            raise ScenarioParseError(f"unknown class {cls!r}")
+        state = parse_state(rest[brace:]) if brace >= 0 else {}
+        return CreateObject.make(ref, cls, state)
+    if keyword == "update":
+        brace = rest.find("{")
+        if brace < 0:
+            raise ScenarioParseError(f"update wants `update <ref> {{k=v,…}}`, got {line!r}")
+        head = rest[:brace].split()
+        if len(head) != 1:
+            raise ScenarioParseError(f"update wants exactly one ref, got {line!r}")
+        return UpdateState.make(head[0], parse_state(rest[brace:]))
+    if keyword == "delete":
+        parts = rest.split()
+        if len(parts) != 1:
+            raise ScenarioParseError(f"delete wants exactly one ref, got {line!r}")
+        return DeleteObject(parts[0])
+    if keyword in ("link", "unlink"):
+        parts = rest.split()
+        if len(parts) != 3:
+            raise ScenarioParseError(f"{keyword} wants `<ref> <Assoc> <ref>`, got {line!r}")
+        src, assoc, dst = parts
+        if assoc not in schema.assocs:
+            raise ScenarioParseError(f"unknown association {assoc!r}")
+        link = Link(src, dst, assoc)
+        return CreateLink(link) if keyword == "link" else DeleteLink(link)
+    raise ScenarioParseError(f"unknown mutation {keyword!r}")
 
 
-def _parse_assoc(rest: str, lineno: int) -> AssociationDef:
+def _parse_assoc(rest: str) -> AssociationDef:
     # assoc <Name> <ClassA>:<roleA> -- <ClassB>:<roleB>
     parts = rest.split()
     if len(parts) != 4 or parts[2] != "--" or ":" not in parts[1] or ":" not in parts[3]:
         raise ScenarioParseError(
-            f"assoc wants `assoc <Name> <ClassA>:<roleA> -- <ClassB>:<roleB>`, got {rest!r}",
-            line=lineno,
+            f"assoc wants `assoc <Name> <ClassA>:<roleA> -- <ClassB>:<roleB>`, got {rest!r}"
         )
-    name = parts[0]
     class_a, _, role_a = parts[1].partition(":")
     class_b, _, role_b = parts[3].partition(":")
-    try:
-        return AssociationDef(name, class_a, role_a, class_b, role_b)
-    except RelsyncError as exc:
-        raise ScenarioParseError(str(exc), line=lineno) from exc
+    return AssociationDef(parts[0], class_a, role_a, class_b, role_b)
 
 
-def _parse_client(rest: str, lineno: int) -> ClientDecl:
-    # client <name> root=<ref> expr="…" [expr="…"]
-    def fail(msg: str):
-        return ScenarioParseError(msg, line=lineno)
-
+def _parse_client(rest: str) -> ClientDecl:
+    # client <name> root=<ref> expr="…" [expr="…"]; a value is quoted or bare
     name, _, tail = rest.partition(" ")
     if not name:
-        raise fail("client wants a name")
+        raise ScenarioParseError("client wants a name")
     root: str | None = None
     exprs: list[PathExpr] = []
-    i = 0
-    while i < len(tail):
-        if tail[i].isspace():
-            i += 1
-            continue
-        eq = tail.find("=", i)
-        if eq < 0:
-            raise fail(f"expected key=value in client line, got {tail[i:]!r}")
-        key = tail[i:eq]
-        i = eq + 1
-        if i < len(tail) and tail[i] == '"':
-            i += 1
-            chars: list[str] = []
-            while True:
-                if i >= len(tail):
-                    raise fail("unterminated quoted value in client line")
-                ch = tail[i]
-                if ch == "\\" and i + 1 < len(tail) and tail[i + 1] in ('"', "\\"):
-                    chars.append(tail[i + 1])
-                    i += 2
-                    continue
-                if ch == '"':
-                    i += 1
-                    break
-                chars.append(ch)
-                i += 1
-            value = "".join(chars)
-        else:
-            end = i
-            while end < len(tail) and not tail[end].isspace():
-                end += 1
-            value = tail[i:end]
-            i = end
+    reader = _Parser(tail)
+    reader.skip_ws()
+    while reader.peek():
+        key = reader.ident("client attribute")
+        reader.expect("=")
+        value = reader.string_literal() if reader.peek() == '"' else reader.bare()
         if key == "root":
             root = value
         elif key == "expr":
-            try:
-                exprs.append(parse_expression(value))
-            except RelsyncError as exc:
-                raise fail(f"bad expression {value!r}: {exc}") from exc
+            exprs.append(parse_expression(value))
         else:
-            raise fail(f"unknown client attribute {key!r}")
+            raise ScenarioParseError(f"unknown client attribute {key!r}")
+        reader.skip_ws()
     if root is None:
-        raise fail("client line needs root=<ref>")
+        raise ScenarioParseError("client line needs root=<ref>")
     if not exprs:
-        raise fail("client line needs at least one expr=\"…\"")
+        raise ScenarioParseError("client line needs at least one expr=\"…\"")
     return ClientDecl(name=name, root=root, exprs=exprs)
 
 
@@ -226,9 +180,9 @@ def parse_scenario(text: str) -> Scenario:
     delta_block: tuple[str, int, list[str]] | None = None  # (client, open line, raw lines)
     tx_open_line = 0
 
-    def require_client(name: str, lineno: int) -> str:
+    def require_client(name: str) -> str:
         if name not in clients:
-            raise ScenarioParseError(f"unknown client {name!r}", line=lineno)
+            raise ScenarioParseError(f"unknown client {name!r}")
         return name
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -237,75 +191,60 @@ def parse_scenario(text: str) -> Scenario:
             continue
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
-
-        if tx_block is not None:
-            if line == "end":
-                steps.append(TxStep(tx_block))
-                tx_block = None
-            else:
-                tx_block.append(_parse_mutation(line, schema, lineno))
-            continue
-        if delta_block is not None:
-            if line == "end":
-                client, _, lines = delta_block
-                try:
-                    expected = parse_delta("\n".join(lines))
-                except RelsyncError as exc:
-                    raise ScenarioParseError(
-                        f"bad expected delta: {exc}", line=lineno
-                    ) from exc
-                steps.append(AssertDeltaStep(client, expected))
-                delta_block = None
-            else:
-                delta_block[2].append(line)
-            continue
-
-        if keyword in ("class", "assoc", "client"):
-            if in_steps:
-                raise ScenarioParseError(
-                    "declarations must precede steps", line=lineno
-                )
-            try:
+        try:
+            if tx_block is not None:
+                if line == "end":
+                    steps.append(TxStep(tx_block))
+                    tx_block = None
+                else:
+                    tx_block.append(_parse_mutation(line, schema))
+            elif delta_block is not None:
+                if line == "end":
+                    client, _, lines = delta_block
+                    try:
+                        expected = parse_delta("\n".join(lines))
+                    except ScenarioParseError as exc:
+                        raise ScenarioParseError(f"bad expected delta: {exc}") from exc
+                    steps.append(AssertDeltaStep(client, expected))
+                    delta_block = None
+                else:
+                    delta_block[2].append(line)
+            elif keyword in ("class", "assoc", "client"):
+                if in_steps:
+                    raise ScenarioParseError("declarations must precede steps")
                 if keyword == "class":
                     if len(rest.split()) != 1:
-                        raise ScenarioParseError(
-                            f"class wants one name, got {rest!r}", line=lineno
-                        )
+                        raise ScenarioParseError(f"class wants one name, got {rest!r}")
                     schema.add_class(rest)
                 elif keyword == "assoc":
-                    schema.add_assoc(_parse_assoc(rest, lineno))
+                    schema.add_assoc(_parse_assoc(rest))
                 else:
-                    decl = _parse_client(rest, lineno)
+                    decl = _parse_client(rest)
                     if decl.name in clients:
-                        raise ScenarioParseError(
-                            f"duplicate client {decl.name!r}", line=lineno
-                        )
+                        raise ScenarioParseError(f"duplicate client {decl.name!r}")
                     clients[decl.name] = decl
-            except ScenarioParseError:
-                raise
-            except RelsyncError as exc:
-                raise ScenarioParseError(str(exc), line=lineno) from exc
-            continue
-
-        in_steps = True
-        if line == "tx":
-            tx_block = []
-            tx_open_line = lineno
-        elif keyword == "sync":
-            steps.append(SyncStep(require_client(rest, lineno)))
-        elif keyword == "sync-oracle":
-            steps.append(SyncStep(require_client(rest, lineno), use_oracle=True))
-        elif keyword == "assert-converged":
-            steps.append(AssertConvergedStep(require_client(rest, lineno)))
-        elif keyword == "assert-delta":
-            delta_block = (require_client(rest, lineno), lineno, [])
-        elif keyword == "push":
-            client, _, mutation_part = rest.partition(" ")
-            require_client(client, lineno)
-            mutation = _parse_mutation(mutation_part.strip(), schema, lineno)
-            steps.append(PushStep(client, mutation))
-        else:
-            raise ScenarioParseError(f"unknown keyword {keyword!r}", line=lineno)
+            else:
+                in_steps = True
+                if line == "tx":
+                    tx_block = []
+                    tx_open_line = lineno
+                elif keyword == "sync":
+                    steps.append(SyncStep(require_client(rest)))
+                elif keyword == "sync-oracle":
+                    steps.append(SyncStep(require_client(rest), use_oracle=True))
+                elif keyword == "assert-converged":
+                    steps.append(AssertConvergedStep(require_client(rest)))
+                elif keyword == "assert-delta":
+                    delta_block = (require_client(rest), lineno, [])
+                elif keyword == "push":
+                    client, _, mutation_part = rest.partition(" ")
+                    require_client(client)
+                    mutation = _parse_mutation(mutation_part.strip(), schema)
+                    steps.append(PushStep(client, mutation))
+                else:
+                    raise ScenarioParseError(f"unknown keyword {keyword!r}")
+        except RelsyncError as exc:
+            raise ScenarioParseError(str(exc), line=lineno) from exc
 
     if tx_block is not None:
         raise ScenarioParseError("tx block never closed", line=tx_open_line)
@@ -339,10 +278,6 @@ def render_mutation(m: Mutation) -> str:
     return f"unlink {m.link}"
 
 
-def _quote(value: str) -> str:
-    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def render_scenario(s: Scenario) -> str:
     out: list[str] = []
     for cls in sorted(s.schema.classes):
@@ -353,7 +288,7 @@ def render_scenario(s: Scenario) -> str:
             f"-- {assoc.class_b}:{assoc.role_b}"
         )
     for decl in s.clients.values():
-        exprs = " ".join(f"expr={_quote(render_expression(e))}" for e in decl.exprs)
+        exprs = " ".join(f"expr={render_literal(render_expression(e))}" for e in decl.exprs)
         out.append(f"client {decl.name} root={decl.root} {exprs}")
     out.append("")
     for step in s.steps:

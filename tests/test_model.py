@@ -33,7 +33,10 @@ class TestTokens:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "a b", "a.b", "a{b", "a}b", "a[b", "a]b", 'a"b', "a=b", "a,b", "a:b", "a\tb"],
+        [
+            "", "a b", "a.b", "a{b", "a}b", "a[b", "a]b", 'a"b', "a=b", "a,b", "a:b", "a\tb",
+            "a#b", "a<b", "a>b", "a!b",
+        ],
     )
     def test_reserved_punctuation_rejected(self, bad):
         with pytest.raises(TokenError):

@@ -2,15 +2,28 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 
 from relsync.errors import ScenarioParseError
-from relsync.expr import parse_expression
-from relsync.model import CreateLink, CreateObject, DeleteObject, Link, UpdateState
+from relsync.expr import (
+    ClassAll,
+    ClassFilter,
+    InstanceSet,
+    PathExpr,
+    parse_expression,
+    render_expression,
+)
+from relsync.fuzz import FuzzBounds, _Generator
+from relsync.model import CreateLink, CreateObject, DeleteObject, Link, Schema, UpdateState
 from relsync.scenario import (
     AssertConvergedStep,
     AssertDeltaStep,
+    ClientDecl,
     PushStep,
+    Scenario,
     SyncStep,
     TxStep,
     load_scenario,
@@ -18,6 +31,8 @@ from relsync.scenario import (
     render_mutation,
     render_scenario,
 )
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL = """\
 class Identity
@@ -181,6 +196,50 @@ class TestParseErrors:
         text = MINIMAL + "assert-delta A\n  nonsense\nend\n"
         assert "bad expected delta" in str(self.err(text))
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("class Identity\nclass Contact Event\n", 2),
+            ("class Identity\nassoc Own Identity:owner Identity:peer\n", 2),
+            ('class Identity\nclient A root=I1 colour=red expr="{user}"\n', 2),
+            ('class Identity\nclient A root=I1 expr="{user}\n', 2),
+            ("class Identity\ntx\n  create I1 Identity {}\n  frobnicate I1\nend\n", 4),
+            (MINIMAL + "push A create I9 Spaceship {}\n", 13),
+            ("class Identity\n\nsync A\n", 3),
+        ],
+        ids=[
+            "class",
+            "assoc",
+            "client-attribute",
+            "client-quote",
+            "tx-mutation",
+            "push",
+            "sync-unknown-client",
+        ],
+    )
+    def test_each_line_kind_names_its_line(self, text, line):
+        assert self.err(text).line == line
+
+
+def assert_round_trips(s: Scenario) -> None:
+    """What the renderer writes, the parser reads back to the same scenario."""
+    rendered = render_scenario(s)
+    parsed = parse_scenario(rendered)
+    assert render_scenario(parsed) == rendered
+    assert [d.exprs for d in parsed.clients.values()] == [
+        d.exprs for d in s.clients.values()
+    ]
+
+
+# Every root form; the string literals carry each character the scenario
+# and expression formats treat specially.
+STRINGS = ['say "hi"', "back\\slash", "#tag", "two words", "x]y", '\\"#] ', ""]
+ROOTS = [InstanceSet(("user",)), InstanceSet(("I1", "I2")), ClassAll("Identity")] + [
+    ClassFilter("Identity", "k", comparator, literal)
+    for comparator in ("=", "!=", "<", ">")
+    for literal in (-3, 7, True, False, *STRINGS)
+]
+
 
 class TestRender:
     def test_mutation_forms(self):
@@ -199,10 +258,21 @@ class TestRender:
         assert render_scenario(parse_scenario(rendered)) == rendered
 
     def test_roundtrip_of_shipped_scenarios(self):
-        for name in ("social_event", "delete_contact", "deletion_broadcast"):
-            s = load_scenario(f"scenarios/{name}.scn")
-            rendered = render_scenario(s)
-            assert render_scenario(parse_scenario(rendered)) == rendered
+        paths = sorted(SCENARIO_DIR.glob("*.scn"))
+        assert paths
+        for path in paths:
+            assert_round_trips(load_scenario(path))
+
+    def test_roundtrip_of_generated_scenarios(self):
+        rng = random.Random(20260)
+        for _ in range(300):
+            assert_round_trips(_Generator(rng, FuzzBounds()).build())
+
+    @pytest.mark.parametrize("root", ROOTS, ids=lambda root: render_expression(PathExpr(root, ())))
+    def test_roundtrip_of_every_root_form(self, root):
+        exprs = [PathExpr(root, ()), PathExpr(root, ("Contact", "owner"))]
+        decl = ClientDecl(name="A", root="I1", exprs=exprs)
+        assert_round_trips(Scenario(Schema({"Identity"}), {"A": decl}))
 
     def test_render_quotes_expressions(self):
         s = parse_scenario(MINIMAL)
