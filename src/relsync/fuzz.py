@@ -333,12 +333,14 @@ class _Generator:
 
 def stale_walks(data: SystemData) -> list[str]:
     """The memoised walks of the data that a walk over a copy of it, which
-    has no memo, does not give, each as its expression and user."""
+    has no memo, does not give, each as its expression and user: their
+    paths, their element set or an entry of their link lookup differs
+    (see `PathSet.agrees_with`)."""
     copy = data.copy()
     return [
         f"{render_expression(expr)} user={user}"
         for (expr, schema, user), walk in data.walks.items()
-        if walk[0] != evaluate(expr, TypedGraph(copy, schema), user=user)
+        if not walk[0].agrees_with(evaluate(expr, TypedGraph(copy, schema), user=user))
     ]
 
 

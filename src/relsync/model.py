@@ -126,6 +126,10 @@ class Schema:
 
 # One memoised walk (see `paths.evaluate`): (paths, reads, root class,
 # admits), the paths and what the walk read:
+# - paths: a `paths.PathSet`, the frozenset of path tuples carrying the
+#   walk's element set, built on the first read by a sync or sweep, and
+#   its link lookup, whose entry for a link is made the first time a
+#   sync asks and then kept;
 # - reads: the vertices whose links the walk read (the tips of unfinished
 #   paths), and an instance root's refs, each resolved;
 # - root class and admits: for class and filter roots, the root's class
@@ -134,8 +138,9 @@ class Schema:
 # One rule keeps it (`SystemData._forget`): a walk is stale once a
 # mutation reaches what it read, that is, touches a vertex among its reads
 # or changes whether its root admits an object of the root class.
-# No part is ever edited.  A plain tuple, as every walk of every sync
-# makes one.
+# No part is edited: the element set and the lookup's entries are only
+# ever added, each derived from the paths alone.  A plain tuple, as every
+# walk of every sync makes one.
 Walk = tuple[frozenset, Set[str], str | None, Callable[[State], bool] | None]
 
 
@@ -156,8 +161,8 @@ class SystemData:
       every frozenset.
     - `walks` memoises expression walks, keyed by expression, schema and
       the `{user}` binding (None unless the root names `{user}`; see
-      `paths.evaluate`).  Each entry is a `Walk`: the paths and what the
-      walk read.  `apply` drops an entry once a mutation reaches what it
+      `paths.evaluate`).  Each entry is a `Walk`: the paths, with their
+      element set and link lookup, and what the walk read.  `apply` drops an entry once a mutation reaches what it
       read (the one rule of `Walk`), `derive` carries the rest into the
       next version, sharing them, and a commit clears the memo of the
       version it replaces, so a superseded version holds none.  A class

@@ -30,11 +30,22 @@ the root admits an object of its class.  A class or filter root's walk
 finds its start vertices with one scan of the data's objects when it
 misses; an object that appears or disappears changes that scan only if
 the root admits it, and then the same rule has dropped the walk.
+
+A walk's paths come as a `PathSet`: the frozenset of path tuples, and
+beside it what a sync reads off them.  Its element set, every vertex and
+link on some path, is built once, when a sync or sweep first reads it,
+so a sync that finds the walk memoised has its slice without touching a
+path, and a walk only the snapshot oracle reads never builds one.  Its
+link lookup maps a link to the paths through it.  A link's entry is made
+the first time a sync asks for it, by one scan of the paths for every
+link asked and not yet held, and then kept: a later sync that asks
+again, such as another client of a shared walk, finds the paths a new
+link lies on without a scan.  Both live as long as the memoised walk.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Collection, Iterable
 from functools import partial
 
 from .errors import PathBudgetError, UnboundVariableError, UnknownClassError
@@ -69,6 +80,85 @@ class TypedGraph:
 # A simple path v0 -e0- v1 -e1- … -e(n-1)- vn, n >= 0, as the tuple of its
 # walk (v0, e0, v1, …, vn): vertices at even indices, links at odd ones.
 Path = tuple[str | Link, ...]
+
+
+class PathSet(frozenset):
+    """A frozenset of paths, equal to the plain frozenset of the same
+    paths, with what a sync reads off them:
+    - `elements`: every vertex id and link on some path, one frozenset,
+      built on first read and then kept;
+    - a link lookup: each link -> the (path, index of the link in it) of
+      every path through it, read through `through`.  A link's entry is
+      made the first time a sync asks for it and then kept.
+
+    `evaluate` makes one per walk.  `relevant_paths` over several
+    expressions makes one for their union, which keeps the walks as its
+    `parts`, so a sync reads each walk's element set and lookup from the
+    memo; the union's elements are theirs, united.  A walk lists no parts
+    (its `parts` is made on each read), so no set refers back to itself."""
+
+    __slots__ = ("_elements", "_parts", "_through")
+
+    def __new__(cls, paths: Iterable[Path], parts: tuple[PathSet, ...] = ()) -> PathSet:
+        self = frozenset.__new__(cls, paths)
+        self._elements: frozenset[str | Link] | None = None
+        self._parts = parts
+        self._through: dict[Link, list[tuple[Path, int]]] | None = None
+        return self
+
+    @property
+    def elements(self) -> frozenset[str | Link]:
+        elements = self._elements
+        if elements is None:
+            parts = self._parts
+            elements = self._elements = frozenset().union(
+                *([part.elements for part in parts] if parts else self)
+            )
+        return elements
+
+    @property
+    def parts(self) -> tuple[PathSet, ...]:
+        """The walks this set is the union of; a walk is its own only part."""
+        return self._parts or (self,)
+
+    def through(self, links: Collection[Link]) -> list[tuple[Path, int]]:
+        """(path, index of the link in the path) for every path through
+        each of `links`.  Links the lookup has no entry for yet get theirs
+        from one scan of the paths, which skips a path holding none."""
+        known = self._through
+        if known is None:
+            known = self._through = {}
+        elements = self.elements
+        found: dict[Link, list[tuple[Path, int]]] = {}
+        for link in links:
+            if link not in known and link in elements:
+                found[link] = []
+        if found:
+            wanted = found.keys()
+            for path in self:
+                if wanted.isdisjoint(path):
+                    continue
+                for i in range(1, len(path), 2):
+                    held = found.get(path[i])
+                    if held is not None:
+                        held.append((path, i))
+            known.update(found)
+        pairs: list[tuple[Path, int]] = []
+        for link in links:
+            held = known.get(link)
+            if held:
+                pairs += held
+        return pairs
+
+    def agrees_with(self, fresh: PathSet) -> bool:
+        """Whether this set is `fresh`, and so are the element set and the
+        link lookup's entries, as far as they have been built."""
+        if self != fresh:
+            return False
+        if self._elements is not None and self._elements != fresh.elements:
+            return False
+        known = self._through
+        return not known or sorted(self.through(known)) == sorted(fresh.through(known))
 
 
 def _admit_all(state: State) -> bool:
@@ -107,11 +197,11 @@ def _start(
     return start, set(), cls, admits
 
 
-def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> frozenset[Path]:
+def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathSet:
     """All paths the expression defines over the graph; `user` is the
     object id the `{user}` root stands for.  Whether a link's far end
     carries a role is one probe of the schema's `ends` table.  A call that
-    finds its walk memoised returns the memoised frozenset; otherwise the
+    finds its walk memoised returns the memoised `PathSet`; otherwise the
     walk is memoised with what it read.  A walk of more than `MAX_PATHS`
     paths raises and memoises nothing."""
     root = expr.root
@@ -164,19 +254,19 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> froze
             raise PathBudgetError(
                 f"path budget of {budget} exceeded while evaluating expression"
             )
-    paths = frozenset(results)
+    paths = PathSet(results)
     walks[walk_key] = (paths, reads, root_class, admits)
     return paths
 
 
 def relevant_paths(
     schema: Schema, data: SystemData, exprs: list[PathExpr], *, user: str | None = None
-) -> frozenset[Path]:
+) -> PathSet:
     g = TypedGraph(data, schema)
     found = [evaluate(expr, g, user=user) for expr in exprs]
     if len(found) == 1:
         return found[0]  # shared with every caller of a memoised walk
-    return frozenset().union(*found)
+    return PathSet(frozenset().union(*found), tuple(found))
 
 
 def select_relevant(
@@ -197,6 +287,7 @@ def select_relevant(
 __all__ = [
     "MAX_PATHS",
     "Path",
+    "PathSet",
     "TypedGraph",
     "evaluate",
     "relevant_paths",

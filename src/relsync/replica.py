@@ -6,11 +6,13 @@ Delta application is deliberately tolerant — the timestamp algorithm may
 over-deliver, re-deliver, or announce deletions of things this client never
 had — and is ordered so no step observes a dangling reference: object
 creates, link creates, updates, link deletes, object deletes, then the GC
-sweep drops whatever is no longer on any locally-relevant path.  A path is
-the tuple of its walk, objects and links interleaved, so the sweep keeps
-every element of every path in one set.  The walk reads a state only to
-test a filter root, so the sweep skips it when the replica has changed
-nothing since the last sweep but states of classes no filter root names.
+sweep drops whatever is no longer on any locally-relevant path.  It keeps
+the root and the walks' element set (`paths.PathSet.elements`), every
+object and link on some path in one set, which a memoised walk carries,
+so a sweep that reads the memo builds nothing from the path tuples.  The
+walk reads a state only to test a filter root, so the sweep skips it
+when the replica has changed nothing since the last sweep but states of
+classes no filter root names.
 A sweep that does walk reads each expression's walk from the data's memo
 (`SystemData.walks`) unless a change since reached what that walk read:
 touched a vertex it read, or changed whether its root admits an object.
@@ -39,7 +41,6 @@ from .model import (
     CreateObject,
     DeleteLink,
     DeleteObject,
-    Link,
     Mutation,
     Schema,
     SystemData,
@@ -122,15 +123,13 @@ class Replica:
         data = self.data
         if self._swept is data:
             return set()
-        paths = relevant_paths(self.schema, data, self.exprs, user=self.root)
-        # Object ids and links never compare equal, so one set keeps both.
-        keep: set[str | Link] = {self.root}
-        for p in paths:
-            keep.update(p)
-        removed = data.objects.keys() - keep
+        # Object ids and links never compare equal, so one set holds both.
+        on_path = relevant_paths(self.schema, data, self.exprs, user=self.root).elements
+        removed = data.objects.keys() - on_path
+        removed.discard(self.root)
         # Every link of a removed object is off-path too, so the objects'
         # cascades find nothing left to remove.
-        for link in data.links - keep:
+        for link in data.links - on_path:
             data.apply(DeleteLink(link))
         for oid in removed:
             data.apply(DeleteObject(oid))

@@ -27,6 +27,7 @@ from .model import (
     Mutation,
     Schema,
     UpdateState,
+    validate_token,
 )
 
 
@@ -149,6 +150,7 @@ def _parse_client(rest: str) -> ClientDecl:
     name, _, tail = rest.partition(" ")
     if not name:
         raise ScenarioParseError("client wants a name")
+    validate_token(name, "client name")
     root: str | None = None
     exprs: list[PathExpr] = []
     reader = _Parser(tail)
@@ -166,6 +168,7 @@ def _parse_client(rest: str) -> ClientDecl:
         reader.skip_ws()
     if root is None:
         raise ScenarioParseError("client line needs root=<ref>")
+    validate_token(root, "client root")
     if not exprs:
         raise ScenarioParseError("client line needs at least one expr=\"…\"")
     return ClientDecl(name=name, root=root, exprs=exprs)

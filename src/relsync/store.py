@@ -55,6 +55,12 @@ from .model import (
     validate_token,
 )
 
+
+def _check_keys(state: tuple[tuple[str, object], ...]) -> None:
+    for key, _ in state:
+        validate_token(key, "attribute name")
+
+
 # The commit order: kind -> (rank, logged action).  `Store.apply` stages
 # a batch sorted by rank, stably, so list order holds within a kind.
 _COMMIT_ORDER: dict[type, tuple[int, ActionType]] = {
@@ -81,11 +87,15 @@ class Transaction:
     def stage_mutation(self, mutation: Mutation) -> None:
         """Check a mutation against the next version, then apply it there
         and log it.  Mutations arrive in commit order, so every id or link
-        one names must already be in the next version."""
+        one names must already be in the next version.  A state's keys
+        must be tokens, as a key no text form can carry back would leave
+        the data unrenderable."""
         if isinstance(mutation, CreateObject):
             self._check_create(mutation)
+            _check_keys(mutation.state)
         elif isinstance(mutation, UpdateState):
             self._require_object(mutation.object_id)
+            _check_keys(mutation.state)
         elif isinstance(mutation, DeleteObject):
             self._check_delete(mutation.object_id)
         elif isinstance(mutation, CreateLink):

@@ -8,6 +8,11 @@ unless created, to the update set.  Because a new link can splice an old
 subgraph into relevance, on a path that holds a new link everything from
 the first such link on goes to the create sets regardless of age.
 
+The slice is the element set memoised beside each walk (`paths.PathSet`),
+so a sync whose walks are memoised builds nothing from the path tuples.
+The paths holding a new link come from each walk's link lookup, which
+gives the link's position in each of them; a path keeps its smallest.
+
 Per action the log walks its k changes while k is at most the slice's size;
 past that (a new or long-offline client) each slice element is probed.
 Deletions are broadcast to every client regardless of relevance; the
@@ -24,7 +29,7 @@ from .changelog import ActionType, ChangeLog
 from .delta import DeltaSet
 from .expr import PathExpr
 from .model import Link, Schema, SystemData
-from .paths import relevant_paths
+from .paths import Path, relevant_paths
 
 
 @dataclass
@@ -42,14 +47,13 @@ def timestamp_sync(
 ) -> DeltaSet:
     ts_ls = cursor.ts_ls
     paths = relevant_paths(schema, data, exprs, user=cursor.user)
-
-    on_path: set[str | Link] = set().union(*paths)
+    on_path = paths.elements
 
     def changed(action: ActionType) -> set[str | Link]:
         newer = log.since(action, ts_ls, limit=len(on_path))
         if newer is None:  # more changes than slice elements: probe those
             newer = [e for e in on_path if (log.ts(e, action) or 0) > ts_ls]
-        return on_path.intersection(newer)
+        return set(newer).intersection(on_path)
 
     created = changed(ActionType.CREATE)
     crt_links: set[Link] = {e for e in created if isinstance(e, Link)}
@@ -58,15 +62,14 @@ def timestamp_sync(
     if crt_links:
         # A new edge may have attached an old subgraph the client never saw:
         # from a path's first new edge on, everything goes out as creates.
-        new_links = frozenset(crt_links)
-        for p in paths:
-            if new_links.isdisjoint(p):
-                continue
-            for first in range(1, len(p), 2):
-                if p[first] in new_links:
-                    break
-            crt_links.update(p[first::2])
-            crt_ids.update(p[first + 1::2])
+        first: dict[Path, int] = {}
+        for walk in paths.parts:
+            for p, i in walk.through(crt_links):
+                if i < first.get(p, len(p)):
+                    first[p] = i
+        for p, i in first.items():
+            crt_links.update(p[i::2])
+            crt_ids.update(p[i + 1::2])
 
     upd_ids = changed(ActionType.UPDATE) - crt_ids
     del_objects, del_links = log.deletions_since(ts_ls)

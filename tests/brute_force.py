@@ -9,7 +9,9 @@ in the engine's incremental derivation cannot hide here.
 
 `brute_force_timestamp_delta` applies the timestamp sync's rule to the
 enumerator's paths, step by step as the rule is stated, so the engine's
-folded single walk has a reference to answer to.
+folded single walk has a reference to answer to.  `scanned_creates`
+applies the rule's create part to given paths by scanning every one of
+them, as the sync did before it looked the paths up by link.
 
 The spec's reference predicates (`is_path`, `is_sub_path`, `is_subdata`)
 live here too: only the tests ask them.  So does `validate_all`, the
@@ -203,6 +205,27 @@ def brute_force_timestamp_delta(
         upd_ids - crt_ids,
         crt_links,
     )
+
+
+def scanned_creates(paths, log: ChangeLog, ts_ls: int) -> tuple[set[str], set[Link]]:
+    """(created ids, created links) by the timestamp sync's create rule as
+    first written, over the engine's paths (interleaved walks): what lies
+    on some path and was created after the cursor, then, scanning every
+    path for a new link, everything from a path's first new link on."""
+    on_path = set().union(*paths)
+    created = {e for e in on_path if (log.ts(e, ActionType.CREATE) or 0) > ts_ls}
+    crt_links = {e for e in created if isinstance(e, Link)}
+    crt_ids = created - crt_links
+    new_links = frozenset(crt_links)
+    for p in paths:
+        if new_links.isdisjoint(p):
+            continue
+        for first in range(1, len(p), 2):
+            if p[first] in new_links:
+                break
+        crt_links.update(p[first::2])
+        crt_ids.update(p[first + 1::2])
+    return crt_ids, crt_links
 
 
 def as_pairs(paths) -> set[PathPair]:

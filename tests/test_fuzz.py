@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import relsync.fuzz as fuzz_module
+import relsync.paths as paths_module
 from relsync.fuzz import FuzzBounds, fuzz, social_schema
 from relsync.model import CreateObject, SystemData
 from relsync.runner import DivergenceReport, run_scenario
@@ -117,6 +118,26 @@ def test_generated_scenarios_share_one_schema():
     first, second = (fuzz_module._Generator(rng, FuzzBounds()).build() for _ in range(2))
     assert first.schema is second.schema
     assert first.schema.classes == social_schema().classes
+
+
+def test_a_stale_memoised_element_set_fails_the_run(monkeypatch):
+    # memoise every walk with an element set that also holds a vertex on
+    # none of its paths, as if kept from before a delete; the paths stay
+    # exact, the syncs and sweeps deliver and keep the same, and the
+    # check's fresh walks are untouched
+    evaluate = paths_module.evaluate
+
+    def with_a_ghost(expr, g, *, user=None):
+        paths = evaluate(expr, g, user=user)
+        paths._elements = paths.elements | {"ghost"}
+        return paths
+
+    monkeypatch.setattr(paths_module, "evaluate", with_a_ghost)
+    summary = fuzz(seed=42, iterations=5)
+    assert summary.failures
+    reason = summary.failures[0].reason
+    assert "stale memoised walks: step " in reason
+    assert " store: {user}." in reason
 
 
 def test_a_stale_memoised_walk_fails_the_run(monkeypatch):

@@ -206,6 +206,8 @@ class TestParseErrors:
             ("class Identity\ntx\n  create I1 Identity {}\n  frobnicate I1\nend\n", 4),
             (MINIMAL + "push A create I9 Spaceship {}\n", 13),
             ("class Identity\n\nsync A\n", 3),
+            ('class Identity\nclient a=b root=I1 expr="{user}"\n', 2),
+            ('class Identity\nclient A root="I 1" expr="{user}"\n', 2),
         ],
         ids=[
             "class",
@@ -215,6 +217,8 @@ class TestParseErrors:
             "tx-mutation",
             "push",
             "sync-unknown-client",
+            "client-name",
+            "client-root",
         ],
     )
     def test_each_line_kind_names_its_line(self, text, line):

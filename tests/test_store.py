@@ -15,6 +15,7 @@ from relsync.errors import (
     DuplicateIdError,
     DuplicateLinkError,
     SchemaMismatchError,
+    TokenError,
     UnknownIdError,
 )
 from relsync.model import (
@@ -146,6 +147,15 @@ class TestStaging:
         store.apply([I1])
         store.apply([DeleteObject("I1")])
         rejects(store, [UpdateState.make("I1", {"name": "x"})], AlreadyDeletedError)
+
+    @pytest.mark.parametrize("key", ["a#b", "x y", "a=b", ""])
+    def test_a_state_key_must_be_a_token(self, store, key):
+        # no scenario, delta or dump line could carry such a key back
+        rejects(store, [CreateObject.make("I1", "Identity", {key: 1})], TokenError,
+                "attribute name")
+        store.apply([I1])
+        rejects(store, [UpdateState.make("I1", {"name": "x", key: 1})], TokenError,
+                "attribute name")
 
     def test_double_delete_in_one_tx(self, store):
         store.apply([I1])

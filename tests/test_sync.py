@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from brute_force import brute_force_timestamp_delta
+from brute_force import brute_force_timestamp_delta, scanned_creates
 from conftest import build_f1
 from relsync.changelog import ActionType, ChangeLog
 from relsync.expr import parse_expression
@@ -21,6 +21,7 @@ from relsync.model import (
     SystemData,
     UpdateState,
 )
+from relsync.paths import relevant_paths
 from relsync.scenario import PushStep, SyncStep, TxStep
 from relsync.store import Store
 from relsync.sync import SyncCursor, timestamp_sync
@@ -240,6 +241,80 @@ def test_matches_brute_force_over_generated_streams(seed):
                 )
                 got = (delta.crt_objects, delta.upd_objects, delta.crt_links)
                 assert got == want, f"seed {seed + offset} step {index} client {name}"
+
+
+def assert_creates_as_scanned(schema, data, log, exprs, user, ts_ls):
+    """The sync's creates equal the scan-every-path rule's over a fresh
+    walk: on a first call and on a second, which reads the walks memoised
+    by the first and the link lookups it filled.  Data already holding
+    the walks reads them both times."""
+    want = scanned_creates(relevant_paths(schema, data.copy(), exprs, user=user), log, ts_ls)
+    for _ in range(2):
+        delta = timestamp_sync(SyncCursor(user, ts_ls), data, log, exprs, schema)
+        assert (crt_ids(delta), delta.crt_links) == want
+    return want
+
+
+class TestFirstNewLinkAgainstScan:
+    """The first-new-link rule reads each walk's link lookup; these compare
+    it with the rule that scans every path."""
+
+    def test_over_generated_streams(self):
+        # after every commit, each client's creates since its own cursor
+        # and since the start; the store's live data keeps the walks
+        for seed in range(40):
+            scenario = _Generator(random.Random(seed), FuzzBounds()).build()
+            store = Store(scenario.schema)
+            cursors = {name: SyncCursor(d.root) for name, d in scenario.clients.items()}
+            for step in scenario.steps:
+                if isinstance(step, SyncStep):
+                    sync_once(store, cursors[step.client], scenario.clients[step.client].exprs)
+                    continue
+                if isinstance(step, TxStep):
+                    store.apply(step.mutations)
+                elif isinstance(step, PushStep):
+                    store.apply([step.mutation])
+                else:
+                    continue
+                for name, cursor in cursors.items():
+                    exprs = scenario.clients[name].exprs
+                    for ts_ls in (cursor.ts_ls, 0):
+                        assert_creates_as_scanned(
+                            store.schema, store.data, store.log, exprs, cursor.user, ts_ls
+                        )
+
+    def test_a_path_holding_two_new_links(self):
+        # OWN and REF both new on I1 -OWN- C1 -REF- I2: the sweep starts at OWN
+        data = contact_chain()
+        log = logged(
+            *((x, ActionType.CREATE, 1) for x in ("I1", "C1", "I2")),
+            (OWN, ActionType.CREATE, 2),
+            (REF, ActionType.CREATE, 2),
+        )
+        got = assert_creates_as_scanned(social_schema(), data, log, CONTACTS, "I1", 1)
+        assert got == ({"C1", "I2"}, {OWN, REF})
+
+    def test_a_new_link_on_paths_of_both_expressions(self):
+        # REF is the second link of the first expression's path and the
+        # first of the second's
+        exprs = CONTACTS + [parse_expression("{C1}.contactIdentity")]
+        data = contact_chain()
+        log = logged(
+            *((x, ActionType.CREATE, 1) for x in ("I1", "C1", "I2", OWN)),
+            (REF, ActionType.CREATE, 2),
+        )
+        got = assert_creates_as_scanned(social_schema(), data, log, exprs, "I1", 1)
+        assert got == ({"I2"}, {REF})
+
+    def test_a_new_link_at_the_roots_first_edge(self):
+        # only OWN is new; the old C1, REF and I2 behind it go out too
+        data = contact_chain()
+        log = logged(
+            *((x, ActionType.CREATE, 1) for x in ("I1", "C1", "I2", REF)),
+            (OWN, ActionType.CREATE, 2),
+        )
+        got = assert_creates_as_scanned(social_schema(), data, log, CONTACTS, "I1", 1)
+        assert got == ({"C1", "I2"}, {OWN, REF})
 
 
 class TestFirstSync:
