@@ -334,14 +334,25 @@ class _Generator:
 def stale_walks(data: SystemData) -> list[str]:
     """The memoised walks of the data that a walk over a copy of it, which
     has no memo, does not give, each as its expression and user: their
-    paths, their element set or an entry of their link lookup differs
-    (see `PathSet.agrees_with`)."""
+    start set differs, a part differs from the fresh walk's part from the
+    same start, or the composed walk differs from the fresh one, in paths,
+    element set or an entry of a link lookup (see `PathSet.agrees_with`)."""
     copy = data.copy()
-    return [
-        f"{render_expression(expr)} user={user}"
-        for (expr, schema, user), walk in data.walks.items()
-        if not walk[0].agrees_with(evaluate(expr, TypedGraph(copy, schema), user=user))
-    ]
+    stale = []
+    for key, (paths, _, _, parts) in data.walks.items():
+        expr, schema, user = key
+        fresh = evaluate(expr, TypedGraph(copy, schema), user=user)
+        theirs = copy.walks[key][3]
+        if (
+            parts.keys() != theirs.keys()
+            or any(
+                part is not None and not part[0].agrees_with(theirs[start][0])
+                for start, part in parts.items()
+            )
+            or (paths is not None and not paths.agrees_with(fresh))
+        ):
+            stale.append(f"{render_expression(expr)} user={user}")
+    return stale
 
 
 def fuzz(
@@ -353,7 +364,8 @@ def fuzz(
     """Run `iterations` generated scenarios in `both` mode.  A scenario
     fails on a divergence report, an engine error, or a memoised walk on
     the store's live data or on a replica's that a fresh walk, checked
-    after every sync, does not give."""
+    after every sync, does not give.  Stale walks are reported first, even
+    when a later step raised."""
     bounds = bounds or FuzzBounds()
     rng = random.Random(seed)
     summary = FuzzSummary(seed=seed, iterations=iterations)
@@ -371,14 +383,15 @@ def fuzz(
         stale.clear()
         try:
             reports = run_scenario(scenario, mode="both", on_sync=check_walks)
-            if stale:
-                reason = f"{len(stale)} stale memoised walks: " + "; ".join(stale[:3])
-            elif reports:
-                reason = f"{len(reports)} divergence reports: " + "; ".join(
-                    r.render().splitlines()[0] for r in reports[:3]
-                )
         except RelsyncError as exc:
-            reason = f"error: {exc}"
+            reports, reason = [], f"error: {exc}"
+        # a stale walk found before an error is its likelier cause
+        if stale:
+            reason = f"{len(stale)} stale memoised walks: " + "; ".join(stale[:3])
+        elif reports:
+            reason = f"{len(reports)} divergence reports: " + "; ".join(
+                r.render().splitlines()[0] for r in reports[:3]
+            )
         if reason is not None:
             dump_path = None
             if out_dir is not None:

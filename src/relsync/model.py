@@ -124,24 +124,29 @@ class Schema:
         self.ends[(assoc.name, assoc.role_b, False)] = assoc.class_b
 
 
-# One memoised walk (see `paths.evaluate`): (paths, reads, root class,
-# admits), the paths and what the walk read:
-# - paths: a `paths.PathSet`, the frozenset of path tuples carrying the
-#   walk's element set, built on the first read by a sync or sweep, and
-#   its link lookup, whose entry for a link is made the first time a
-#   sync asks and then kept;
-# - reads: the vertices whose links the walk read (the tips of unfinished
-#   paths), and an instance root's refs, each resolved;
-# - root class and admits: for class and filter roots, the root's class
-#   and whether a state of one of its objects passes the root (always,
-#   for a class root); None for instance roots.
-# One rule keeps it (`SystemData._forget`): a walk is stale once a
-# mutation reaches what it read, that is, touches a vertex among its reads
-# or changes whether its root admits an object of the root class.
-# No part is edited: the element set and the lookup's entries are only
-# ever added, each derived from the paths alone.  A plain tuple, as every
-# walk of every sync makes one.
-Walk = tuple[frozenset, Set[str], str | None, Callable[[State], bool] | None]
+# One memoised walk (see `paths.evaluate`): (paths, reads, admits, parts).
+# - parts: the walk's start set, each start mapped to its part, or to None
+#   while the start is pending.  A part is what growing the walk from that
+#   start gave: a `paths.PathSet` of its paths, and the vertices whose
+#   links the growth read (the tips of its unfinished paths).
+# - paths: the walk's `PathSet` over every part's paths, carrying its
+#   element set and link lookup (a walk of one start is that start's
+#   part), or None until `evaluate` grows the pending starts and composes
+#   the parts again.
+# - reads: the tips of every part, united when the parts were composed.
+# - admits(oid, cls, state): the root rule, whether the root admits an
+#   object of class cls in that state as a start: an instance root admits
+#   its refs, each resolved, a class root the objects of its class, and a
+#   filter root those whose state passes the filter.
+# One rule keeps it (`SystemData._forget`): a mutation that touches a
+# vertex among a part's tips leaves that start pending, and one that
+# changes whether the root admits an object adds that object as a pending
+# start or removes its part; a walk left with no part is dropped.  An
+# entry is never edited: `_forget` and `evaluate` replace it, so a
+# version that shares it keeps what it held.  The element sets and lookup
+# entries of its path sets are only ever added, each derived from the
+# paths alone.  A plain tuple, as every walk of every sync makes one.
+Walk = tuple[frozenset | None, Set[str], Callable[[str, str, State], bool], dict]
 
 
 @dataclass
@@ -161,17 +166,19 @@ class SystemData:
       every frozenset.
     - `walks` memoises expression walks, keyed by expression, schema and
       the `{user}` binding (None unless the root names `{user}`; see
-      `paths.evaluate`).  Each entry is a `Walk`: the paths, with their
-      element set and link lookup, and what the walk read.  `apply` drops an entry once a mutation reaches what it
-      read (the one rule of `Walk`), `derive` carries the rest into the
-      next version, sharing them, and a commit clears the memo of the
-      version it replaces, so a superseded version holds none.  A class
-      or filter root's walk scans the objects when it misses.  An object
-      of the root's class that appears or disappears changes that scan
-      only if the root admits it, and then the rule drops the walk.  A
-      create never changes an existing object's class (the store refuses
-      a used id, and the replica a re-create under another class), so
-      the class the rule tests is the one the walk scanned.
+      `paths.evaluate`).  Each entry is a `Walk`: one part per start,
+      with what growing it read, and the walk composed of the parts,
+      with its element set and link lookup.  `apply` hands each mutation
+      to `_forget`, which leaves a start pending once the mutation
+      reaches what its part read and adds or removes a start once the
+      root's verdict on an object flips (the one rule of `Walk`);
+      `evaluate` then grows only the pending starts.  `derive` carries the entries into the next version,
+      sharing them, and a commit clears the memo of the version it
+      replaces, so a superseded version holds none.  A class or filter
+      root's walk scans the objects only on a first walk.  A create
+      never changes an existing object's class (the store refuses a used
+      id, and the replica a re-create under another class), so the class
+      the rule tests is the one the scan tested.
 
     Store versions made by `derive` also share every state dict with the
     version they came from, so none is ever edited in place: `apply`
@@ -231,9 +238,9 @@ class SystemData:
         Each kind changes the data and the index, then hands `_forget` the
         vertices it touched (a link's two ends, a created id, a deleted id
         and the ends of its cascade; none for an update) and, for an
-        object, its class and states before and after.  `_forget` drops
-        every walk the mutation reached (see `Walk`); data that holds no
-        walk skips the call."""
+        object, its id, class and states before and after.  `_forget`
+        replaces every walk the mutation reached (see `Walk`); data that
+        holds no walk skips the call."""
         if isinstance(mutation, CreateObject):
             # a create of a held object (a replica's re-delivered create)
             # replaces its state: both states are present
@@ -242,7 +249,7 @@ class SystemData:
             self.objects[oid] = cls
             new = self.states[oid] = mutation.state_dict()
             if self.walks:
-                self._forget({oid}, cls, old, new)
+                self._forget({oid}, oid, cls, old, new)
         elif isinstance(mutation, (CreateLink, DeleteLink)):
             link = mutation.link
             index = self._incident
@@ -255,11 +262,11 @@ class SystemData:
                 if index is not None:
                     _unindex_link(index, link)
             if self.walks:
-                self._forget({link.src, link.dst}, None, None, None)
+                self._forget({link.src, link.dst}, None, None, None, None)
         elif isinstance(mutation, UpdateState):
             oid, new = mutation.object_id, mutation.state_dict()
             if self.walks:
-                self._forget(set(), self.objects.get(oid), self.states.get(oid), new)
+                self._forget(set(), oid, self.objects.get(oid), self.states.get(oid), new)
             self.states[oid] = new
         elif isinstance(mutation, DeleteObject):
             oid = mutation.object_id
@@ -273,7 +280,7 @@ class SystemData:
             self.links.difference_update(cascade)
             cls, old = self.objects.pop(oid), self.states.pop(oid, {})
             if self.walks:
-                self._forget({oid}.union(*(link[:2] for link in cascade)), cls, old, None)
+                self._forget({oid}.union(*(link[:2] for link in cascade)), oid, cls, old, None)
             return cascade
         else:  # pragma: no cover - exhaustive over the Mutation union
             raise TypeError(f"not a mutation: {mutation!r}")
@@ -282,28 +289,46 @@ class SystemData:
     def _forget(
         self,
         touched: Set[str],
+        oid: str | None,
         cls: str | None,
         old: State | None,
         new: State | None,
     ) -> None:
-        """Drop every walk made stale by a mutation that touched the
-        vertices `touched` and, for an object mutation, took an object of
-        class `cls` from state `old` to state `new` (None where the object
-        does not exist).  A walk is stale when the mutation reached
-        something it read: a touched vertex among its reads, or, under a
-        root of the object's class, an object its root admits on one side
-        of the change only (an absent state is not admitted)."""
+        """Replace every walk a mutation reached: one that touched the
+        vertices `touched` and, for an object mutation, took object `oid`
+        of class `cls` from state `old` to state `new` (None where the
+        object does not exist, which no root admits).  Each start whose
+        part's tips meet `touched` becomes pending, and where the root
+        admits the object on one side of the change only, the object
+        becomes a pending start or its start goes.  A walk left with no
+        part is dropped, as an entry that keeps nothing would only cost
+        each later mutation a check: its next walk is a first one, which
+        grows every start and, under a class or filter root, scans the
+        objects."""
         walks, disjoint = self.walks, touched.isdisjoint
-        stale = []
-        for key, (_, reads, root_class, admits) in walks.items():
-            if not disjoint(reads) or (
-                cls is not None
-                and root_class == cls
-                and (old is not None and admits(old)) != (new is not None and admits(new))
-            ):
-                stale.append(key)
-        for key in stale:
-            del walks[key]
+        reached = []
+        for key, walk in walks.items():
+            if cls is not None:
+                admits = walk[2]
+                now = new is not None and admits(oid, cls, new)
+                if now != (old is not None and admits(oid, cls, old)):
+                    reached.append((key, walk, now))
+                    continue
+            if not disjoint(walk[1]):
+                reached.append((key, walk, None))
+        for key, (_, reads, admits, parts), admitted in reached:
+            starts = dict(parts)
+            for start, part in parts.items():
+                if part is not None and not disjoint(part[1]):
+                    starts[start] = None
+            if admitted:
+                starts[oid] = None
+            elif admitted is not None:
+                starts.pop(oid, None)
+            if any(starts.values()):
+                walks[key] = (None, reads, admits, starts)
+            else:
+                del walks[key]
 
 
 _NO_LINKS: frozenset[Link] = frozenset()

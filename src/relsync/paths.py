@@ -18,18 +18,29 @@ drive the timestamp sync.
 A path leaves the stack either as a result or replaced by at least one
 extension, and distinct paths have distinct extensions.  So the results
 only ever accumulate toward the final set, and one check on their count
-raises exactly when that set would exceed the budget, `MAX_PATHS`.
+raises exactly when that set would exceed the budget, `MAX_PATHS`.  The
+paths of the starts a walk keeps (see below) count toward the same
+budget, and starts share no path, so the check stays exact.
 
 Every walk is memoised in the data's `walks`, keyed by the expression,
 the schema and the `{user}` binding, which is None unless the root names
 `{user}`: a `{user}`-free expression has one result per data version,
-whichever client asks.  The entry records what the walk read (see
-`model.Walk`), and `SystemData.apply` keeps it, across versions, until a
-mutation reaches that: touches a vertex the walk read, or changes whether
-the root admits an object of its class.  A class or filter root's walk
-finds its start vertices with one scan of the data's objects when it
-misses; an object that appears or disappears changes that scan only if
-the root admits it, and then the same rule has dropped the walk.
+whichever client asks.  The entry keeps one part per start vertex: the
+paths grown from that start and the vertices whose links that growth
+read (see `model.Walk`).  `SystemData.apply` keeps the entry, across
+versions, and hands it each mutation: a mutation that touches a vertex
+a part read leaves that start pending, and one that changes whether the
+root admits an object adds or removes that start.  The next walk grows
+the pending starts alone and composes the walk from its parts, so a
+mutation under one start of a feed costs the growth of that start and
+one union of the parts' path sets, which copies each path with its hash,
+not a walk of the feed.  One rule, the root's `admits`, tells whether the root
+admits an object as a start: an instance root its refs, a class root the
+objects of its class, a filter root those whose state passes it.  A
+class or filter root's walk scans the objects for its starts only on a
+first walk (a walk that a mutation left with no part is dropped, and its
+next walk is a first one); otherwise the same rule adds and removes
+starts as objects appear, disappear or change state.
 
 A walk's paths come as a `PathSet`: the frozenset of path tuples, and
 beside it what a sync reads off them.  Its element set, every vertex and
@@ -40,13 +51,13 @@ link lookup maps a link to the paths through it.  A link's entry is made
 the first time a sync asks for it, by one scan of the paths for every
 link asked and not yet held, and then kept: a later sync that asks
 again, such as another client of a shared walk, finds the paths a new
-link lies on without a scan.  Both live as long as the memoised walk.
+link lies on without a scan.  Both live as long as the composed walk,
+which a regrown start replaces; a walk of one start is that start's part.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Collection, Iterable
-from functools import partial
 
 from .errors import PathBudgetError, UnboundVariableError, UnknownClassError
 from .expr import (
@@ -91,11 +102,13 @@ class PathSet(frozenset):
       every path through it, read through `through`.  A link's entry is
       made the first time a sync asks for it and then kept.
 
-    `evaluate` makes one per walk.  `relevant_paths` over several
-    expressions makes one for their union, which keeps the walks as its
-    `parts`, so a sync reads each walk's element set and lookup from the
-    memo; the union's elements are theirs, united.  A walk lists no parts
-    (its `parts` is made on each read), so no set refers back to itself."""
+    `evaluate` makes one per start of a walk, and for a walk of several
+    starts one more, the walk, over all their paths.  `relevant_paths`
+    over several expressions makes one for their union, which keeps the
+    walks as its `parts`, so a sync reads each walk's element set and
+    lookup from the memo; the union's elements are theirs, united.  A walk
+    lists no parts (its `parts` is made on each read), so no set refers
+    back to itself."""
 
     __slots__ = ("_elements", "_parts", "_through")
 
@@ -161,20 +174,19 @@ class PathSet(frozenset):
         return not known or sorted(self.through(known)) == sorted(fresh.through(known))
 
 
-def _admit_all(state: State) -> bool:
-    return True
-
-
 def _start(
     expr: PathExpr, g: TypedGraph, user: str | None
-) -> tuple[set[str], set[str], str | None, Callable[[State], bool] | None]:
-    """The vertices a walk starts from, and what choosing them read: an
-    instance root's refs, resolved, or a class root's class and state test
-    (the last three parts of a `model.Walk`)."""
+) -> tuple[Callable[[str, str, State], bool], dict[str, None]]:
+    """The walk's root rule, `admits(oid, cls, state)`, whether the root
+    admits an object as a start, and the start vertices, each mapped to
+    None (no part grown yet).  An instance root admits its refs, resolved,
+    whatever their class and state; a class root, the objects of its
+    class; a filter root, those whose state passes the filter.  The start
+    vertices of a class or filter root come from one scan of the objects."""
     root, objects = expr.root, g.data.objects
     if isinstance(root, InstanceSet):
         refs: set[str] = set()
-        vertices: set[str] = set()
+        starts: dict[str, None] = {}
         for ref in root.refs:
             if ref == USER_VARIABLE:
                 if user is None:
@@ -184,78 +196,114 @@ def _start(
                 ref = user
             refs.add(ref)
             if ref in objects:
-                vertices.add(ref)
-        return vertices, refs, None, None
-    cls = root.class_name
-    if cls not in g.schema.classes:
-        raise UnknownClassError(f"unknown class {cls!r}")
+                starts[ref] = None
+
+        def admits(oid: str, cls: str, state: State) -> bool:
+            return oid in refs
+
+        return admits, starts
+    name = root.class_name
+    if name not in g.schema.classes:
+        raise UnknownClassError(f"unknown class {name!r}")
     if isinstance(root, ClassAll):
-        return {v for v, c in objects.items() if c == cls}, set(), cls, _admit_all
-    admits = partial(satisfies_filter, node=root)
+
+        def admits(oid: str, cls: str, state: State) -> bool:
+            return cls == name
+
+    else:
+
+        def admits(oid: str, cls: str, state: State) -> bool:
+            return cls == name and satisfies_filter(state, root)
+
     states = g.data.states
-    start = {v for v, c in objects.items() if c == cls and admits(states.get(v, {}))}
-    return start, set(), cls, admits
+    return admits, {
+        v: None for v, c in objects.items() if c == name and admits(v, c, states.get(v, {}))
+    }
+
+
+def _over_budget(walks: dict, walk_key: tuple) -> PathBudgetError:
+    """Forget the walk, which memoises nothing over the budget."""
+    walks.pop(walk_key, None)
+    return PathBudgetError(f"path budget of {MAX_PATHS} exceeded while evaluating expression")
 
 
 def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathSet:
     """All paths the expression defines over the graph; `user` is the
     object id the `{user}` root stands for.  Whether a link's far end
     carries a role is one probe of the schema's `ends` table.  A call that
-    finds its walk memoised returns the memoised `PathSet`; otherwise the
-    walk is memoised with what it read.  A walk of more than `MAX_PATHS`
+    finds its walk memoised returns the memoised `PathSet`.  Otherwise the
+    walk grows each start the memo lacks a part for, all of them on a
+    first walk, keeps the other parts, and memoises the walk composed of
+    them, with what each part read.  A walk of more than `MAX_PATHS`
     paths raises and memoises nothing."""
     root = expr.root
     bound = user if isinstance(root, InstanceSet) and USER_VARIABLE in root.refs else None
     walks = g.data.walks
     walk_key = (expr, g.schema, bound)
     memo = walks.get(walk_key)
-    if memo is not None:
-        return memo[0]
+    parts: dict[str, tuple[PathSet, set[str]] | None]
+    if memo is None:
+        admits, parts = _start(expr, g, user)
+    else:
+        paths = memo[0]
+        if paths is not None:
+            return paths
+        admits, parts = memo[2], dict(memo[3])  # an entry is never edited
     budget = MAX_PATHS
     segments = expr.segments
     n_segments = len(segments)
     ends = g.schema.ends
     objects = g.data.objects
     incident = g.incident
-    start, reads, root_class, admits = _start(expr, g, user)
-    results: list[Path] = []
-    stack: list[Path] = [(v,) for v in start]
-    pop, push, emit, read = stack.pop, stack.append, results.append, reads.add
-    while stack:
-        path = pop()
-        matched = len(path) // 2
-        if matched < n_segments:
-            role = segments[matched]
-            tip = path[-1]
-            read(tip)
-            extended = False
-            for edge in incident.get(tip, ()):
-                src, dst, assoc = edge
-                # The end away from the tip.  A self-link's far end is the
-                # tip itself, which the last test drops, so only one side of
-                # a link is ever looked up.
-                if tip == src:
-                    far, key = dst, (assoc, role, False)
-                else:
-                    far, key = src, (assoc, role, True)
-                cls = ends.get(key)
-                if cls is None or objects.get(far) != cls:
-                    continue
-                # A link already on the path has both ends on it, so testing
-                # the far end alone keeps the path simple.
-                if far in path:
-                    continue
-                push(path + (edge, far))
-                extended = True
-            if extended:
-                continue  # replaced by its extensions
-        emit(path)
-        if len(results) > budget:
-            raise PathBudgetError(
-                f"path budget of {budget} exceeded while evaluating expression"
-            )
-    paths = PathSet(results)
-    walks[walk_key] = (paths, reads, root_class, admits)
+    used = 0
+    for start, part in parts.items():
+        if part is None:
+            room = budget - used
+            tips: set[str] = set()
+            results: list[Path] = []
+            stack: list[Path] = [(start,)]
+            pop, push, emit, read = stack.pop, stack.append, results.append, tips.add
+            while stack:
+                path = pop()
+                matched = len(path) // 2
+                if matched < n_segments:
+                    role = segments[matched]
+                    tip = path[-1]
+                    read(tip)
+                    extended = False
+                    for edge in incident.get(tip, ()):
+                        src, dst, assoc = edge
+                        # The end away from the tip.  A self-link's far end
+                        # is the tip itself, which the last test drops, so
+                        # only one side of a link is ever looked up.
+                        if tip == src:
+                            far, key = dst, (assoc, role, False)
+                        else:
+                            far, key = src, (assoc, role, True)
+                        cls = ends.get(key)
+                        if cls is None or objects.get(far) != cls:
+                            continue
+                        # A link already on the path has both ends on it, so
+                        # testing the far end alone keeps the path simple.
+                        if far in path:
+                            continue
+                        push(path + (edge, far))
+                        extended = True
+                    if extended:
+                        continue  # replaced by its extensions
+                emit(path)
+                if len(results) > room:
+                    raise _over_budget(walks, walk_key)
+            part = parts[start] = (PathSet(results), tips)
+        used += len(part[0])
+    if used > budget:  # the parts kept from a walk under a larger budget
+        raise _over_budget(walks, walk_key)
+    if len(parts) == 1:
+        paths, reads = part  # the one start's part is the walk
+    else:  # the parts' sets copied with their hashes: no path is rehashed
+        paths = PathSet(frozenset().union(*(part for part, _ in parts.values())))
+        reads = set().union(*(tips for _, tips in parts.values()))
+    walks[walk_key] = (paths, reads, admits, parts)
     return paths
 
 

@@ -14,8 +14,9 @@ walk reads a state only to test a filter root, so the sweep skips it
 when the replica has changed nothing since the last sweep but states of
 classes no filter root names.
 A sweep that does walk reads each expression's walk from the data's memo
-(`SystemData.walks`) unless a change since reached what that walk read:
-touched a vertex it read, or changed whether its root admits an object.
+(`SystemData.walks`), and regrows only the starts a change since reached:
+one whose part read a vertex the change touched, or an object whose
+admission by the root the change flipped.
 Every change goes through `SystemData.apply`, which keeps the data's link
 index current for the sweep's path evaluation.  Links and updates are
 applied in text and id order, so the divergence warnings come in a stable

@@ -17,9 +17,13 @@ the batch, whose cascade is logged and so touched too.  The next version
 has containers of its own but shares every state dict and per-vertex link
 set that the batch did not replace, so a held version never changes and a
 commit makes no deep copy.  It also carries every memoised walk
-(`SystemData.walks`) that no staged mutation reached, by touching a vertex
-the walk read or changing whether its root admits an object; the version
-a commit replaces loses its own, so only the live version keeps any.
+(`SystemData.walks`): a walk no staged mutation reached as it was, and a
+walk one reached, by touching a vertex a start's part read or changing
+whether the root admits an object, with that start pending, added or
+gone, and every other part kept (see `model.Walk`).  The entries are
+replaced, never edited, so a rejected batch leaves the live version's
+walks as they were; the version a commit replaces loses its own, so only
+the live version keeps any.
 The change log is the commit clock: a nonempty commit logs every mutation
 at one timestamp, the log's `max_ts + 1`, so equal timestamps mean "same
 transaction" and order of timestamps is commit order.

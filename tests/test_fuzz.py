@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import relsync.fuzz as fuzz_module
 import relsync.paths as paths_module
+from relsync.errors import RelsyncError
+from relsync.expr import parse_expression
 from relsync.fuzz import FuzzBounds, fuzz, social_schema
 from relsync.model import CreateObject, SystemData
 from relsync.runner import DivergenceReport, run_scenario
@@ -155,3 +157,68 @@ def test_a_stale_memoised_walk_fails_the_run(monkeypatch):
     reason = summary.failures[0].reason
     assert "stale memoised walks: step " in reason
     assert " store: {user}." in reason
+
+
+def test_stale_walks_found_before_an_engine_error_are_the_reason(monkeypatch):
+    # memoise every walk with an element set stripped of its start
+    # vertices: a sweep then drops the client's own objects, and a later
+    # step raises on one of them, after the check found the stale walks
+    evaluate = paths_module.evaluate
+
+    def stripped(expr, g, *, user=None):
+        paths = evaluate(expr, g, user=user)
+        paths._elements = paths.elements - {p[0] for p in paths}
+        return paths
+
+    raised = []
+    run = fuzz_module.run_scenario
+
+    def recording(*args, **kwargs):
+        try:
+            return run(*args, **kwargs)
+        except RelsyncError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(paths_module, "evaluate", stripped)
+    monkeypatch.setattr(fuzz_module, "run_scenario", recording)
+    summary = fuzz(seed=42, iterations=1)
+    assert raised  # the scenario ended in an engine error
+    assert "stale memoised walks: step " in summary.failures[0].reason
+
+
+def test_a_stale_part_of_a_walk_of_several_starts_fails_the_run(monkeypatch):
+    # every client also reads a feed of every event, a walk of several
+    # starts once there are several events
+    feed = parse_expression("Event.Participation.Identity")
+    build = fuzz_module._Generator.build
+
+    def with_a_feed(self):
+        scenario = build(self)
+        for decl in scenario.clients.values():
+            decl.exprs.append(feed)
+        return scenario
+
+    monkeypatch.setattr(fuzz_module._Generator, "build", with_a_feed)
+    assert fuzz(seed=42, iterations=5).failures == []
+
+    # memoise one part of each such walk with an element set that also
+    # holds a vertex on none of its paths; the composed walk, all that the
+    # syncs and sweeps read, stays exact, so only the check of each part
+    # sees it
+    evaluate = paths_module.evaluate
+
+    def with_a_ghost_part(expr, g, *, user=None):
+        paths = evaluate(expr, g, user=user)
+        parts = g.data.walks[(expr, g.schema, None)][3] if expr == feed else {}
+        if len(parts) > 1:
+            part = parts[min(parts)][0]
+            part._elements = part.elements | {"ghost"}
+        return paths
+
+    monkeypatch.setattr(paths_module, "evaluate", with_a_ghost_part)
+    summary = fuzz(seed=42, iterations=5)
+    assert summary.failures
+    reason = summary.failures[0].reason
+    assert "stale memoised walks: step " in reason
+    assert "Event.Participation.Identity user=None" in reason

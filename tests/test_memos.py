@@ -2,11 +2,12 @@
 
 A memoised answer must always be the one a fresh walk gives.  Each check
 below compares it with a walk over `data.copy()`, which starts with no
-memo, after mutations applied in place and through `Store.apply`.  One
-rule keeps a walk: it stays memoised across mutations and versions until
-a mutation reaches something it read, a touched vertex among its reads or
-an object its root admits on one side of the change only.  The drop cases
-below each meet the rule one way, and the keep cases each come close to
+memo, after mutations applied in place and through `Store.apply`, start
+by start.  One rule keeps a walk's parts, one per start: a part stays
+memoised across mutations and versions until a mutation touches a vertex
+among its tips, and the start set changes when a mutation changes whether
+the root admits an object.  The drop cases below each meet the rule one
+way and must regrow that start alone; the keep cases each come close to
 it without meeting it.
 """
 
@@ -49,16 +50,47 @@ def fresh_paths(schema: Schema, data: SystemData, exprs, user=None):
     return relevant_paths(schema, data.copy(), exprs, user=user)
 
 
-def assert_fresh(walked, fresh) -> None:
-    """A memoised walk is the fresh one: its paths, its element set, and
-    every entry its link lookup holds, each against its definition over
-    the fresh paths."""
+def walk_key(schema: Schema, expr: PathExpr, user: str | None) -> tuple:
+    """The memo key of the expression's walk for `user`."""
+    return (expr, schema, user if USER_VARIABLE in getattr(expr.root, "refs", ()) else None)
+
+
+def parts_of(schema: Schema, data: SystemData, expr: PathExpr, user=None) -> dict:
+    """start -> the part memoised for it (None while pending); empty when
+    the walk is not memoised."""
+    walk = data.walks.get(walk_key(schema, expr, user))
+    return {} if walk is None else {s: p and p[0] for s, p in walk[3].items()}
+
+
+def assert_set_fresh(walked, fresh) -> None:
+    """A path set is the fresh one: its paths, its element set, and every
+    entry its link lookup holds, each against its definition over the
+    fresh paths."""
     assert walked == fresh
     assert walked.elements == set().union(*fresh)
     known = walked._through or {}
     assert sorted(walked.through(known)) == sorted(
         (p, i) for p in fresh for i in range(1, len(p), 2) if p[i] in known
     )
+
+
+def assert_fresh(schema: Schema, data: SystemData, expr: PathExpr, user=None) -> None:
+    """The memoised walk is the fresh one, start by start: the same start
+    set, each part the fresh walk's part from the same start (with the
+    tips its growth read: every vertex a path holds before its last
+    segment's end), and the composed walk the fresh walk."""
+    walked = relevant_paths(schema, data, [expr], user=user)
+    copy = data.copy()
+    fresh = relevant_paths(schema, copy, [expr], user=user)
+    key = walk_key(schema, expr, user)
+    ours, theirs = data.walks[key][3], copy.walks[key][3]
+    assert ours.keys() == theirs.keys()
+    reach = 2 * len(expr.segments)
+    for start, (part, tips) in ours.items():
+        assert_set_fresh(part, theirs[start][0])
+        assert {start} == {p[0] for p in part}
+        assert tips == {p[i] for p in part for i in range(0, min(len(p), reach), 2)}
+    assert_set_fresh(walked, fresh)
 
 
 def fill_lookup(walked) -> None:
@@ -114,11 +146,10 @@ def check_memos(schema: Schema, data: SystemData, drawn: list[Drawn]) -> None:
     assert stale_walks(data) == []
     for expr, user in drawn:
         walked = relevant_paths(schema, data, [expr], user=user)
-        assert_fresh(walked, fresh_paths(schema, data, [expr], user=user))
+        assert_fresh(schema, data, expr, user)
         fill_lookup(walked)
         assert relevant_paths(schema, data, [expr], user=user) is walked
-        bound = user if USER_VARIABLE in getattr(expr.root, "refs", ()) else None
-        assert (expr, schema, bound) in data.walks
+        assert walk_key(schema, expr, user) in data.walks
     assert {key[0] for key in data.walks} == {expr for expr, _ in drawn}
 
 
@@ -317,52 +348,90 @@ def test_an_untouched_commit_keeps_the_identical_frozenset(schema):
     ])
     after = [relevant_paths(schema, store.data, [e], user=u) for e, u in drawn]
     assert all(a is b for a, b in zip(after, before))
-    for (e, u), walked in zip(drawn, after):
-        assert_fresh(walked, fresh_paths(schema, store.data, [e], user=u))
+    for e, u in drawn:
+        assert_fresh(schema, store.data, e, u)
 
+
+# A feed of two starts, E1 and E2, both titled "picnic": I1 attends E2
+# (through P4), and P9 is enrolled at E1 with no one attending it yet.
+TWO_STARTS = [
+    CreateObject.make("E2", "Event", {"title": "picnic"}),
+    CreateObject.make("P4", "Participation"),
+    CreateObject.make("P9", "Participation"),
+    CreateLink(Link("I1", "P4", "Attendance")),
+    CreateLink(Link("P4", "E2", "Enrollment")),
+    CreateLink(Link("P9", "E1", "Enrollment")),
+]
+FEED = 'Event[title="picnic"].Participation.Identity'
 
 # Each case meets the one rule in one way: (expression, user, setup batch,
-# mutation).  No case meets it in two, so a rule that misses one way fails
-# the case for it.
+# mutation, the start it reaches).  No case meets it in two, so a rule
+# that misses one way fails the case for it.
 DROP_CASES = {
-    # CreateLink: an end among the read vertices
+    # CreateLink: an end among a part's tips
     "create-link": ("{user}.Contact", "I3", [CreateObject.make("C9", "Contact")],
-                    CreateLink(Link("I3", "C9", "Ownership"))),
-    # DeleteLink: an end among the read vertices
-    "delete-link": ("{user}.Contact", "I1", [], DeleteLink(Link("I1", "C1", "Ownership"))),
-    # CreateObject: its id among the read vertices (a resolved instance ref)
-    "create-read": ("{I9}", None, [], CreateObject.make("I9", "Identity")),
+                    CreateLink(Link("I3", "C9", "Ownership")), "I3"),
+    # DeleteLink: an end among a part's tips
+    "delete-link": ("{user}.Contact", "I1", [], DeleteLink(Link("I1", "C1", "Ownership")), "I1"),
+    # CreateObject: a ref the instance root admits appears
+    "create-read": ("{I9}", None, [], CreateObject.make("I9", "Identity"), "I9"),
     # CreateObject: of the root class, and its state passes the filter
     "create-member": ('Event[title="quiz"]', None, [],
-                      CreateObject.make("E9", "Event", {"title": "quiz"})),
-    # DeleteObject: its id among the read vertices
-    "delete-read": ("{I9}", None, [CreateObject.make("I9", "Identity")], DeleteObject("I9")),
-    # DeleteObject: an end of a cascaded link among the read vertices
-    "delete-cascade": ("{user}.Contact", "I1", [], DeleteObject("C1")),
+                      CreateObject.make("E9", "Event", {"title": "quiz"}), "E9"),
+    # DeleteObject: a ref the instance root admits disappears
+    "delete-read": ("{I9}", None, [CreateObject.make("I9", "Identity")], DeleteObject("I9"),
+                    "I9"),
+    # DeleteObject: an end of a cascaded link among a part's tips
+    "delete-cascade": ("{user}.Contact", "I1", [], DeleteObject("C1"), "I1"),
     # DeleteObject: of the root class, and its state passed the filter
-    "delete-member": ('Event[title="picnic"]', None, [], DeleteObject("E1")),
+    "delete-member": ('Event[title="picnic"]', None, [], DeleteObject("E1"), "E1"),
     # UpdateState: the filter's result flips
-    "update-flip": ('Event[title="picnic"]', None, [], UpdateState.make("E1", {"title": "quiz"})),
+    "update-flip": ('Event[title="picnic"]', None, [], UpdateState.make("E1", {"title": "quiz"}),
+                    "E1"),
+    # Two starts: E2's filter result flips out, and only E2's part goes
+    "two-start-flip-out": (FEED, None, TWO_STARTS, UpdateState.make("E2", {"title": "quiz"}),
+                           "E2"),
+    # Two starts: E2's filter result flips in, and only E2's part is grown
+    "two-start-flip-in": (FEED, None, TWO_STARTS + [UpdateState.make("E2", {"title": "quiz"})],
+                          UpdateState.make("E2", {"title": "picnic"}), "E2"),
+    # Two starts: a new attendance on E1 touches P9, a tip of E1's part
+    # only (I1 lies on E2's part too, but as the end of its last segment)
+    "two-start-attend": (FEED, None, TWO_STARTS, CreateLink(Link("I1", "P9", "Attendance")),
+                         "E1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DROP_CASES))
 @pytest.mark.parametrize("through", ["store", "in place"])
 def test_each_drop_rule_drops(schema, case, through):
-    text, user, setup, mutation = DROP_CASES[case]
+    text, user, setup, mutation, start = DROP_CASES[case]
     expr = parse_expression(text)
     store = build_f1(Store(schema))
     if setup:
         store.apply(setup)
     before = relevant_paths(schema, store.data, [expr], user=user)
+    kept = parts_of(schema, store.data, expr, user)
+    others = kept.keys() - {start}
     if through == "store":
         store.apply([mutation])
     else:
         store.data.apply(mutation)
-    assert (expr, schema, user) not in store.data.walks
+    # the memo holds no part for the start reached and keeps the others;
+    # a walk left with no part is forgotten
+    pending = parts_of(schema, store.data, expr, user)
+    if others:
+        assert pending.get(start) is None
+        assert all(pending[s] is kept[s] for s in others)
+    else:
+        assert pending == {}
     after = relevant_paths(schema, store.data, [expr], user=user)
-    assert after == fresh_paths(schema, store.data, [expr], user=user)
     assert after != before
+    assert_fresh(schema, store.data, expr, user)
+    # the start reached is regrown, added or gone; every other part is kept
+    regrown = parts_of(schema, store.data, expr, user)
+    assert regrown.keys() - {start} == others
+    assert all(regrown[s] is kept[s] for s in others)
+    assert start not in regrown or regrown[start] is not kept.get(start)
 
 
 # Each case comes close to the rule without meeting it, so the walk is
@@ -411,7 +480,7 @@ def test_each_keep_case_keeps_the_identical_frozenset(schema, case, through):
         store.data.apply(mutation)
     assert (expr, schema, user) in store.data.walks
     assert relevant_paths(schema, store.data, [expr], user=user) is before
-    assert_fresh(before, fresh_paths(schema, store.data, [expr], user=user))
+    assert_fresh(schema, store.data, expr, user)
 
 
 def test_a_recreate_that_flips_the_filter_drops_the_entry(f1_data, schema):
@@ -445,3 +514,105 @@ def test_a_walk_over_budget_is_not_memoised(f1_data, schema, monkeypatch):
         evaluate(expr, g)
     monkeypatch.setattr(paths_module, "MAX_PATHS", 3)
     assert evaluate(expr, g) == {("I1",), ("I2",), ("I3",)}
+
+
+def test_starts_over_budget_only_together_raise_and_memoise_nothing(schema, monkeypatch):
+    expr = parse_expression(FEED)
+    store = build_f1(Store(schema))
+    store.apply(TWO_STARTS)
+    copy = store.data.copy()
+    relevant_paths(schema, copy, [expr])
+    sizes = {s: len(p) for s, p in parts_of(schema, copy, expr).items()}
+    assert sizes == {"E1": 4, "E2": 1}
+    monkeypatch.setattr(paths_module, "MAX_PATHS", 4)
+    # a first walk
+    with pytest.raises(PathBudgetError):
+        relevant_paths(schema, store.data, [expr])
+    assert store.data.walks == {}
+    # a regrowth: E1's part is kept, E2's regrown, and together they are over
+    monkeypatch.setattr(paths_module, "MAX_PATHS", 5)
+    relevant_paths(schema, store.data, [expr])
+    monkeypatch.setattr(paths_module, "MAX_PATHS", 4)
+    store.apply([DeleteLink(Link("I1", "P4", "Attendance"))])
+    assert parts_of(schema, store.data, expr)["E2"] is None
+    with pytest.raises(PathBudgetError):
+        relevant_paths(schema, store.data, [expr])
+    assert store.data.walks == {}
+    monkeypatch.setattr(paths_module, "MAX_PATHS", 5)
+    assert relevant_paths(schema, store.data, [expr]) == fresh_paths(schema, store.data, [expr])
+
+
+# Complexity contract: a re-walk reads what the starts it regrows read,
+# whatever the number of starts it keeps, and a root flip scans no objects.
+
+class CountingIncident(dict):
+    """An `incident` index that counts the tips a walk reads."""
+
+    reads = 0
+
+    def get(self, vertex, default=None):
+        self.reads += 1
+        return super().get(vertex, default)
+
+
+class CountingObjects(dict):
+    """An objects dict that counts the scans over it."""
+
+    scans = 0
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+
+def feed_store(schema, starts: int) -> Store:
+    """`starts` picnic events, each attended by two identities, and one
+    quiz event, EQ, attended by one."""
+    batch: list = []
+    for e in [f"E{i}" for i in range(starts)] + ["EQ"]:
+        title = "quiz" if e == "EQ" else "picnic"
+        batch.append(CreateObject.make(e, "Event", {"title": title}))
+        for j in range(1 if e == "EQ" else 2):
+            iid, pid = f"I{e}_{j}", f"P{e}_{j}"
+            batch += [
+                CreateObject.make(iid, "Identity"),
+                CreateObject.make(pid, "Participation"),
+                CreateLink(Link(iid, pid, "Attendance")),
+                CreateLink(Link(pid, e, "Enrollment")),
+            ]
+    store = Store(schema)
+    store.apply(batch)
+    return store
+
+
+def counted_walk(schema, data: SystemData, expr: PathExpr) -> tuple[int, int]:
+    """(tips read, scans of the objects) of one walk over the data."""
+    data.objects = CountingObjects(data.objects)
+    g = TypedGraph(data, schema)
+    g.incident = CountingIncident(g.incident)
+    evaluate(expr, g)
+    return g.incident.reads, data.objects.scans
+
+
+# mutation -> (tips a re-walk reads, scans of the objects)
+REWALKS = {
+    # an attendance under E0 leaves: E0 regrows (E0, PE0_0, PE0_1)
+    "touch": (DeleteLink(Link("IE0_0", "PE0_0", "Attendance")), 3),
+    # EQ's title flips into the feed: EQ grows (EQ, PEQ_0)
+    "flip-in": (UpdateState.make("EQ", {"title": "picnic"}), 2),
+    # E0's title flips out of the feed: its part goes, nothing grows
+    "flip-out": (UpdateState.make("E0", {"title": "quiz"}), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REWALKS))
+def test_a_rewalk_costs_the_starts_it_regrows_not_the_feed(schema, case):
+    mutation, tips = REWALKS[case]
+    expr = parse_expression(FEED)
+    for starts in (4, 32):
+        store = feed_store(schema, starts)
+        # the first walk reads every start's subtree and scans once
+        assert counted_walk(schema, store.data, expr) == (3 * starts, 1)
+        store.apply([mutation])
+        assert counted_walk(schema, store.data, expr) == (tips, 0)
+        assert_fresh(schema, store.data, expr)
