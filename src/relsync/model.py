@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterable, Set
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import TokenError
@@ -162,8 +163,8 @@ class SystemData:
     kept exact by `apply`, the one way the data changes:
     - `incident` maps each vertex to the links touching it.  It is built
       from `links` the first time something reads it; `apply` replaces the
-      frozensets of a link's ends.  `derive` copies the dict and shares
-      every frozenset.
+      frozensets of a link's ends.  `derive` shares every frozenset, and
+      the dict too unless the batch writes links.
     - `walks` memoises expression walks, keyed by expression, schema and
       the `{user}` binding (None unless the root names `{user}`; see
       `paths.evaluate`).  Each entry is a `Walk`: one part per start,
@@ -172,17 +173,19 @@ class SystemData:
       to `_forget`, which leaves a start pending once the mutation
       reaches what its part read and adds or removes a start once the
       root's verdict on an object flips (the one rule of `Walk`);
-      `evaluate` then grows only the pending starts.  `derive` carries the entries into the next version,
-      sharing them, and a commit clears the memo of the version it
+      `evaluate` then grows only the pending starts.  `derive` carries
+      the entries into the next version's own dict, sharing them, and a
+      commit clears the memo of the version it
       replaces, so a superseded version holds none.  A class or filter
       root's walk scans the objects only on a first walk.  A create
       never changes an existing object's class (the store refuses a used
       id, and the replica a re-create under another class), so the class
       the rule tests is the one the scan tested.
 
-    Store versions made by `derive` also share every state dict with the
-    version they came from, so none is ever edited in place: `apply`
-    replaces a state.
+    A store version made by `derive` shares with the version it came from
+    every container its batch's kinds do not write (`_WRITES`), and every
+    state dict, so none is ever edited in place: `apply` replaces a state.
+    An update-only batch, say, copies `states` and the walk dict alone.
     """
 
     objects: dict[str, str] = field(default_factory=dict)
@@ -217,13 +220,23 @@ class SystemData:
             states={oid: dict(state) for oid, state in self.states.items()},
         )
 
-    def derive(self) -> SystemData:
-        """The next version, for a commit to apply to: fresh dicts and link
-        set, sharing this version's state dicts, per-vertex link sets and
-        memoised walks."""
-        following = SystemData(dict(self.objects), set(self.links), dict(self.states))
-        if self._incident is not None:
-            following._incident = dict(self._incident)
+    def derive(self, kinds: frozenset[type]) -> SystemData:
+        """The next version, for a commit that applies mutations of the
+        given kinds only: fresh copies of the containers those kinds write
+        (`_WRITES`) and of the walk memo, sharing every other container
+        with this version, as well as its state dicts, per-vertex link sets
+        and memoised walks.  A mutation of another kind applied to it would
+        edit this version too."""
+        writes = _BATCH_WRITES[kinds]
+        objects, links, states = self.objects, self.links, self.states
+        following = SystemData(
+            dict(objects) if "objects" in writes else objects,
+            set(links) if "links" in writes else links,
+            dict(states) if "states" in writes else states,
+        )
+        index = self._incident
+        if index is not None:
+            following._incident = dict(index) if "incident" in writes else index
         following.walks = dict(self.walks)
         return following
 
@@ -398,6 +411,23 @@ class DeleteLink:
 
 
 Mutation = CreateObject | UpdateState | DeleteObject | CreateLink | DeleteLink
+
+# The containers `SystemData.apply` writes for each kind of mutation, the
+# `incident` index once built; `derive` copies these and shares the rest.
+_WRITES: dict[type, frozenset[str]] = {
+    CreateObject: frozenset({"objects", "states"}),
+    UpdateState: frozenset({"states"}),
+    CreateLink: frozenset({"links", "incident"}),
+    DeleteLink: frozenset({"links", "incident"}),
+    DeleteObject: frozenset({"objects", "states", "links", "incident"}),
+}
+# ...and for each set of kinds a batch can hold, united once here, as a
+# commit on a small store would spend more on uniting them than it saves.
+_BATCH_WRITES: dict[frozenset[type], frozenset[str]] = {
+    frozenset(kinds): frozenset().union(*map(_WRITES.get, kinds))
+    for size in range(len(_WRITES) + 1)
+    for kinds in combinations(_WRITES, size)
+}
 
 
 def _freeze_state(state: State) -> tuple[tuple[str, Scalar], ...]:

@@ -14,9 +14,13 @@ and checks everything the batch could have broken: every committed version
 was validated and the data changes only through commit, an object's class
 never changes, and an endpoint vanishes only through a `DeleteObject` in
 the batch, whose cascade is logged and so touched too.  The next version
-has containers of its own but shares every state dict and per-vertex link
-set that the batch did not replace, so a held version never changes and a
-commit makes no deep copy.  It also carries every memoised walk
+is derived for the batch's kinds of mutation: it copies the containers
+(objects, links, states, the link index) that those kinds write and
+shares the rest, so an update-only batch copies the states alone.  It
+shares every state dict and per-vertex link set that the batch did not
+replace, and stages nothing but the batch it was derived for, so a held
+version never changes, a rejected batch leaves the live version as it
+was, and a commit makes no deep copy.  It also carries every memoised walk
 (`SystemData.walks`): a walk no staged mutation reached as it was, and a
 walk one reached, by touching a vertex a start's part read or changing
 whether the root admits an object, with that start pending, added or
@@ -78,11 +82,13 @@ _COMMIT_ORDER: dict[type, tuple[int, ActionType]] = {
 
 class Transaction:
     """One batch staged into the next version of the data, which commit
-    swaps in; `Store.apply` makes one per call."""
+    swaps in; `Store.apply` makes one per call.  The next version is
+    derived for the batch's kinds of mutation, so the transaction stages
+    mutations of those kinds only."""
 
-    def __init__(self, store: Store):
+    def __init__(self, store: Store, kinds: frozenset[type]):
         self._store = store
-        self._next = store.data.derive()
+        self._next = store.data.derive(kinds)
         self._log: list[tuple[str | Link, ActionType]] = []
         self._deleted: set[str | Link] = set()
 
@@ -203,15 +209,19 @@ class Store:
     def apply(self, mutations: list[Mutation]) -> int | None:
         """Check and commit a batch as one transaction; returns its timestamp,
         or None for an empty batch.  A rejected batch changes nothing."""
-        tx = Transaction(self)
-        for m in sorted(mutations, key=lambda m: _COMMIT_ORDER[type(m)][0]):
+        kinds = frozenset(map(type, mutations))
+        tx = Transaction(self, kinds)
+        if len(kinds) > 1:  # a batch of one kind is in commit order already
+            mutations = sorted(mutations, key=lambda m: _COMMIT_ORDER[type(m)][0])
+        for m in mutations:
             tx.stage_mutation(m)
         return tx.commit()
 
     def snapshot(self) -> SystemData:
         """The current data.  Commits replace the whole SystemData object
-        and never edit what versions share, so a held snapshot, its index
-        included, never changes."""
+        and never edit what versions share: a later version shares the
+        containers its batches did not write, and copies the others.  So
+        a held snapshot, its index included, never changes."""
         return self.data
 
 

@@ -331,11 +331,17 @@ def random_mutation(rng: random.Random, data: SystemData, dropped: list[Link], f
     return CreateObject.make(next(fresh), rng.choice(["A", "B"]), {"k": 0})
 
 
+MUTATION_KINDS = [CreateObject, UpdateState, CreateLink, DeleteLink, DeleteObject]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_version_chain_keeps_every_index_right(seed):
     """Commit-derived versions and copies, each changed only through
     `apply`: every version's index matches its links, and no later step
-    changes a version already made."""
+    changes a version already made.  Each step draws a set of mutation
+    kinds, derives for it and applies only mutations of those kinds, so a
+    derived version shares the containers they leave unwritten with its
+    base and with its siblings."""
     rng = random.Random(seed)
     fresh = (f"o{i}" for i in range(10**6))
     root = SystemData()
@@ -345,9 +351,16 @@ def test_version_chain_keeps_every_index_right(seed):
     kinds: set[str] = set()
     for _ in range(60):
         base = rng.choice(versions[-3:] if rng.random() < 0.8 else versions)
-        data = base.copy() if rng.random() < 0.2 else base.derive()
+        allowed = frozenset(rng.sample(MUTATION_KINDS, rng.randint(1, len(MUTATION_KINDS))))
+        data = base.copy() if rng.random() < 0.2 else base.derive(allowed)
         for _ in range(rng.randrange(1, 6)):
             m = random_mutation(rng, data, dropped, fresh)
+            for _ in range(30):
+                if type(m) in allowed:
+                    break
+                m = random_mutation(rng, data, dropped, fresh)
+            else:
+                continue
             before = set(data.links)
             cascade = data.apply(m)
             if isinstance(m, DeleteObject):

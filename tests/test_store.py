@@ -33,6 +33,7 @@ from relsync.store import Store
 
 from brute_force import validate_all
 from conftest import build_f1
+from test_model import frozen_view, rebuilt_index
 
 
 @pytest.fixture
@@ -261,6 +262,64 @@ class TestApply:
         store.apply([DeleteObject("P2"), DeleteLink(Link("I3", "P3", "Attendance"))])
         assert relevant_paths(store.schema, store.data, fixture_exprs, user="I1") != paths
         assert relevant_paths(store.schema, snap, fixture_exprs, user="I1") == paths
+
+
+# A commit copies only the containers its batch's kinds write and shares
+# the rest with the version it replaces: case -> (batch on the fixture
+# graph, the containers the new version shares).
+SHARING_CASES = {
+    "update-only": ([UpdateState.make("I1", {"name": "al"})], {"objects", "links", "_incident"}),
+    "create-object-only": ([CreateObject.make("I4", "Identity")], {"links", "_incident"}),
+    "link-only": (
+        [DeleteLink(Link("C1", "I2", "Reference")), CreateLink(Link("C1", "I3", "Reference"))],
+        {"objects", "states"},
+    ),
+    "update-and-link": (
+        [UpdateState.make("I1", {"name": "al"}), CreateLink(Link("C1", "I3", "Reference"))],
+        {"objects"},
+    ),
+    "delete-object": ([DeleteObject("P3")], set()),
+}
+
+
+@pytest.mark.parametrize("case", SHARING_CASES)
+def test_a_commit_copies_only_the_containers_its_batch_writes(store, case):
+    batch, shared = SHARING_CASES[case]
+    build_f1(store)
+    previous = store.data
+    previous.incident  # built, so the commit has an index to share or copy
+    store.apply(batch)
+    for name in ("objects", "links", "states", "_incident"):
+        assert (getattr(store.data, name) is getattr(previous, name)) == (name in shared), name
+    assert store.data.walks is not previous.walks
+
+
+@pytest.mark.parametrize("indexed", [True, False])
+@pytest.mark.parametrize("case", SHARING_CASES)
+def test_a_held_snapshot_survives_a_commit_of_each_kind(store, case, indexed):
+    """With the snapshot's index built before the commit, the new version
+    shares or copies it; without, the snapshot builds it afterwards from
+    links the new version may share."""
+    batch, _ = SHARING_CASES[case]
+    build_f1(store)
+    snap = store.snapshot()
+    if indexed:
+        snap.incident
+    view = frozen_view(snap.copy())
+    store.apply(batch)
+    assert store.data is not snap
+    assert frozen_view(snap) == view
+    assert snap.incident == rebuilt_index(snap.links)
+
+
+def test_a_rejected_update_only_batch_leaves_the_live_states_alone(store):
+    build_f1(store)
+    states = store.data.states
+    before = {oid: dict(state) for oid, state in states.items()}
+    rejects(store, [UpdateState.make("I1", {"name": "al"}), UpdateState.make("X9", {})],
+            UnknownIdError)
+    assert store.data.states is states
+    assert states == before
 
 
 def test_was_deleted(store):
