@@ -17,25 +17,13 @@ first older one (or past a limit), O(k+1) for k entries after the cursor.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from .errors import NonMonotonicTimestampError
-from .model import Link
+from .model import ActionType, Link
 
 # An element is an object (by id) or a link (by its identity triple).
 Element = str | Link
-
-
-class ActionType(enum.Enum):
-    CREATE = "create"
-    UPDATE = "update"
-    DELETE = "delete"
-
-    # Enum hashes by name in Python code; members are singletons compared
-    # by identity, so the C-level identity hash agrees with `==` and keeps
-    # the per-action dict probe in `ts` off the interpreter.
-    __hash__ = object.__hash__
 
 
 @dataclass

@@ -19,6 +19,7 @@ literals, states (`{key=literal,...}`) and the values of scenario lines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .errors import ExpressionSyntaxError
 from .model import RESERVED_CHAR, Scalar, State
@@ -26,14 +27,18 @@ from .model import RESERVED_CHAR, Scalar, State
 USER_VARIABLE = "user"
 
 
+# Each root kind says whether it admits a start by the object's state: only
+# a filter root does, so only its verdict can flip on an update.
 @dataclass(frozen=True)
 class InstanceSet:
     refs: tuple[str, ...]
+    reads_state: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)
 class ClassAll:
     class_name: str
+    reads_state: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,7 @@ class ClassFilter:
     attribute: str
     comparator: str  # one of = != < >
     literal: Scalar
+    reads_state: ClassVar[bool] = True
     # 1 == True, yet `[k=1]` and `[k=true]` select different objects, so
     # the literal's kind takes part in equality and hashing
     kind: str = field(init=False, repr=False)

@@ -12,10 +12,10 @@ sweep, and the fuzzer's model of the server.
 
 from __future__ import annotations
 
+import enum
 import re
 from collections.abc import Callable, Iterable, Set
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import TokenError
@@ -143,28 +143,33 @@ class Schema:
 # vertex among a part's tips leaves that start pending, and one that
 # changes whether the root admits an object adds that object as a pending
 # start or removes its part; a walk left with no part is dropped.  An
-# entry is never edited: `_forget` and `evaluate` replace it, so a
-# version that shares it keeps what it held.  The element sets and lookup
-# entries of its path sets are only ever added, each derived from the
-# paths alone.  A plain tuple, as every walk of every sync makes one.
+# entry is never edited: `_forget` and `evaluate` replace it, so a shallow
+# copy of the walk dict taken before a store batch is the memo as it was,
+# which a rejected batch gets back (see `store.Transaction`).  The element
+# sets and lookup entries of its path sets are only ever added, each
+# derived from the paths alone.  A plain tuple, as every walk of every
+# sync makes one.
 Walk = tuple[frozenset | None, Set[str], Callable[[str, str, State], bool], dict]
 
+# What a replaced store version rebuilds on the first read of one of them.
+_CONTAINERS = frozenset({"objects", "links", "states", "walks", "_incident"})
 
-@dataclass
+
+@dataclass(init=False)
 class SystemData:
     """The full content of one store: objects, links, and states.
 
     Invariants: every link endpoint is a live object, and every live object
     has a state entry (possibly empty).  The store keeps them: each commit
     runs `validate_schema` on the elements its batch touched, which is
-    enough because the version it derives from already held them.
+    enough because the data was valid before the batch.
 
     One index and one memo are derived from the data; once read, each is
     kept exact by `apply`, the one way the data changes:
     - `incident` maps each vertex to the links touching it.  It is built
       from `links` the first time something reads it; `apply` replaces the
-      frozensets of a link's ends.  `derive` shares every frozenset, and
-      the dict too unless the batch writes links.
+      frozensets of a link's ends, so a rebuilt version (below) shares
+      every set it copied.
     - `walks` memoises expression walks, keyed by expression, schema and
       the `{user}` binding (None unless the root names `{user}`; see
       `paths.evaluate`).  Each entry is a `Walk`: one part per start,
@@ -173,30 +178,48 @@ class SystemData:
       to `_forget`, which leaves a start pending once the mutation
       reaches what its part read and adds or removes a start once the
       root's verdict on an object flips (the one rule of `Walk`);
-      `evaluate` then grows only the pending starts.  `derive` carries
-      the entries into the next version's own dict, sharing them, and a
-      commit clears the memo of the version it
-      replaces, so a superseded version holds none.  A class or filter
-      root's walk scans the objects only on a first walk.  A create
-      never changes an existing object's class (the store refuses a used
-      id, and the replica a re-create under another class), so the class
-      the rule tests is the one the scan tested.
+      `evaluate` then grows only the pending starts.  Entries are
+      replaced, never edited, as a rejected store batch relies on.  A
+      class or filter root's walk scans the objects only on a first walk.
+      A create never changes an existing object's class (the store
+      refuses a used id, and the replica a re-create under another
+      class), so the class the rule tests is the one the scan tested.
 
-    A store version made by `derive` shares with the version it came from
-    every container its batch's kinds do not write (`_WRITES`), and every
-    state dict, so none is ever edited in place: `apply` replaces a state.
-    An update-only batch, say, copies `states` and the walk dict alone.
+    A store commit applies its batch to the live data in place, then hands
+    the containers to a fresh version (`supersede`).  The version it
+    replaced keeps only a link to that one and the commit's undo journal,
+    and the first read of any of its containers rebuilds it (`_rebuild`):
+    a copy of the nearest newer version that still holds its data, with
+    the journals in between undone through `apply`.  A state dict is
+    replaced, never edited, so the copy shares them.  A replaced version
+    that nobody reads costs its journal alone.
     """
 
-    objects: dict[str, str] = field(default_factory=dict)
-    links: set[Link] = field(default_factory=set)
-    states: dict[str, State] = field(default_factory=dict)
-    # (expression, schema, user or None) -> the walk
-    walks: dict[tuple, Walk] = field(default_factory=dict, init=False, repr=False, compare=False)
-    # vertex -> links touching it; None until first read
-    _incident: dict[str, frozenset[Link]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    objects: dict[str, str]
+    links: set[Link]
+    states: dict[str, State]
+
+    def __init__(
+        self,
+        objects: dict[str, str] | None = None,
+        links: set[Link] | None = None,
+        states: dict[str, State] | None = None,
+    ) -> None:
+        self.objects = {} if objects is None else objects
+        self.links = set() if links is None else links
+        self.states = {} if states is None else states
+        # (expression, schema, user or None) -> the walk
+        self.walks: dict[tuple, Walk] = {}
+        # vertex -> links touching it; None until first read
+        self._incident: dict[str, frozenset[Link]] | None = None
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks, as a replaced
+        # version lacks its containers.
+        if name in _CONTAINERS and "_newer" in vars(self):
+            self._rebuild()
+            return vars(self)[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def incident(self) -> dict[str, frozenset[Link]]:
@@ -220,25 +243,55 @@ class SystemData:
             states={oid: dict(state) for oid, state in self.states.items()},
         )
 
-    def derive(self, kinds: frozenset[type]) -> SystemData:
-        """The next version, for a commit that applies mutations of the
-        given kinds only: fresh copies of the containers those kinds write
-        (`_WRITES`) and of the walk memo, sharing every other container
-        with this version, as well as its state dicts, per-vertex link sets
-        and memoised walks.  A mutation of another kind applied to it would
-        edit this version too."""
-        writes = _BATCH_WRITES[kinds]
-        objects, links, states = self.objects, self.links, self.states
-        following = SystemData(
-            dict(objects) if "objects" in writes else objects,
-            set(links) if "links" in writes else links,
-            dict(states) if "states" in writes else states,
-        )
-        index = self._incident
-        if index is not None:
-            following._incident = dict(index) if "incident" in writes else index
-        following.walks = dict(self.walks)
+    def supersede(self, log: list[tuple[str | Link, ActionType]], prior: list) -> SystemData:
+        """The next version, for a commit that applied its batch to this
+        data: a fresh object that takes every container, index and memo
+        included.  This one keeps only a link to it and the batch's undo
+        journal (see `undo`) until something reads it."""
+        following = SystemData.__new__(SystemData)
+        following.__dict__ = self.__dict__  # every attribute, whole
+        self.__dict__ = {"_newer": following, "_journal": (log, prior)}
         return following
+
+    def _rebuild(self) -> None:
+        """Hold this replaced version's data again: copy the nearest newer
+        version that holds its own, then undo the commits in between,
+        newest first.  The copy shares that version's state dicts and
+        per-vertex link sets; its walk memo starts empty."""
+        journals = []
+        version = self
+        while "_newer" in vars(version):
+            journals.append(version._journal)
+            version = version._newer
+        index = version._incident
+        SystemData.__init__(self, dict(version.objects), set(version.links), dict(version.states))
+        if index is not None:  # the delete that undoes a create then scans no links
+            self._incident = dict(index)
+        state = vars(self)
+        del state["_newer"], state["_journal"]
+        for log, prior in reversed(journals):
+            self.undo(log, prior)
+
+    def undo(self, log: list[tuple[str | Link, ActionType]], prior: list) -> None:
+        """Undo a batch applied to this data, its last mutation first.  The
+        journal is `log`, each element the batch wrote with its action, the
+        links a delete cascaded away included, and `prior`, in staging
+        order, the state each update replaced and the (class, state) each
+        object delete removed.  Each inverse goes through `apply`."""
+        replaced = reversed(prior)
+        for element, action in reversed(log):
+            if isinstance(element, Link):
+                if action is ActionType.CREATE:
+                    self.apply(DeleteLink(element))
+                else:
+                    self.apply(CreateLink(element))
+            elif action is ActionType.CREATE:
+                self.apply(DeleteObject(element))
+            elif action is ActionType.UPDATE:
+                self.apply(UpdateState.make(element, next(replaced)))
+            else:
+                cls, state = next(replaced)
+                self.apply(CreateObject.make(element, cls, state))
 
     def apply(self, mutation: Mutation) -> list[Link]:
         """Apply a mutation without checking it; returns the links an object
@@ -313,15 +366,18 @@ class SystemData:
         object does not exist, which no root admits).  Each start whose
         part's tips meet `touched` becomes pending, and where the root
         admits the object on one side of the change only, the object
-        becomes a pending start or its start goes.  A walk left with no
-        part is dropped, as an entry that keeps nothing would only cost
-        each later mutation a check: its next walk is a first one, which
-        grows every start and, under a class or filter root, scans the
-        objects."""
+        becomes a pending start or its start goes.  An instance or class
+        root ignores states, so on an object present on both sides only a
+        filter root's verdict can flip, and only such a walk's rule is
+        asked.  A walk left with no part is dropped, as an entry that keeps
+        nothing would only cost each later mutation a check: its next walk
+        is a first one, which grows every start and, under a class or
+        filter root, scans the objects."""
         walks, disjoint = self.walks, touched.isdisjoint
+        both = old is not None and new is not None
         reached = []
         for key, walk in walks.items():
-            if cls is not None:
+            if cls is not None and (not both or key[0].root.reads_state):
                 admits = walk[2]
                 now = new is not None and admits(oid, cls, new)
                 if now != (old is not None and admits(oid, cls, old)):
@@ -368,6 +424,19 @@ def _unindex_link(index: dict[str, frozenset[Link]], link: Link) -> None:
 
 # Mutations -----------------------------------------------------------------
 
+class ActionType(enum.Enum):
+    """What a mutation did to an element, as the change log records it."""
+
+    CREATE = "create"
+    UPDATE = "update"
+    DELETE = "delete"
+
+    # Enum hashes by name in Python code; members are singletons compared
+    # by identity, so the C-level identity hash agrees with `==` and keeps
+    # the per-action dict probe in `ChangeLog.ts` off the interpreter.
+    __hash__ = object.__hash__
+
+
 @dataclass(frozen=True)
 class CreateObject:
     object_id: str
@@ -412,24 +481,6 @@ class DeleteLink:
 
 Mutation = CreateObject | UpdateState | DeleteObject | CreateLink | DeleteLink
 
-# The containers `SystemData.apply` writes for each kind of mutation, the
-# `incident` index once built; `derive` copies these and shares the rest.
-_WRITES: dict[type, frozenset[str]] = {
-    CreateObject: frozenset({"objects", "states"}),
-    UpdateState: frozenset({"states"}),
-    CreateLink: frozenset({"links", "incident"}),
-    DeleteLink: frozenset({"links", "incident"}),
-    DeleteObject: frozenset({"objects", "states", "links", "incident"}),
-}
-# ...and for each set of kinds a batch can hold, united once here, as a
-# commit on a small store would spend more on uniting them than it saves.
-_BATCH_WRITES: dict[frozenset[type], frozenset[str]] = {
-    frozenset(kinds): frozenset().union(*map(_WRITES.get, kinds))
-    for size in range(len(_WRITES) + 1)
-    for kinds in combinations(_WRITES, size)
-}
-
-
 def _freeze_state(state: State) -> tuple[tuple[str, Scalar], ...]:
     return tuple(sorted(state.items()))
 
@@ -447,7 +498,7 @@ def validate_schema(
     live and their classes fit it; a deleted object has no state left and,
     once the index has been built, no link under it (until then `apply`
     found its cascade by scanning every link).  Checking a commit's touched
-    elements alone is enough when the version it derives from was valid,
+    elements alone is enough when the data was valid before the batch,
     because nothing the batch did not touch can have changed: an object's
     class never changes, an endpoint vanishes only through a `DeleteObject`
     in the batch, and the links that delete cascaded away are touched too.
@@ -495,6 +546,7 @@ def validate_schema(
 
 
 __all__ = [
+    "ActionType",
     "AssociationDef",
     "CreateLink",
     "CreateObject",

@@ -4,30 +4,29 @@ All server-side changes go through `Store.apply`: one `Store.apply` call
 is one commit, and a batch may list its mutations in any order.  `apply`
 sorts the batch by kind, stably, in the order of the `_COMMIT_ORDER`
 table — object creates, link creates, updates, link deletes, object
-deletes — and stages it in that order into the next version of the data
-(`SystemData.derive`): each mutation is checked against that version,
-which holds everything the batch applied before it, then applied there
-through `SystemData.apply`.  The commit validates what the batch touched
-and only then swaps the next version in.  Validating only the touched
-elements (the logged ones, cascaded link deletes included) costs O(batch)
-and checks everything the batch could have broken: every committed version
-was validated and the data changes only through commit, an object's class
-never changes, and an endpoint vanishes only through a `DeleteObject` in
-the batch, whose cascade is logged and so touched too.  The next version
-is derived for the batch's kinds of mutation: it copies the containers
-(objects, links, states, the link index) that those kinds write and
-shares the rest, so an update-only batch copies the states alone.  It
-shares every state dict and per-vertex link set that the batch did not
-replace, and stages nothing but the batch it was derived for, so a held
-version never changes, a rejected batch leaves the live version as it
-was, and a commit makes no deep copy.  It also carries every memoised walk
-(`SystemData.walks`): a walk no staged mutation reached as it was, and a
-walk one reached, by touching a vertex a start's part read or changing
-whether the root admits an object, with that start pending, added or
-gone, and every other part kept (see `model.Walk`).  The entries are
-replaced, never edited, so a rejected batch leaves the live version's
-walks as they were; the version a commit replaces loses its own, so only
-the live version keeps any.
+deletes — and stages it in that order straight into the live data: each
+mutation is checked against the data, which holds everything the batch
+applied before it, then applied there through `SystemData.apply`.  The
+commit validates what the batch touched and only then makes it the next
+version.  Validating only the touched elements (the logged ones,
+cascaded link deletes included) costs O(batch) and checks everything the
+batch could have broken: every committed version was validated and the
+data changes only through commit, an object's class never changes, and
+an endpoint vanishes only through a `DeleteObject` in the batch, whose
+cascade is logged and so touched too.
+
+A transaction journals what undoing its batch needs: the log of each
+staged mutation's element and action, which commit also records, and the
+state that each update and object delete replaced.  A rejected batch is
+undone in place from that journal, newest first, and the walk memo
+(`SystemData.walks`) gets back a shallow copy taken before the batch: its
+entries are replaced, never edited, so the copy is the memo as it was.  A
+commit moves the containers, index and memo included, to a fresh
+`SystemData`, which becomes `Store.data`, and leaves the version it
+replaced holding only a link to it and the journal
+(`SystemData.supersede`).  So a commit copies no container: it costs
+O(batch), whatever the size of the store.  A held version is rebuilt
+from the live data and the journals only when something reads it.
 The change log is the commit clock: a nonempty commit logs every mutation
 at one timestamp, the log's `max_ts + 1`, so equal timestamps mean "same
 transaction" and order of timestamps is commit order.
@@ -81,33 +80,39 @@ _COMMIT_ORDER: dict[type, tuple[int, ActionType]] = {
 
 
 class Transaction:
-    """One batch staged into the next version of the data, which commit
-    swaps in; `Store.apply` makes one per call.  The next version is
-    derived for the batch's kinds of mutation, so the transaction stages
-    mutations of those kinds only."""
+    """One batch staged into the live data, with the journal that undoes
+    it; `Store.apply` makes one per call.  `commit` makes the staged data
+    the next version, and `rollback` undoes a rejected batch in place."""
 
-    def __init__(self, store: Store, kinds: frozenset[type]):
+    def __init__(self, store: Store):
         self._store = store
-        self._next = store.data.derive(kinds)
+        self._data = store.data
+        self._walks = dict(self._data.walks)  # the memo before the batch
         self._log: list[tuple[str | Link, ActionType]] = []
+        # the state each update replaced, the (class, state) each object
+        # delete removed, in staging order
+        self._prior: list = []
         self._deleted: set[str | Link] = set()
 
     # -- staging ------------------------------------------------------------
 
     def stage_mutation(self, mutation: Mutation) -> None:
-        """Check a mutation against the next version, then apply it there
-        and log it.  Mutations arrive in commit order, so every id or link
-        one names must already be in the next version.  A state's keys
-        must be tokens, as a key no text form can carry back would leave
-        the data unrenderable."""
+        """Check a mutation against the live data, then apply it there and
+        journal it.  Mutations arrive in commit order, so every id or link
+        one names must already be in the data.  A state's keys must be
+        tokens, as a key no text form can carry back would leave the data
+        unrenderable."""
+        data = self._data
         if isinstance(mutation, CreateObject):
             self._check_create(mutation)
             _check_keys(mutation.state)
         elif isinstance(mutation, UpdateState):
             self._require_object(mutation.object_id)
             _check_keys(mutation.state)
+            self._prior.append(data.states[mutation.object_id])
         elif isinstance(mutation, DeleteObject):
-            self._check_delete(mutation.object_id)
+            cls = self._check_delete(mutation.object_id)
+            self._prior.append((cls, data.states[mutation.object_id]))
         elif isinstance(mutation, CreateLink):
             self._check_create_link(mutation.link)
         elif isinstance(mutation, DeleteLink):
@@ -116,7 +121,7 @@ class Transaction:
             raise TypeError(f"not a mutation: {mutation!r}")
         # The log must name the links a delete cascaded away, or replicas
         # would keep them dangling.
-        for link in self._next.apply(mutation):
+        for link in data.apply(mutation):
             self._log.append((link, ActionType.DELETE))
         element = (
             mutation.link if isinstance(mutation, (CreateLink, DeleteLink)) else mutation.object_id
@@ -124,8 +129,8 @@ class Transaction:
         self._log.append((element, _COMMIT_ORDER[type(mutation)][1]))
 
     def _require_object(self, object_id: str) -> str:
-        """The class of an object in the next version."""
-        cls = self._next.objects.get(object_id)
+        """The class of an object in the data."""
+        cls = self._data.objects.get(object_id)
         if cls is None:
             if self._store.log.is_deleted(object_id):
                 raise AlreadyDeletedError(f"object {object_id} was deleted")
@@ -137,29 +142,31 @@ class Transaction:
         validate_token(mutation.class_name, "class name")
         if mutation.class_name not in self._store.schema.classes:
             raise SchemaMismatchError(f"unknown class {mutation.class_name!r}")
-        if oid in self._next.objects:
+        if oid in self._data.objects:
             raise DuplicateIdError(f"object id {oid} already in use")
         if self._store.log.is_deleted(oid):
             raise DuplicateIdError(f"object id {oid} was used before; ids are never reused")
 
-    def _check_delete(self, element: str | Link) -> None:
-        """An object or link to delete must be in the next version, and not
-        have been deleted earlier in the batch."""
+    def _check_delete(self, element: str | Link) -> str | None:
+        """An object or link to delete must be in the data, and not have
+        been deleted earlier in the batch; returns an object's class."""
         is_link = isinstance(element, Link)
         if element in self._deleted:
             what = "link" if is_link else "object"
             raise AlreadyDeletedError(f"{what} {element} deleted twice in one transaction")
+        cls = None
         if not is_link:
-            self._require_object(element)
-        elif element not in self._next.links:
+            cls = self._require_object(element)
+        elif element not in self._data.links:
             raise UnknownIdError(f"unknown link {element}")
         self._deleted.add(element)
+        return cls
 
     def _check_create_link(self, link: Link) -> None:
         assoc = self._store.schema.assocs.get(link.assoc)
         if assoc is None:
             raise SchemaMismatchError(f"unknown association {link.assoc!r}")
-        if link in self._next.links:
+        if link in self._data.links:
             raise DuplicateLinkError(f"link {link} already exists")
         src_cls = self._require_object(link.src)
         dst_cls = self._require_object(link.dst)
@@ -172,24 +179,29 @@ class Transaction:
     # -- commit -------------------------------------------------------------
 
     def commit(self) -> int | None:
-        """Validate what the batch touched and swap the next version in;
-        returns the commit's timestamp, or None when nothing was staged
-        (empty commits leave no trace)."""
+        """Validate what the batch touched and make the staged data the next
+        version; returns the commit's timestamp, or None when nothing was
+        staged (empty commits leave no trace).  A violation raises before
+        anything is swapped, for `rollback` to undo."""
         if not self._log:
             return None
-        store = self._store
-        violations = validate_schema(
-            store.schema, self._next, (element for element, _ in self._log)
-        )
+        store, data = self._store, self._data
+        violations = validate_schema(store.schema, data, (element for element, _ in self._log))
         if violations:
             raise CommitError("; ".join(violations))
         ts = store.log.max_ts + 1
-        # a superseded version may still be held; it keeps no walk results
-        store.data.walks.clear()
-        store.data = self._next
+        store.data = data.supersede(self._log, self._prior)
         for element, action in self._log:
             store.log.record(element, action, ts)
         return ts
+
+    def rollback(self) -> None:
+        """Undo the staged batch in place and put the walk memo back as it
+        was before it."""
+        data = self._data
+        data.walks = {}  # no walk need be kept exact through the undo
+        data.undo(self._log, self._prior)
+        data.walks = self._walks
 
 
 class Store:
@@ -209,19 +221,26 @@ class Store:
     def apply(self, mutations: list[Mutation]) -> int | None:
         """Check and commit a batch as one transaction; returns its timestamp,
         or None for an empty batch.  A rejected batch changes nothing."""
-        kinds = frozenset(map(type, mutations))
-        tx = Transaction(self, kinds)
-        if len(kinds) > 1:  # a batch of one kind is in commit order already
+        tx = Transaction(self)
+        if len(set(map(type, mutations))) > 1:  # one kind is in commit order already
             mutations = sorted(mutations, key=lambda m: _COMMIT_ORDER[type(m)][0])
-        for m in mutations:
-            tx.stage_mutation(m)
-        return tx.commit()
+        try:
+            for m in mutations:
+                tx.stage_mutation(m)
+            return tx.commit()
+        except BaseException:
+            tx.rollback()
+            raise
 
     def snapshot(self) -> SystemData:
-        """The current data.  Commits replace the whole SystemData object
-        and never edit what versions share: a later version shares the
-        containers its batches did not write, and copies the others.  So
-        a held snapshot, its index included, never changes."""
+        """The current data, which later commits leave as it is.  A commit
+        hands the live containers to the next version and leaves this
+        object holding only its undo journal, so holding a snapshot costs
+        the journals of the commits after it.  Its first read after a
+        commit rebuilds it: a copy of the nearest newer version that holds
+        its data (the live one at worst), O(store) in C, plus the undo of
+        every batch in between, O(their mutations) in Python.  Reading it
+        again costs nothing more."""
         return self.data
 
 

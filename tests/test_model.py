@@ -10,7 +10,7 @@ import pytest
 
 import relsync
 from brute_force import is_subdata, validate_all
-from relsync.errors import TokenError
+from relsync.errors import TokenError, UnknownIdError
 from relsync.model import (
     AssociationDef,
     CreateLink,
@@ -24,6 +24,7 @@ from relsync.model import (
     validate_schema,
     validate_token,
 )
+from relsync.store import Store
 
 
 class TestTokens:
@@ -304,10 +305,23 @@ def frozen_view(data: SystemData) -> tuple:
     )
 
 
+# Classes A and B, and two associations (R and S) for each ordered pair of
+# them, so a link of either name fits any two objects; the pairs of one
+# class allow self-links.
+CHAIN_SCHEMA = Schema(
+    {"A", "B"},
+    [
+        AssociationDef(f"{name}{a}{b}", a, "src", b, "dst")
+        for name in "RS" for a in "AB" for b in "AB"
+    ],
+)
+
+
 def random_mutation(rng: random.Random, data: SystemData, dropped: list[Link], fresh):
-    """One applicable mutation: creates, self-links, updates, link deletes,
-    object deletes (mostly of linked objects) and re-creates of a link
-    deleted earlier whose ends are still live."""
+    """One mutation of `CHAIN_SCHEMA` that the data accepts: creates,
+    self-links, updates, link deletes, object deletes (mostly of linked
+    objects) and re-creates of a link deleted earlier whose ends are still
+    live."""
     live = sorted(data.objects)
     linked = sorted({end for link in data.links for end in (link.src, link.dst)})
     revivable = [l for l in dropped if l.src in data.objects and l.dst in data.objects
@@ -325,44 +339,55 @@ def random_mutation(rng: random.Random, data: SystemData, dropped: list[Link], f
     if kind in ("link", "self") and live:
         src = rng.choice(live)
         dst = src if kind == "self" else rng.choice(live)
-        link = Link(src, dst, rng.choice(["R", "S"]))
+        assoc = rng.choice("RS") + data.objects[src] + data.objects[dst]
+        link = Link(src, dst, assoc)
         if link not in data.links:
             return CreateLink(link)
     return CreateObject.make(next(fresh), rng.choice(["A", "B"]), {"k": 0})
 
 
-MUTATION_KINDS = [CreateObject, UpdateState, CreateLink, DeleteLink, DeleteObject]
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_version_chain_keeps_every_index_right(seed):
-    """Commit-derived versions and copies, each changed only through
-    `apply`: every version's index matches its links, and no later step
-    changes a version already made.  Each step draws a set of mutation
-    kinds, derives for it and applies only mutations of those kinds, so a
-    derived version shares the containers they leave unwritten with its
-    base and with its siblings."""
+    """A chain of store commits with every version held: each version's
+    index matches its links, and no later commit changes a version already
+    made.  Each batch is drawn on a draft copy of the live data, and about
+    one in four first gets a rejected twin.  Versions are read now and then
+    and all of them at the end, in random order, so some are first read
+    across rejected batches, some are rebuilt through a newer version that
+    was rebuilt before, and some are never read until the end."""
     rng = random.Random(seed)
     fresh = (f"o{i}" for i in range(10**6))
-    root = SystemData()
-    versions: list[SystemData] = [root]
-    views: list[tuple] = [frozen_view(root)]
+    store = Store(CHAIN_SCHEMA)
+    versions: list[SystemData] = [store.snapshot()]
+    views: list[tuple] = [frozen_view(SystemData())]
+    read: set[int] = set()
     dropped: list[Link] = []
     kinds: set[str] = set()
+
+    def read_back(i: int) -> None:
+        version = versions[i]
+        if i not in read and version is not store.data:
+            assert "objects" not in vars(version)  # a replaced version holds no data
+            rebuilt_newer = any(j > i for j in read)
+            kinds.add("through a rebuilt version" if rebuilt_newer else "from the live version")
+        read.add(i)
+        assert version.incident == rebuilt_index(version.links)
+        assert frozen_view(version) == views[i]
+
     for _ in range(60):
-        base = rng.choice(versions[-3:] if rng.random() < 0.8 else versions)
-        allowed = frozenset(rng.sample(MUTATION_KINDS, rng.randint(1, len(MUTATION_KINDS))))
-        data = base.copy() if rng.random() < 0.2 else base.derive(allowed)
+        draft = store.data.copy()
+        if rng.random() < 0.5:
+            draft.incident  # the draft's cascades go through its index
+        if rng.random() < 0.5:
+            store.data.incident  # and the store's
+        batch: list = []
         for _ in range(rng.randrange(1, 6)):
-            m = random_mutation(rng, data, dropped, fresh)
-            for _ in range(30):
-                if type(m) in allowed:
-                    break
-                m = random_mutation(rng, data, dropped, fresh)
-            else:
-                continue
-            before = set(data.links)
-            cascade = data.apply(m)
+            m = random_mutation(rng, draft, dropped, fresh)
+            if isinstance(m, CreateLink) and DeleteLink(m.link) in batch:
+                continue  # the store would stage the create first
+            before = set(draft.links)
+            cascade = draft.apply(m)
+            batch.append(m)
             if isinstance(m, DeleteObject):
                 assert len(cascade) == len(set(cascade))
                 assert set(cascade) == {l for l in before if l.touches(m.object_id)}
@@ -374,12 +399,26 @@ def test_version_chain_keeps_every_index_right(seed):
                 kinds.add("self-link" if m.link.src == m.link.dst else "link")
                 if m.link in dropped:
                     kinds.add("re-created link")
+        if rng.random() < 0.25:
+            # every mutation is staged before the last one fails
+            with pytest.raises(UnknownIdError):
+                store.apply(batch + [DeleteObject("gone")])
+            kinds.add("rejected batch")
+        store.apply(batch)
+        data = store.data
+        assert (data.objects, data.links, data.states) == (draft.objects, draft.links, draft.states)
         versions.append(data)
-        views.append(frozen_view(data))
-        for version, view in zip(versions, views):
-            assert version.incident == rebuilt_index(version.links)
-            assert frozen_view(version) == view
-    assert {"self-link", "delete-with-links", "re-created link"} <= kinds
+        views.append(frozen_view(draft))
+        if rng.random() < 0.3:
+            read_back(rng.randrange(len(versions)))
+    order = list(range(len(versions)))
+    rng.shuffle(order)
+    for i in order:
+        read_back(i)
+    assert {
+        "self-link", "delete-with-links", "re-created link", "rejected batch",
+        "from the live version", "through a rebuilt version",
+    } <= kinds
 
 
 _MODULES = ["relsync"] + [

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 
 import pytest
 
 import relsync.fuzz as fuzz_module
+import relsync.store as store_module
 from relsync.changelog import ActionType
 from relsync.errors import (
     AlreadyDeletedError,
@@ -264,43 +266,43 @@ class TestApply:
         assert relevant_paths(store.schema, snap, fixture_exprs, user="I1") == paths
 
 
-# A commit copies only the containers its batch's kinds write and shares
-# the rest with the version it replaces: case -> (batch on the fixture
-# graph, the containers the new version shares).
+# A batch of each kind on the fixture graph: case -> batch.
 SHARING_CASES = {
-    "update-only": ([UpdateState.make("I1", {"name": "al"})], {"objects", "links", "_incident"}),
-    "create-object-only": ([CreateObject.make("I4", "Identity")], {"links", "_incident"}),
-    "link-only": (
-        [DeleteLink(Link("C1", "I2", "Reference")), CreateLink(Link("C1", "I3", "Reference"))],
-        {"objects", "states"},
-    ),
-    "update-and-link": (
-        [UpdateState.make("I1", {"name": "al"}), CreateLink(Link("C1", "I3", "Reference"))],
-        {"objects"},
-    ),
-    "delete-object": ([DeleteObject("P3")], set()),
+    "update-only": [UpdateState.make("I1", {"name": "al"})],
+    "create-object-only": [CreateObject.make("I4", "Identity")],
+    "link-only": [
+        DeleteLink(Link("C1", "I2", "Reference")), CreateLink(Link("C1", "I3", "Reference"))
+    ],
+    "update-and-link": [
+        UpdateState.make("I1", {"name": "al"}), CreateLink(Link("C1", "I3", "Reference"))
+    ],
+    "delete-object": [DeleteObject("P3")],
 }
 
 
 @pytest.mark.parametrize("case", SHARING_CASES)
-def test_a_commit_copies_only_the_containers_its_batch_writes(store, case):
-    batch, shared = SHARING_CASES[case]
+def test_a_commit_copies_no_container(store, case):
+    """The new version holds the very containers the live version held,
+    index and memo included, and the replaced version none."""
     build_f1(store)
     previous = store.data
-    previous.incident  # built, so the commit has an index to share or copy
-    store.apply(batch)
-    for name in ("objects", "links", "states", "_incident"):
-        assert (getattr(store.data, name) is getattr(previous, name)) == (name in shared), name
-    assert store.data.walks is not previous.walks
+    previous.incident  # built, so the commit has an index to hand on
+    names = ("objects", "links", "states", "_incident", "walks")
+    held = {name: vars(previous)[name] for name in names}
+    store.apply(SHARING_CASES[case])
+    assert store.data is not previous
+    for name, container in held.items():
+        assert vars(store.data)[name] is container, name
+    assert "objects" not in vars(previous)
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 @pytest.mark.parametrize("case", SHARING_CASES)
 def test_a_held_snapshot_survives_a_commit_of_each_kind(store, case, indexed):
     """With the snapshot's index built before the commit, the new version
-    shares or copies it; without, the snapshot builds it afterwards from
-    links the new version may share."""
-    batch, _ = SHARING_CASES[case]
+    takes it over and the rebuilt snapshot copies it; without, the rebuilt
+    snapshot builds its own on this read."""
+    batch = SHARING_CASES[case]
     build_f1(store)
     snap = store.snapshot()
     if indexed:
@@ -308,6 +310,9 @@ def test_a_held_snapshot_survives_a_commit_of_each_kind(store, case, indexed):
     view = frozen_view(snap.copy())
     store.apply(batch)
     assert store.data is not snap
+    # a read of the index rebuilds the snapshot as any other read does
+    assert (snap._incident is not None) == indexed
+    assert "objects" in vars(snap)
     assert frozen_view(snap) == view
     assert snap.incident == rebuilt_index(snap.links)
 
@@ -320,6 +325,114 @@ def test_a_rejected_update_only_batch_leaves_the_live_states_alone(store):
             UnknownIdError)
     assert store.data.states is states
     assert states == before
+
+
+# Mutations that fail at staging, each once every mutation of a lower
+# rank in the commit order is staged.
+_FAILING = (
+    UpdateState.make("gone", {}),
+    DeleteLink(Link("gone", "lost", "Ownership")),
+    DeleteObject("gone"),
+)
+
+
+def test_a_rejected_twin_of_every_generated_batch_changes_nothing(monkeypatch):
+    """Each batch of generated streams gets two rejected twins before it
+    commits: one fails at `stage_mutation` partway through, after the
+    batch's mutations that sort before the failing one; the other fails
+    at `validate_schema` once all of it is staged.  Each twin must leave
+    the data, its index, every memoised walk (the very entry) and the
+    change log as they were, and no walk stale."""
+    checked = store_module.validate_schema
+    forced = False
+    reached = 0
+
+    def validate(schema, data, touched):
+        nonlocal reached
+        if forced:  # the batch is staged: count the walks it reached
+            reached += any(data.walks.get(key) is not walk for key, walk in walks.items())
+        return checked(schema, data, touched) + (["forced violation"] if forced else [])
+
+    monkeypatch.setattr(store_module, "validate_schema", validate)
+    rng = random.Random(5)
+    twins = 0
+    for seed in range(40):
+        scenario = fuzz_module._Generator(random.Random(seed), fuzz_module.FuzzBounds()).build()
+        store = Store(scenario.schema)
+        for step in scenario.steps:
+            if isinstance(step, TxStep):
+                batch = step.mutations
+            elif isinstance(step, PushStep):
+                batch = [step.mutation]
+            else:
+                continue
+            data = store.data
+            for decl in scenario.clients.values():
+                relevant_paths(scenario.schema, data, decl.exprs, user=decl.root)
+            view, walks, log = frozen_view(data), dict(data.walks), store.log.dump()
+            for twin in (batch + [rng.choice(_FAILING)], batch):
+                forced = twin is batch
+                with pytest.raises(CommitError if forced else UnknownIdError):
+                    store.apply(twin)
+                forced = False
+                twins += 1
+                assert store.data is data
+                assert frozen_view(data) == view
+                assert data.incident == rebuilt_index(data.links)
+                assert data.walks.keys() == walks.keys()
+                assert all(data.walks[key] is walk for key, walk in walks.items())
+                assert store.log.dump() == log
+                assert fuzz_module.stale_walks(data) == []
+            store.apply(batch)
+    assert twins > 1000
+    assert reached > 100  # batches whose staging replaced or dropped a walk
+
+
+def test_a_one_mutation_commit_costs_the_same_on_a_store_eight_times_larger():
+    """A commit of one mutation of each kind makes as many Python calls on
+    a store of 8N objects as on one of N (the delete cascades through a
+    built index).  It copies no container: the new version holds the very
+    ones the replaced version held, and that one holds none."""
+
+    def calls(n: int) -> list[int]:
+        store = Store(fuzz_module.social_schema())
+        batch = []
+        for i in range(n):
+            batch += [
+                CreateObject.make(f"I{i}", "Identity"),
+                CreateObject.make(f"C{i}", "Contact"),
+                CreateLink(Link(f"I{i}", f"C{i}", "Ownership")),
+            ]
+        store.apply(batch)
+        store.data.incident  # so the delete below cascades through it
+        names = ("objects", "links", "states", "_incident")
+        counts = []
+        for mutation in (
+            CreateObject.make("I", "Identity"),
+            UpdateState.make("I3", {"name": "al"}),
+            CreateLink(Link("C0", "I1", "Reference")),
+            DeleteLink(Link("I4", "C4", "Ownership")),
+            DeleteObject("I2"),
+        ):
+            previous = store.data
+            held = {name: vars(previous)[name] for name in names}
+            made = 0
+
+            def count(frame, event, arg):
+                nonlocal made
+                made += event == "call"
+
+            sys.setprofile(count)
+            try:
+                store.apply([mutation])
+            finally:
+                sys.setprofile(None)
+            counts.append(made)
+            assert "objects" not in vars(previous)
+            assert all(vars(store.data)[name] is held[name] for name in held)
+        return counts
+
+    assert calls(250) == calls(2000)
 
 
 def test_was_deleted(store):
@@ -431,8 +544,8 @@ class TestScopedValidation:
         assert contents(store) == before
 
     def test_every_commit_of_a_fuzz_stream_leaves_the_store_valid(self):
-        # The scoped check is sound only while each version it derives from
-        # is valid as a whole; half the stores cascade through the index.
+        # The scoped check is sound only while the data each batch starts
+        # from is valid as a whole; half the stores cascade through the index.
         for seed in range(120):
             scenario = fuzz_module._Generator(
                 random.Random(seed), fuzz_module.FuzzBounds()
