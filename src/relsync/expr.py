@@ -27,18 +27,32 @@ from .model import RESERVED_CHAR, Scalar, State
 USER_VARIABLE = "user"
 
 
-# Each root kind says whether it admits a start by the object's state: only
-# a filter root does, so only its verdict can flip on an update.
+# Each root kind has the root rule, `admits(oid, cls, state, user)`:
+# whether the root admits an object of class cls in that state as a start,
+# `user` being what `{user}` stands for (None when unbound).  Each also
+# says whether the rule reads the state: only a filter root's does, so
+# only its verdict can flip on an update.
 @dataclass(frozen=True)
 class InstanceSet:
     refs: tuple[str, ...]
     reads_state: ClassVar[bool] = False
+
+    def admits(self, oid: str, cls: str, state: State, user: str | None) -> bool:
+        """Its refs, `{user}` resolved."""
+        refs = self.refs
+        if oid == user and USER_VARIABLE in refs:
+            return True
+        return oid != USER_VARIABLE and oid in refs
 
 
 @dataclass(frozen=True)
 class ClassAll:
     class_name: str
     reads_state: ClassVar[bool] = False
+
+    def admits(self, oid: str, cls: str, state: State, user: str | None) -> bool:
+        """The objects of its class."""
+        return cls == self.class_name
 
 
 @dataclass(frozen=True)
@@ -54,6 +68,10 @@ class ClassFilter:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _value_kind(self.literal))
+
+    def admits(self, oid: str, cls: str, state: State, user: str | None) -> bool:
+        """The objects of its class whose state passes the filter."""
+        return cls == self.class_name and satisfies_filter(state, self)
 
 
 Direct = InstanceSet | ClassAll | ClassFilter

@@ -339,17 +339,17 @@ def stale_walks(data: SystemData) -> list[str]:
     element set or an entry of a link lookup (see `PathSet.agrees_with`)."""
     copy = data.copy()
     stale = []
-    for key, (paths, _, _, parts) in data.walks.items():
+    for key, walk in data.walks.items():
         expr, schema, user = key
         fresh = evaluate(expr, TypedGraph(copy, schema), user=user)
-        theirs = copy.walks[key][3]
+        theirs = copy.walks[key].parts
         if (
-            parts.keys() != theirs.keys()
+            walk.parts.keys() != theirs.keys()
             or any(
                 part is not None and not part[0].agrees_with(theirs[start][0])
-                for start, part in parts.items()
+                for start, part in walk.parts.items()
             )
-            or (paths is not None and not paths.agrees_with(fresh))
+            or (walk.paths is not None and not walk.paths.agrees_with(fresh))
         ):
             stale.append(f"{render_expression(expr)} user={user}")
     return stale

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Callable, Iterable, Set
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import TokenError
+from .memo import WalkMemo
 
 # Attribute values are flat scalars; states compare by exact equality.
 Scalar = str | int | bool
@@ -125,32 +126,6 @@ class Schema:
         self.ends[(assoc.name, assoc.role_b, False)] = assoc.class_b
 
 
-# One memoised walk (see `paths.evaluate`): (paths, reads, admits, parts).
-# - parts: the walk's start set, each start mapped to its part, or to None
-#   while the start is pending.  A part is what growing the walk from that
-#   start gave: a `paths.PathSet` of its paths, and the vertices whose
-#   links the growth read (the tips of its unfinished paths).
-# - paths: the walk's `PathSet` over every part's paths, carrying its
-#   element set and link lookup (a walk of one start is that start's
-#   part), or None until `evaluate` grows the pending starts and composes
-#   the parts again.
-# - reads: the tips of every part, united when the parts were composed.
-# - admits(oid, cls, state): the root rule, whether the root admits an
-#   object of class cls in that state as a start: an instance root admits
-#   its refs, each resolved, a class root the objects of its class, and a
-#   filter root those whose state passes the filter.
-# One rule keeps it (`SystemData._forget`): a mutation that touches a
-# vertex among a part's tips leaves that start pending, and one that
-# changes whether the root admits an object adds that object as a pending
-# start or removes its part; a walk left with no part is dropped.  An
-# entry is never edited: `_forget` and `evaluate` replace it, so a shallow
-# copy of the walk dict taken before a store batch is the memo as it was,
-# which a rejected batch gets back (see `store.Transaction`).  The element
-# sets and lookup entries of its path sets are only ever added, each
-# derived from the paths alone.  A plain tuple, as every walk of every
-# sync makes one.
-Walk = tuple[frozenset | None, Set[str], Callable[[str, str, State], bool], dict]
-
 # What a replaced store version rebuilds on the first read of one of them.
 _CONTAINERS = frozenset({"objects", "links", "states", "walks", "_incident"})
 
@@ -170,20 +145,8 @@ class SystemData:
       from `links` the first time something reads it; `apply` replaces the
       frozensets of a link's ends, so a rebuilt version (below) shares
       every set it copied.
-    - `walks` memoises expression walks, keyed by expression, schema and
-      the `{user}` binding (None unless the root names `{user}`; see
-      `paths.evaluate`).  Each entry is a `Walk`: one part per start,
-      with what growing it read, and the walk composed of the parts,
-      with its element set and link lookup.  `apply` hands each mutation
-      to `_forget`, which leaves a start pending once the mutation
-      reaches what its part read and adds or removes a start once the
-      root's verdict on an object flips (the one rule of `Walk`);
-      `evaluate` then grows only the pending starts.  Entries are
-      replaced, never edited, as a rejected store batch relies on.  A
-      class or filter root's walk scans the objects only on a first walk.
-      A create never changes an existing object's class (the store
-      refuses a used id, and the replica a re-create under another
-      class), so the class the rule tests is the one the scan tested.
+    - `walks`, a `memo.WalkMemo`, memoises expression walks; `apply`
+      hands it each mutation, by the rule in `memo.py`.
 
     A store commit applies its batch to the live data in place, then hands
     the containers to a fresh version (`supersede`).  The version it
@@ -208,8 +171,7 @@ class SystemData:
         self.objects = {} if objects is None else objects
         self.links = set() if links is None else links
         self.states = {} if states is None else states
-        # (expression, schema, user or None) -> the walk
-        self.walks: dict[tuple, Walk] = {}
+        self.walks = WalkMemo()
         # vertex -> links touching it; None until first read
         self._incident: dict[str, frozenset[Link]] | None = None
 
@@ -301,12 +263,9 @@ class SystemData:
         links costs what building the index would, and data that nobody
         walks (a fuzzer's model, a bulk load) never pays for the index.
 
-        Each kind changes the data and the index, then hands `_forget` the
-        vertices it touched (a link's two ends, a created id, a deleted id
-        and the ends of its cascade; none for an update) and, for an
-        object, its id, class and states before and after.  `_forget`
-        replaces every walk the mutation reached (see `Walk`); data that
-        holds no walk skips the call."""
+        Each kind changes the data and the index, then hands the walk
+        memo what `WalkMemo.forget` asks; data that holds no walk skips
+        the call."""
         if isinstance(mutation, CreateObject):
             # a create of a held object (a replica's re-delivered create)
             # replaces its state: both states are present
@@ -315,7 +274,7 @@ class SystemData:
             self.objects[oid] = cls
             new = self.states[oid] = mutation.state_dict()
             if self.walks:
-                self._forget({oid}, oid, cls, old, new)
+                self.walks.forget({oid}, oid, cls, old, new)
         elif isinstance(mutation, (CreateLink, DeleteLink)):
             link = mutation.link
             index = self._incident
@@ -328,11 +287,11 @@ class SystemData:
                 if index is not None:
                     _unindex_link(index, link)
             if self.walks:
-                self._forget({link.src, link.dst}, None, None, None, None)
+                self.walks.forget({link.src, link.dst}, None, None, None, None)
         elif isinstance(mutation, UpdateState):
             oid, new = mutation.object_id, mutation.state_dict()
             if self.walks:
-                self._forget(set(), oid, self.objects.get(oid), self.states.get(oid), new)
+                self.walks.forget(set(), oid, self.objects.get(oid), self.states.get(oid), new)
             self.states[oid] = new
         elif isinstance(mutation, DeleteObject):
             oid = mutation.object_id
@@ -346,58 +305,11 @@ class SystemData:
             self.links.difference_update(cascade)
             cls, old = self.objects.pop(oid), self.states.pop(oid, {})
             if self.walks:
-                self._forget({oid}.union(*(link[:2] for link in cascade)), oid, cls, old, None)
+                self.walks.forget({oid}.union(*(link[:2] for link in cascade)), oid, cls, old, None)
             return cascade
         else:  # pragma: no cover - exhaustive over the Mutation union
             raise TypeError(f"not a mutation: {mutation!r}")
         return []
-
-    def _forget(
-        self,
-        touched: Set[str],
-        oid: str | None,
-        cls: str | None,
-        old: State | None,
-        new: State | None,
-    ) -> None:
-        """Replace every walk a mutation reached: one that touched the
-        vertices `touched` and, for an object mutation, took object `oid`
-        of class `cls` from state `old` to state `new` (None where the
-        object does not exist, which no root admits).  Each start whose
-        part's tips meet `touched` becomes pending, and where the root
-        admits the object on one side of the change only, the object
-        becomes a pending start or its start goes.  An instance or class
-        root ignores states, so on an object present on both sides only a
-        filter root's verdict can flip, and only such a walk's rule is
-        asked.  A walk left with no part is dropped, as an entry that keeps
-        nothing would only cost each later mutation a check: its next walk
-        is a first one, which grows every start and, under a class or
-        filter root, scans the objects."""
-        walks, disjoint = self.walks, touched.isdisjoint
-        both = old is not None and new is not None
-        reached = []
-        for key, walk in walks.items():
-            if cls is not None and (not both or key[0].root.reads_state):
-                admits = walk[2]
-                now = new is not None and admits(oid, cls, new)
-                if now != (old is not None and admits(oid, cls, old)):
-                    reached.append((key, walk, now))
-                    continue
-            if not disjoint(walk[1]):
-                reached.append((key, walk, None))
-        for key, (_, reads, admits, parts), admitted in reached:
-            starts = dict(parts)
-            for start, part in parts.items():
-                if part is not None and not disjoint(part[1]):
-                    starts[start] = None
-            if admitted:
-                starts[oid] = None
-            elif admitted is not None:
-                starts.pop(oid, None)
-            if any(starts.values()):
-                walks[key] = (None, reads, admits, starts)
-            else:
-                del walks[key]
 
 
 _NO_LINKS: frozenset[Link] = frozenset()

@@ -22,25 +22,9 @@ raises exactly when that set would exceed the budget, `MAX_PATHS`.  The
 paths of the starts a walk keeps (see below) count toward the same
 budget, and starts share no path, so the check stays exact.
 
-Every walk is memoised in the data's `walks`, keyed by the expression,
-the schema and the `{user}` binding, which is None unless the root names
-`{user}`: a `{user}`-free expression has one result per data version,
-whichever client asks.  The entry keeps one part per start vertex: the
-paths grown from that start and the vertices whose links that growth
-read (see `model.Walk`).  `SystemData.apply` keeps the entry, across
-versions, and hands it each mutation: a mutation that touches a vertex
-a part read leaves that start pending, and one that changes whether the
-root admits an object adds or removes that start.  The next walk grows
-the pending starts alone and composes the walk from its parts, so a
-mutation under one start of a feed costs the growth of that start and
-one union of the parts' path sets, which copies each path with its hash,
-not a walk of the feed.  One rule, the root's `admits`, tells whether the root
-admits an object as a start: an instance root its refs, a class root the
-objects of its class, a filter root those whose state passes it.  A
-class or filter root's walk scans the objects for its starts only on a
-first walk (a walk that a mutation left with no part is dropped, and its
-next walk is a first one); otherwise the same rule adds and removes
-starts as objects appear, disappear or change state.
+Every walk is memoised in the data's `walks`, one part per start, and
+the next walk regrows only the starts a mutation since reached, by the
+rule in `memo.py`.
 
 A walk's paths come as a `PathSet`: the frozenset of path tuples, and
 beside it what a sync reads off them.  Its element set, every vertex and
@@ -57,17 +41,12 @@ which a regrown start replaces; a walk of one start is that start's part.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterable
+from collections.abc import Collection, Iterable
 
 from .errors import PathBudgetError, UnboundVariableError, UnknownClassError
-from .expr import (
-    ClassAll,
-    InstanceSet,
-    PathExpr,
-    USER_VARIABLE,
-    satisfies_filter,
-)
-from .model import Link, Schema, State, SystemData
+from .expr import InstanceSet, PathExpr, USER_VARIABLE
+from .memo import Walk
+from .model import Link, Schema, SystemData
 
 # The most paths one expression may yield; `evaluate` reads it per call.
 MAX_PATHS = 100_000
@@ -174,18 +153,12 @@ class PathSet(frozenset):
         return not known or sorted(self.through(known)) == sorted(fresh.through(known))
 
 
-def _start(
-    expr: PathExpr, g: TypedGraph, user: str | None
-) -> tuple[Callable[[str, str, State], bool], dict[str, None]]:
-    """The walk's root rule, `admits(oid, cls, state)`, whether the root
-    admits an object as a start, and the start vertices, each mapped to
-    None (no part grown yet).  An instance root admits its refs, resolved,
-    whatever their class and state; a class root, the objects of its
-    class; a filter root, those whose state passes the filter.  The start
-    vertices of a class or filter root come from one scan of the objects."""
+def _start(expr: PathExpr, g: TypedGraph, user: str | None) -> dict[str, None]:
+    """The walk's start vertices, each mapped to None (no part grown yet):
+    an instance root's refs that exist, `{user}` resolved, or the objects
+    its root `admits`, from one scan of the objects."""
     root, objects = expr.root, g.data.objects
     if isinstance(root, InstanceSet):
-        refs: set[str] = set()
         starts: dict[str, None] = {}
         for ref in root.refs:
             if ref == USER_VARIABLE:
@@ -194,30 +167,17 @@ def _start(
                         f"expression uses {USER_VARIABLE!r} but no binding was given"
                     )
                 ref = user
-            refs.add(ref)
             if ref in objects:
                 starts[ref] = None
-
-        def admits(oid: str, cls: str, state: State) -> bool:
-            return oid in refs
-
-        return admits, starts
+        return starts
     name = root.class_name
     if name not in g.schema.classes:
         raise UnknownClassError(f"unknown class {name!r}")
-    if isinstance(root, ClassAll):
-
-        def admits(oid: str, cls: str, state: State) -> bool:
-            return cls == name
-
-    else:
-
-        def admits(oid: str, cls: str, state: State) -> bool:
-            return cls == name and satisfies_filter(state, root)
-
-    states = g.data.states
-    return admits, {
-        v: None for v, c in objects.items() if c == name and admits(v, c, states.get(v, {}))
+    states, admits = g.data.states, root.admits
+    return {
+        v: None
+        for v, c in objects.items()
+        if c == name and admits(v, c, states.get(v, {}), user)
     }
 
 
@@ -231,24 +191,22 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
     """All paths the expression defines over the graph; `user` is the
     object id the `{user}` root stands for.  Whether a link's far end
     carries a role is one probe of the schema's `ends` table.  A call that
-    finds its walk memoised returns the memoised `PathSet`.  Otherwise the
-    walk grows each start the memo lacks a part for, all of them on a
-    first walk, keeps the other parts, and memoises the walk composed of
-    them, with what each part read.  A walk of more than `MAX_PATHS`
-    paths raises and memoises nothing."""
+    finds its walk memoised returns the memoised `PathSet`; otherwise it
+    grows the pending starts, every start on a first walk, and memoises
+    the walk composed of the parts (see `memo.py`).  A walk of more than
+    `MAX_PATHS` paths raises and memoises nothing."""
     root = expr.root
     bound = user if isinstance(root, InstanceSet) and USER_VARIABLE in root.refs else None
     walks = g.data.walks
     walk_key = (expr, g.schema, bound)
-    memo = walks.get(walk_key)
+    kept = walks.get(walk_key)
     parts: dict[str, tuple[PathSet, set[str]] | None]
-    if memo is None:
-        admits, parts = _start(expr, g, user)
+    if kept is None:
+        parts = _start(expr, g, user)
+    elif kept.paths is not None:
+        return kept.paths
     else:
-        paths = memo[0]
-        if paths is not None:
-            return paths
-        admits, parts = memo[2], dict(memo[3])  # an entry is never edited
+        parts = dict(kept.parts)  # an entry is never edited
     budget = MAX_PATHS
     segments = expr.segments
     n_segments = len(segments)
@@ -303,7 +261,7 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
     else:  # the parts' sets copied with their hashes: no path is rehashed
         paths = PathSet(frozenset().union(*(part for part, _ in parts.values())))
         reads = set().union(*(tips for _, tips in parts.values()))
-    walks[walk_key] = (paths, reads, admits, parts)
+    walks[walk_key] = tuple.__new__(Walk, (paths, reads, parts))
     return paths
 
 

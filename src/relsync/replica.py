@@ -14,9 +14,8 @@ walk reads a state only to test a filter root, so the sweep skips it
 when the replica has changed nothing since the last sweep but states of
 classes no filter root names.
 A sweep that does walk reads each expression's walk from the data's memo
-(`SystemData.walks`), and regrows only the starts a change since reached:
-one whose part read a vertex the change touched, or an object whose
-admission by the root the change flipped.
+(`SystemData.walks`), and regrows only the starts a change since reached
+(see `memo.py`).
 Every change goes through `SystemData.apply`, which keeps the data's link
 index current for the sweep's path evaluation.  Links and updates are
 applied in text and id order, so the divergence warnings come in a stable
@@ -36,7 +35,7 @@ from .errors import (
     OfflinePushError,
     UnknownIdError,
 )
-from .expr import ClassFilter, PathExpr
+from .expr import PathExpr
 from .model import (
     CreateLink,
     CreateObject,
@@ -185,7 +184,7 @@ class Replica:
         the sweep's walk reads a state."""
         cls = self.data.objects.get(oid)
         return any(
-            isinstance(expr.root, ClassFilter) and expr.root.class_name == cls
+            expr.root.reads_state and expr.root.class_name == cls
             for expr in self.exprs
         )
 

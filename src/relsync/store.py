@@ -19,14 +19,14 @@ A transaction journals what undoing its batch needs: the log of each
 staged mutation's element and action, which commit also records, and the
 state that each update and object delete replaced.  A rejected batch is
 undone in place from that journal, newest first, and the walk memo
-(`SystemData.walks`) gets back a shallow copy taken before the batch: its
-entries are replaced, never edited, so the copy is the memo as it was.  A
-commit moves the containers, index and memo included, to a fresh
-`SystemData`, which becomes `Store.data`, and leaves the version it
-replaced holding only a link to it and the journal
-(`SystemData.supersede`).  So a commit copies no container: it costs
-O(batch), whatever the size of the store.  A held version is rebuilt
-from the live data and the journals only when something reads it.
+(`SystemData.walks`) gets back a shallow copy taken before the batch,
+which is the memo as it was (see `memo.py`).  A commit moves the
+containers, index and memo included, to a fresh `SystemData`, which
+becomes `Store.data`, and leaves the version it replaced holding only a
+link to it and the journal (`SystemData.supersede`).  So a commit copies
+no container: it costs O(batch), whatever the size of the store.  A held
+version is rebuilt from the live data and the journals only when
+something reads it.
 The change log is the commit clock: a nonempty commit logs every mutation
 at one timestamp, the log's `max_ts + 1`, so equal timestamps mean "same
 transaction" and order of timestamps is commit order.
@@ -48,6 +48,7 @@ from .errors import (
     SchemaMismatchError,
     UnknownIdError,
 )
+from .memo import WalkMemo
 from .model import (
     CreateLink,
     CreateObject,
@@ -87,7 +88,7 @@ class Transaction:
     def __init__(self, store: Store):
         self._store = store
         self._data = store.data
-        self._walks = dict(self._data.walks)  # the memo before the batch
+        self._walks = WalkMemo(self._data.walks)  # the memo before the batch
         self._log: list[tuple[str | Link, ActionType]] = []
         # the state each update replaced, the (class, state) each object
         # delete removed, in staging order
@@ -199,7 +200,7 @@ class Transaction:
         """Undo the staged batch in place and put the walk memo back as it
         was before it."""
         data = self._data
-        data.walks = {}  # no walk need be kept exact through the undo
+        data.walks = WalkMemo()  # no walk need be kept exact through the undo
         data.undo(self._log, self._prior)
         data.walks = self._walks
 

@@ -35,7 +35,9 @@ from .paths import Path, relevant_paths
 @dataclass
 class SyncCursor:
     user: str  # the client's root identity object
-    ts_ls: int = 0  # timestamp of last sync; only ever advances
+    # timestamp of last sync: `Replica.apply_delta` sets it to the ts_cs
+    # of whatever delta arrives, so a late delta moves it back
+    ts_ls: int = 0
 
 
 def timestamp_sync(

@@ -141,7 +141,8 @@ def brute_force_paths(
         for walk in _all_simple_walks(data, start, n):
             if not _matches(schema, data, walk, expr.segments):
                 continue
-            k = len(walk[1])
+            _, edges = walk
+            k = len(edges)
             if k < n:
                 next_role = expr.segments[k]
                 extendable = any(

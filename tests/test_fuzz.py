@@ -7,7 +7,8 @@ import relsync.paths as paths_module
 from relsync.errors import RelsyncError
 from relsync.expr import parse_expression
 from relsync.fuzz import FuzzBounds, fuzz, social_schema
-from relsync.model import CreateObject, SystemData
+from relsync.memo import WalkMemo
+from relsync.model import CreateObject
 from relsync.runner import DivergenceReport, run_scenario
 from relsync.scenario import PushStep, TxStep, parse_scenario, render_scenario
 from relsync.store import Store
@@ -144,14 +145,14 @@ def test_a_stale_memoised_element_set_fails_the_run(monkeypatch):
 
 def test_a_stale_memoised_walk_fails_the_run(monkeypatch):
     # keep every walk whatever a mutation touched; member sets stay exact
-    forget = SystemData._forget
+    forget = WalkMemo.forget
 
     def keep_walks(self, *args):
-        kept = dict(self.walks)
+        kept = dict(self)
         forget(self, *args)
-        self.walks.update(kept)
+        self.update(kept)
 
-    monkeypatch.setattr(SystemData, "_forget", keep_walks)
+    monkeypatch.setattr(WalkMemo, "forget", keep_walks)
     summary = fuzz(seed=42, iterations=5)
     assert summary.failures
     reason = summary.failures[0].reason
@@ -210,7 +211,7 @@ def test_a_stale_part_of_a_walk_of_several_starts_fails_the_run(monkeypatch):
 
     def with_a_ghost_part(expr, g, *, user=None):
         paths = evaluate(expr, g, user=user)
-        parts = g.data.walks[(expr, g.schema, None)][3] if expr == feed else {}
+        parts = g.data.walks[(expr, g.schema, None)].parts if expr == feed else {}
         if len(parts) > 1:
             part = parts[min(parts)][0]
             part._elements = part.elements | {"ghost"}

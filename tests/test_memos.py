@@ -14,12 +14,14 @@ it without meeting it.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
+import relsync.memo as memo_module
 import relsync.paths as paths_module
 from brute_force import random_data, random_expr, random_schema
-from relsync.errors import PathBudgetError
+from relsync.errors import PathBudgetError, UnboundVariableError
 from relsync.fuzz import FuzzBounds, _Generator, stale_walks
 from relsync.expr import (
     ClassAll,
@@ -59,7 +61,7 @@ def parts_of(schema: Schema, data: SystemData, expr: PathExpr, user=None) -> dic
     """start -> the part memoised for it (None while pending); empty when
     the walk is not memoised."""
     walk = data.walks.get(walk_key(schema, expr, user))
-    return {} if walk is None else {s: p and p[0] for s, p in walk[3].items()}
+    return {} if walk is None else {s: p and p[0] for s, p in walk.parts.items()}
 
 
 def assert_set_fresh(walked, fresh) -> None:
@@ -83,7 +85,7 @@ def assert_fresh(schema: Schema, data: SystemData, expr: PathExpr, user=None) ->
     copy = data.copy()
     fresh = relevant_paths(schema, copy, [expr], user=user)
     key = walk_key(schema, expr, user)
-    ours, theirs = data.walks[key][3], copy.walks[key][3]
+    ours, theirs = data.walks[key].parts, copy.walks[key].parts
     assert ours.keys() == theirs.keys()
     reach = 2 * len(expr.segments)
     for start, (part, tips) in ours.items():
@@ -313,10 +315,10 @@ def test_two_users_get_separate_entries_each_equal_to_a_fresh_walk(f1_data, sche
     theirs = relevant_paths(schema, f1_data, [expr], user="I2")
     assert mine != theirs
     assert set(f1_data.walks) == {(expr, schema, "I1"), (expr, schema, "I2")}
-    assert f1_data.walks[(expr, schema, "I1")][0] == fresh_paths(
+    assert f1_data.walks[(expr, schema, "I1")].paths == fresh_paths(
         schema, f1_data, [expr], user="I1"
     )
-    assert f1_data.walks[(expr, schema, "I2")][0] == fresh_paths(
+    assert f1_data.walks[(expr, schema, "I2")].paths == fresh_paths(
         schema, f1_data, [expr], user="I2"
     )
     assert relevant_paths(schema, f1_data, [expr], user="I1") is mine
@@ -496,6 +498,43 @@ def test_literal_kinds_are_memoised_apart(schema):
     assert relevant_paths(schema, data, [true]) == {("E2",)}
 
 
+# A root, what `{user}` stands for, and the objects of `f1_data` it admits.
+ADMITS = [
+    ("{I1,user}", "I2", {"I1", "I2"}),
+    ("{I1,zz}", None, {"I1"}),
+    ("Identity", None, {"I1", "I2", "I3"}),
+    ('Event[title="picnic"]', None, {"E1"}),
+    ('Event[title="quiz"]', None, set()),
+    # no participation's state holds a title, and a missing attribute
+    # fails every comparison, `!=` included
+    ('Participation[title!="quiz"]', None, set()),
+]
+
+
+@pytest.mark.parametrize("text, user, admitted", ADMITS)
+def test_the_start_scan_and_the_root_rule_agree(f1_data, schema, text, user, admitted):
+    expr = parse_expression(text)
+    starts = paths_module._start(expr, TypedGraph(f1_data, schema), user)
+    verdicts = {
+        oid for oid, cls in f1_data.objects.items()
+        if expr.root.admits(oid, cls, f1_data.states[oid], user)
+    }
+    assert set(starts) == verdicts == admitted
+
+
+def test_user_admits_the_object_it_is_bound_to_even_one_spelled_user(schema):
+    data = SystemData()
+    data.apply(CreateObject.make("user", "Identity"))  # a client root spelled `user`
+    expr = parse_expression("{user}")
+    assert paths_module._start(expr, TypedGraph(data, schema), "user") == {"user": None}
+    assert expr.root.admits("user", "Identity", {}, "user")
+    assert not expr.root.admits("user", "Identity", {}, "I1")
+    # unbound, `{user}` admits nothing, not even an object spelled `user`
+    assert not expr.root.admits("user", "Identity", {}, None)
+    with pytest.raises(UnboundVariableError):
+        paths_module._start(expr, TypedGraph(data, schema), None)
+
+
 def test_a_walk_over_budget_is_not_memoised(f1_data, schema, monkeypatch):
     g = TypedGraph(f1_data, schema)
     expr = parse_expression("Identity")
@@ -609,3 +648,43 @@ def test_a_rewalk_costs_the_starts_it_regrows_not_the_feed(schema, case):
         store.apply([mutation])
         assert counted_walk(schema, store.data, expr) == (tips, 0)
         assert_fresh(schema, store.data, expr)
+
+
+def forget_line_events(schema, walks: int) -> int:
+    """Line events in `memo.py` while one link create touches what one of
+    `walks` unrelated memoised walks read: `{user}.Contact` for each of
+    `walks` identities, each walk reading its identity alone."""
+    data = SystemData()
+    data.apply(CreateObject.make("C0", "Contact"))
+    expr = parse_expression("{user}.Contact")
+    for i in range(walks):
+        data.apply(CreateObject.make(f"I{i}", "Identity"))
+        relevant_paths(schema, data, [expr], user=f"I{i}")
+    assert len(data.walks) == walks
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return count
+
+    def calls(frame, event, arg):
+        return count if frame.f_code.co_filename == memo_module.__file__ else None
+
+    before = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        data.apply(CreateLink(Link("I0", "C0", "Ownership")))
+    finally:
+        sys.settrace(before)
+    # the one walk reached is left with no part and dropped
+    assert set(data.walks) == {walk_key(schema, expr, f"I{i}") for i in range(1, walks)}
+    return events
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP items 14 and 17: `WalkMemo.forget` scans every entry (CHANGES.md line 38)",
+)
+def test_a_mutation_visits_the_walks_it_reaches_not_all_of_them(schema):
+    assert forget_line_events(schema, 4) == forget_line_events(schema, 64)
