@@ -44,6 +44,7 @@ from .scenario import (
     render_scenario,
 )
 from .expr import parse_expression, render_expression
+from .memo import WalkMemo
 from .paths import TypedGraph, evaluate
 
 EXPR_CONTACTS = "{user}.Contact.contactIdentity"
@@ -334,23 +335,20 @@ class _Generator:
 def stale_walks(data: SystemData) -> list[str]:
     """The memoised walks of the data that a walk over a copy of it, which
     has no memo, does not give, each as its expression and user: their
-    start set differs, a part differs from the fresh walk's part from the
-    same start, or the composed walk differs from the fresh one, in paths,
-    element set or an entry of a link lookup (see `PathSet.agrees_with`)."""
+    paths, starts, tree, read map or element counts differ (see
+    `PathSet.agrees_with`).  A pending walk is regrown first, on a view of
+    the data that holds that walk alone, so the memo is left as it is."""
     copy = data.copy()
     stale = []
     for key, walk in data.walks.items():
         expr, schema, user = key
         fresh = evaluate(expr, TypedGraph(copy, schema), user=user)
-        theirs = copy.walks[key].parts
-        if (
-            walk.parts.keys() != theirs.keys()
-            or any(
-                part is not None and not part[0].agrees_with(theirs[start][0])
-                for start, part in walk.parts.items()
-            )
-            or (walk.paths is not None and not walk.paths.agrees_with(fresh))
-        ):
+        ours = walk.paths
+        if walk.pending is not None:
+            view = SystemData.__new__(SystemData)
+            view.__dict__ = {**vars(data), "walks": WalkMemo({key: walk})}
+            ours = evaluate(expr, TypedGraph(view, schema), user=user)
+        if not ours.agrees_with(fresh):
             stale.append(f"{render_expression(expr)} user={user}")
     return stale
 

@@ -143,8 +143,8 @@ class SystemData:
     kept exact by `apply`, the one way the data changes:
     - `incident` maps each vertex to the links touching it.  It is built
       from `links` the first time something reads it; `apply` replaces the
-      frozensets of a link's ends, so a rebuilt version (below) shares
-      every set it copied.
+      tuples of a link's ends, so a rebuilt version (below) shares every
+      tuple it copied.
     - `walks`, a `memo.WalkMemo`, memoises expression walks; `apply`
       hands it each mutation, by the rule in `memo.py`.
 
@@ -173,7 +173,7 @@ class SystemData:
         self.states = {} if states is None else states
         self.walks = WalkMemo()
         # vertex -> links touching it; None until first read
-        self._incident: dict[str, frozenset[Link]] | None = None
+        self._incident: dict[str, tuple[Link, ...]] | None = None
 
     def __getattr__(self, name: str):
         # Reached only for an attribute the instance lacks, as a replaced
@@ -184,16 +184,18 @@ class SystemData:
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
-    def incident(self) -> dict[str, frozenset[Link]]:
-        """vertex -> the links touching it; a vertex without links has no
-        entry.  A self-link is listed once, under its one vertex."""
+    def incident(self) -> dict[str, tuple[Link, ...]]:
+        """vertex -> the links touching it, a tuple in link order, which for
+        a vertex's few links takes a fraction of a frozenset's memory; a
+        vertex without links has no entry.  A self-link is listed once,
+        under its one vertex."""
         index = self._incident
         if index is None:
             building: dict[str, set[Link]] = {}
             for link in self.links:
                 building.setdefault(link.src, set()).add(link)
                 building.setdefault(link.dst, set()).add(link)
-            index = self._incident = {v: frozenset(s) for v, s in building.items()}
+            index = self._incident = {v: tuple(sorted(s)) for v, s in building.items()}
         return index
 
     def copy(self) -> SystemData:
@@ -312,26 +314,29 @@ class SystemData:
         return []
 
 
-_NO_LINKS: frozenset[Link] = frozenset()
+_NO_LINKS: tuple[Link, ...] = ()
 
 
-def _index_link(index: dict[str, frozenset[Link]], link: Link) -> None:
-    """Add a link under both its ends, replacing each end's set."""
-    index[link.src] = index.get(link.src, _NO_LINKS) | {link}
-    if link.dst != link.src:
-        index[link.dst] = index.get(link.dst, _NO_LINKS) | {link}
+def _index_link(index: dict[str, tuple[Link, ...]], link: Link) -> None:
+    """Add a link under both its ends, replacing each end's tuple."""
+    src, dst = link.src, link.dst
+    index[src] = tuple(sorted(index.get(src, _NO_LINKS) + (link,)))
+    if dst != src:
+        index[dst] = tuple(sorted(index.get(dst, _NO_LINKS) + (link,)))
 
 
-def _unindex_link(index: dict[str, frozenset[Link]], link: Link) -> None:
-    """Remove a link from under both its ends, replacing each end's set and
-    dropping an end left without links.  An end already gone is skipped."""
+def _unindex_link(index: dict[str, tuple[Link, ...]], link: Link) -> None:
+    """Remove a link from under both its ends, replacing each end's tuple
+    and dropping an end left without links.  An end already gone is
+    skipped."""
     for vertex in {link.src, link.dst}:
         held = index.get(vertex)
         if held is not None and link in held:
             if len(held) == 1:
                 del index[vertex]
             else:
-                index[vertex] = held - {link}
+                at = held.index(link)
+                index[vertex] = held[:at] + held[at + 1:]
 
 
 # Mutations -----------------------------------------------------------------

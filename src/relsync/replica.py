@@ -7,15 +7,15 @@ over-deliver, re-deliver, or announce deletions of things this client never
 had — and is ordered so no step observes a dangling reference: object
 creates, link creates, updates, link deletes, object deletes, then the GC
 sweep drops whatever is no longer on any locally-relevant path.  It keeps
-the root and the walks' element set (`paths.PathSet.elements`), every
-object and link on some path in one set, which a memoised walk carries,
-so a sweep that reads the memo builds nothing from the path tuples.  The
+the root and the walks' elements (`paths.PathSet.counts`), every object
+and link on some path, which a memoised walk carries, so a sweep that
+reads the memo builds nothing from the path tuples.  The
 walk reads a state only to test a filter root, so the sweep skips it
 when the replica has changed nothing since the last sweep but states of
 classes no filter root names.
 A sweep that does walk reads each expression's walk from the data's memo
-(`SystemData.walks`), and regrows only the starts a change since reached
-(see `memo.py`).
+(`SystemData.walks`), and re-expands only the nodes a change since
+reached (see `memo.py`).
 Every change goes through `SystemData.apply`, which keeps the data's link
 index current for the sweep's path evaluation.  Links and updates are
 applied in text and id order, so the divergence warnings come in a stable
@@ -124,12 +124,15 @@ class Replica:
         if self._swept is data:
             return set()
         # Object ids and links never compare equal, so one set holds both.
-        on_path = relevant_paths(self.schema, data, self.exprs, user=self.root).elements
-        removed = data.objects.keys() - on_path
+        paths = relevant_paths(self.schema, data, self.exprs, user=self.root)
+        slices = [walk.counts for walk in paths.parts or (paths,)]
+        removed = data.objects.keys() - slices[0]
+        for on_path in slices[1:]:
+            removed.difference_update(on_path)
         removed.discard(self.root)
         # Every link of a removed object is off-path too, so the objects'
         # cascades find nothing left to remove.
-        for link in data.links - on_path:
+        for link in data.links.difference(*slices):
             data.apply(DeleteLink(link))
         for oid in removed:
             data.apply(DeleteObject(oid))

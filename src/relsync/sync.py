@@ -8,13 +8,18 @@ unless created, to the update set.  Because a new link can splice an old
 subgraph into relevance, on a path that holds a new link everything from
 the first such link on goes to the create sets regardless of age.
 
-The slice is the element set memoised beside each walk (`paths.PathSet`),
-so a sync whose walks are memoised builds nothing from the path tuples.
-The paths holding a new link come from each walk's link lookup, which
-gives the link's position in each of them; a path keeps its smallest.
+The slice is each walk's element counts, memoised with its prefix tree
+(`paths.PathSet`), so a sync whose walks are memoised builds nothing from
+the path tuples, nor unites its walks' slices: it tests each change
+since its cursor against each walk's counts.  The elements from a new
+link on are every node under a node that the link leads into, which the
+walk's read map finds from the link's ends (`PathSet.below`).  So a sync
+that finds its walks memoised costs what changed since its cursor, not
+the size of its slice.
 
-Per action the log walks its k changes while k is at most the slice's size;
-past that (a new or long-offline client) each slice element is probed.
+Per action the log walks its k changes while k is at most the size of the
+walks' slices; past that (a new or long-offline client) each slice element
+is probed.
 Deletions are broadcast to every client regardless of relevance; the
 receiving side ignores deletes it never knew about.  ts_cs advances the
 cursor to the newest action timestamp among everything delivered, which is
@@ -24,12 +29,16 @@ what makes an immediate re-sync empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .changelog import ActionType, ChangeLog
 from .delta import DeltaSet
 from .expr import PathExpr
 from .model import Link, Schema, SystemData
-from .paths import Path, relevant_paths
+from .paths import relevant_paths
+
+
+_COUNTS = attrgetter("counts")
 
 
 @dataclass
@@ -49,13 +58,18 @@ def timestamp_sync(
 ) -> DeltaSet:
     ts_ls = cursor.ts_ls
     paths = relevant_paths(schema, data, exprs, user=cursor.user)
-    on_path = paths.elements
+    walks = paths.parts or (paths,)
+    slices = list(map(_COUNTS, walks))
+    size = sum(map(len, slices))
 
     def changed(action: ActionType) -> set[str | Link]:
-        newer = log.since(action, ts_ls, limit=len(on_path))
+        newer = log.since(action, ts_ls, limit=size)
         if newer is None:  # more changes than slice elements: probe those
-            newer = [e for e in on_path if (log.ts(e, action) or 0) > ts_ls]
-        return set(newer).intersection(on_path)
+            newer = [e for on_path in slices for e in on_path if (log.ts(e, action) or 0) > ts_ls]
+        found = slices[0].keys() & newer
+        for on_path in slices[1:]:
+            found |= on_path.keys() & newer
+        return found
 
     created = changed(ActionType.CREATE)
     crt_links: set[Link] = {e for e in created if isinstance(e, Link)}
@@ -64,14 +78,12 @@ def timestamp_sync(
     if crt_links:
         # A new edge may have attached an old subgraph the client never saw:
         # from a path's first new edge on, everything goes out as creates.
-        first: dict[Path, int] = {}
-        for walk in paths.parts:
-            for p, i in walk.through(crt_links):
-                if i < first.get(p, len(p)):
-                    first[p] = i
-        for p, i in first.items():
-            crt_links.update(p[i::2])
-            crt_ids.update(p[i + 1::2])
+        new_links = frozenset(crt_links)
+        for walk, on_path in zip(walks, slices):
+            if not on_path.keys().isdisjoint(new_links):
+                ids, links = walk.below(new_links)
+                crt_ids |= ids
+                crt_links |= links
 
     upd_ids = changed(ActionType.UPDATE) - crt_ids
     del_objects, del_links = log.deletions_since(ts_ls)

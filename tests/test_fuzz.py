@@ -124,7 +124,7 @@ def test_generated_scenarios_share_one_schema():
 
 
 def test_a_stale_memoised_element_set_fails_the_run(monkeypatch):
-    # memoise every walk with an element set that also holds a vertex on
+    # memoise every walk with element counts that also hold a vertex on
     # none of its paths, as if kept from before a delete; the paths stay
     # exact, the syncs and sweeps deliver and keep the same, and the
     # check's fresh walks are untouched
@@ -132,7 +132,7 @@ def test_a_stale_memoised_element_set_fails_the_run(monkeypatch):
 
     def with_a_ghost(expr, g, *, user=None):
         paths = evaluate(expr, g, user=user)
-        paths._elements = paths.elements | {"ghost"}
+        paths.counts = {**paths.counts, "ghost": 1}
         return paths
 
     monkeypatch.setattr(paths_module, "evaluate", with_a_ghost)
@@ -161,14 +161,14 @@ def test_a_stale_memoised_walk_fails_the_run(monkeypatch):
 
 
 def test_stale_walks_found_before_an_engine_error_are_the_reason(monkeypatch):
-    # memoise every walk with an element set stripped of its start
+    # memoise every walk with element counts stripped of its start
     # vertices: a sweep then drops the client's own objects, and a later
     # step raises on one of them, after the check found the stale walks
     evaluate = paths_module.evaluate
 
     def stripped(expr, g, *, user=None):
         paths = evaluate(expr, g, user=user)
-        paths._elements = paths.elements - {p[0] for p in paths}
+        paths.counts = {e: n for e, n in paths.counts.items() if e not in paths.roots}
         return paths
 
     raised = []
@@ -203,18 +203,17 @@ def test_a_stale_part_of_a_walk_of_several_starts_fails_the_run(monkeypatch):
     monkeypatch.setattr(fuzz_module._Generator, "build", with_a_feed)
     assert fuzz(seed=42, iterations=5).failures == []
 
-    # memoise one part of each such walk with an element set that also
-    # holds a vertex on none of its paths; the composed walk, all that the
-    # syncs and sweeps read, stays exact, so only the check of each part
-    # sees it
+    # memoise each such walk with a read map that also lists one start's
+    # node under a vertex no node reads; the paths, counts and tree, all
+    # that the syncs and sweeps read, stay exact, so only the check of the
+    # read map sees it
     evaluate = paths_module.evaluate
 
     def with_a_ghost_part(expr, g, *, user=None):
         paths = evaluate(expr, g, user=user)
-        parts = g.data.walks[(expr, g.schema, None)].parts if expr == feed else {}
-        if len(parts) > 1:
-            part = parts[min(parts)][0]
-            part._elements = part.elements | {"ghost"}
+        roots = paths.roots if expr == feed else {}
+        if len(roots) > 1:
+            paths.reads = {**paths.reads, "ghost": roots[min(roots)]}
         return paths
 
     monkeypatch.setattr(paths_module, "evaluate", with_a_ghost_part)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,7 @@ import relsync.memo as memo_module
 import relsync.paths as paths_module
 from brute_force import random_data, random_expr, random_schema
 from relsync.errors import PathBudgetError, UnboundVariableError
-from relsync.fuzz import FuzzBounds, _Generator, stale_walks
+from relsync.fuzz import EXPR_CONTACTS, EXPR_EVENTS, FuzzBounds, _Generator, stale_walks
 from relsync.expr import (
     ClassAll,
     ClassFilter,
@@ -44,6 +45,7 @@ from relsync.model import (
 from relsync.paths import TypedGraph, evaluate, relevant_paths
 from relsync.runner import MODES, run_scenario
 from relsync.store import Store
+from relsync.sync import SyncCursor, timestamp_sync
 
 from conftest import build_f1
 
@@ -57,47 +59,90 @@ def walk_key(schema: Schema, expr: PathExpr, user: str | None) -> tuple:
     return (expr, schema, user if USER_VARIABLE in getattr(expr.root, "refs", ()) else None)
 
 
+# What `parts_of` gives for a start its walk has yet to grow or regrow.
+PENDING = "pending"
+
+
 def parts_of(schema: Schema, data: SystemData, expr: PathExpr, user=None) -> dict:
-    """start -> the part memoised for it (None while pending); empty when
+    """start -> its node as memoised, or PENDING for a start the walk has
+    yet to grow or under which a mutation since marked a node; empty when
     the walk is not memoised."""
     walk = data.walks.get(walk_key(schema, expr, user))
-    return {} if walk is None else {s: p and p[0] for s, p in walk.parts.items()}
+    if walk is None:
+        return {}
+    roots = walk.paths.roots
+    if walk.pending is None:
+        return dict(roots)
+    starts, touched = walk.pending
+    marked = set()
+    for vertex in touched:
+        read = walk.paths.reads.get(vertex)
+        if read is not None:
+            marked.update(node[0][0] for node in ((read,) if type(read) is list else read))
+    return {s: PENDING if s in marked or s not in roots else roots[s] for s in starts}
 
 
-def assert_set_fresh(walked, fresh) -> None:
-    """A path set is the fresh one: its paths, its element set, and every
-    entry its link lookup holds, each against its definition over the
-    fresh paths."""
+def expected_tree(paths, segments: int) -> tuple[dict, dict, dict]:
+    """The read map, element counts and tree shape (each read node's path
+    -> its children's paths) of the prefix tree of `paths`, from their
+    definitions: a node per prefix, and a node reads its vertex while it
+    has a segment left to match."""
+    nodes = {p[:i] for p in paths for i in range(1, len(p) + 1, 2)}
+    counts: dict = {}
+    read: dict = {}
+    for p in nodes:
+        for element in p[-2:]:
+            counts[element] = counts.get(element, 0) + 1
+        if len(p) // 2 < segments:
+            read.setdefault(p[-1], set()).add(p)
+    reads = {v: next(iter(s)) if len(s) == 1 else frozenset(s) for v, s in read.items()}
+    shape = {
+        p: frozenset(q for q in nodes if len(q) == len(p) + 2 and q[: len(p)] == p)
+        for p in nodes
+        if len(p) // 2 < segments
+    }
+    return reads, counts, shape
+
+
+def assert_set_fresh(walked, fresh, segments: int) -> None:
+    """A walk is the fresh one: its paths and starts, and its read map,
+    element counts and tree, each against its definition over the fresh
+    paths."""
     assert walked == fresh
-    assert walked.elements == set().union(*fresh)
-    known = walked._through or {}
-    assert sorted(walked.through(known)) == sorted(
-        (p, i) for p in fresh for i in range(1, len(p), 2) if p[i] in known
-    )
+    assert walked.roots.keys() == fresh.roots.keys()
+    reads, counts, shape = expected_tree(fresh, segments)
+    assert paths_module._read_paths(walked.reads) == reads
+    assert walked.counts == counts
+    assert paths_module._shape(walked.roots) == shape
 
 
 def assert_fresh(schema: Schema, data: SystemData, expr: PathExpr, user=None) -> None:
     """The memoised walk is the fresh one, start by start: the same start
-    set, each part the fresh walk's part from the same start (with the
-    tips its growth read: every vertex a path holds before its last
-    segment's end), and the composed walk the fresh walk."""
+    set, each start's subtree the fresh walk's from the same start, and
+    the walk's read map, counts and paths the fresh walk's."""
     walked = relevant_paths(schema, data, [expr], user=user)
     copy = data.copy()
     fresh = relevant_paths(schema, copy, [expr], user=user)
-    key = walk_key(schema, expr, user)
-    ours, theirs = data.walks[key].parts, copy.walks[key].parts
-    assert ours.keys() == theirs.keys()
-    reach = 2 * len(expr.segments)
-    for start, (part, tips) in ours.items():
-        assert_set_fresh(part, theirs[start][0])
-        assert {start} == {p[0] for p in part}
-        assert tips == {p[i] for p in part for i in range(0, min(len(p), reach), 2)}
-    assert_set_fresh(walked, fresh)
+    assert data.walks[walk_key(schema, expr, user)].pending is None
+    for start, node in walked.roots.items():
+        ours = paths_module._shape({start: node})
+        assert ours == paths_module._shape({start: fresh.roots[start]})
+        assert {p[0] for p in ours} == ({start} if expr.segments else set())
+    assert_set_fresh(walked, fresh, len(expr.segments))
 
 
-def fill_lookup(walked) -> None:
-    """Have the walk's link lookup hold every other link of the walk."""
-    walked.through(sorted(e for e in walked.elements if isinstance(e, Link))[::2])
+def check_below(walked) -> None:
+    """The nodes under every other link of the walk are those the
+    first-new-link rule reads off its paths."""
+    links = set(sorted(e for e in walked.counts if isinstance(e, Link))[::2])
+    ids: set = set()
+    entered: set = set()
+    for p in walked:
+        first = next((i for i in range(1, len(p), 2) if p[i] in links), None)
+        if first is not None:
+            entered.update(p[first::2])
+            ids.update(p[first + 1::2])
+    assert walked.below(links) == (ids, entered)
 
 
 # An expression and the user its `{user}` root stands for (None for a
@@ -142,14 +187,13 @@ def random_mutation(rng: random.Random, schema: Schema, data: SystemData, fresh)
 
 def check_memos(schema: Schema, data: SystemData, drawn: list[Drawn]) -> None:
     """Walk twice (the second call reads the memo) and compare both with a
-    fresh walk; every memoised walk must be exact.  Each walk's lookup is
-    filled for half its links, so a kept walk's entries are checked after
-    later mutations."""
+    fresh walk; every memoised walk must be exact, and so must the nodes
+    it finds under half its links."""
     assert stale_walks(data) == []
     for expr, user in drawn:
         walked = relevant_paths(schema, data, [expr], user=user)
         assert_fresh(schema, data, expr, user)
-        fill_lookup(walked)
+        check_below(walked)
         assert relevant_paths(schema, data, [expr], user=user) is walked
         assert walk_key(schema, expr, user) in data.walks
     assert {key[0] for key in data.walks} == {expr for expr, _ in drawn}
@@ -411,14 +455,15 @@ def test_each_drop_rule_drops(schema, case, through):
         store.apply([mutation])
     else:
         store.data.apply(mutation)
-    # the memo holds no part for the start reached and keeps the others;
-    # a walk left with no part is forgotten
+    # the start reached is pending and the others keep their nodes; a
+    # walk that keeps no node a regrowth would reuse is forgotten
     pending = parts_of(schema, store.data, expr, user)
     if others:
-        assert pending.get(start) is None
+        assert pending.get(start, PENDING) is PENDING
         assert all(pending[s] is kept[s] for s in others)
     else:
-        assert pending == {}
+        starts = relevant_paths(schema, store.data.copy(), [expr], user=user).roots
+        assert pending in ({}, dict.fromkeys(starts, PENDING))
     after = relevant_paths(schema, store.data, [expr], user=user)
     assert after != before
     assert_fresh(schema, store.data, expr, user)
@@ -468,7 +513,7 @@ def test_each_keep_case_keeps_the_identical_frozenset(schema, case, through):
     if setup:
         store.apply(setup)
     before = relevant_paths(schema, store.data, [expr], user=user)
-    fill_lookup(before)
+    check_below(before)
     if through == "store":
         store.apply([mutation])
     else:
@@ -553,8 +598,8 @@ def test_starts_over_budget_only_together_raise_and_memoise_nothing(schema, monk
     store = build_f1(Store(schema))
     store.apply(TWO_STARTS)
     copy = store.data.copy()
-    relevant_paths(schema, copy, [expr])
-    sizes = {s: len(p) for s, p in parts_of(schema, copy, expr).items()}
+    walked = relevant_paths(schema, copy, [expr])
+    sizes = {s: sum(p[0] == s for p in walked) for s in parts_of(schema, copy, expr)}
     assert sizes == {"E1": 4, "E2": 1}
     monkeypatch.setattr(paths_module, "MAX_PATHS", 4)
     # a first walk
@@ -566,7 +611,7 @@ def test_starts_over_budget_only_together_raise_and_memoise_nothing(schema, monk
     relevant_paths(schema, store.data, [expr])
     monkeypatch.setattr(paths_module, "MAX_PATHS", 4)
     store.apply([DeleteLink(Link("I1", "P4", "Attendance"))])
-    assert parts_of(schema, store.data, expr)["E2"] is None
+    assert parts_of(schema, store.data, expr)["E2"] is PENDING
     with pytest.raises(PathBudgetError):
         relevant_paths(schema, store.data, [expr])
     assert store.data.walks == {}
@@ -617,19 +662,19 @@ def feed_store(schema, starts: int) -> Store:
     return store
 
 
-def counted_walk(schema, data: SystemData, expr: PathExpr) -> tuple[int, int]:
+def counted_walk(schema, data: SystemData, expr: PathExpr, user=None) -> tuple[int, int]:
     """(tips read, scans of the objects) of one walk over the data."""
     data.objects = CountingObjects(data.objects)
     g = TypedGraph(data, schema)
     g.incident = CountingIncident(g.incident)
-    evaluate(expr, g)
+    evaluate(expr, g, user=user)
     return g.incident.reads, data.objects.scans
 
 
 # mutation -> (tips a re-walk reads, scans of the objects)
 REWALKS = {
-    # an attendance under E0 leaves: E0 regrows (E0, PE0_0, PE0_1)
-    "touch": (DeleteLink(Link("IE0_0", "PE0_0", "Attendance")), 3),
+    # an attendance under E0 leaves: PE0_0 alone is re-expanded
+    "touch": (DeleteLink(Link("IE0_0", "PE0_0", "Attendance")), 1),
     # EQ's title flips into the feed: EQ grows (EQ, PEQ_0)
     "flip-in": (UpdateState.make("EQ", {"title": "picnic"}), 2),
     # E0's title flips out of the feed: its part goes, nothing grows
@@ -648,6 +693,125 @@ def test_a_rewalk_costs_the_starts_it_regrows_not_the_feed(schema, case):
         store.apply([mutation])
         assert counted_walk(schema, store.data, expr) == (tips, 0)
         assert_fresh(schema, store.data, expr)
+
+
+def attendee_store(schema, events: int) -> Store:
+    """Identity U attends `events` events, each with two other attendees."""
+    batch: list = [CreateObject.make("U", "Identity")]
+    for k in range(events):
+        batch.append(CreateObject.make(f"E{k}", "Event"))
+        for who in ("U", f"I{k}_0", f"I{k}_1"):
+            if who != "U":
+                batch.append(CreateObject.make(who, "Identity"))
+            pid = f"P{k}_{who}"
+            batch += [
+                CreateObject.make(pid, "Participation"),
+                CreateLink(Link(who, pid, "Attendance")),
+                CreateLink(Link(pid, f"E{k}", "Enrollment")),
+            ]
+    store = Store(schema)
+    store.apply(batch)
+    return store
+
+
+# batch -> the tips a re-walk of U's neighbourhood reads
+NEIGHBOURHOOD_REWALKS = {
+    # a new attendee at E0: E0 is re-expanded, and the new participation
+    # grows its one identity
+    "attend": ([
+        CreateObject.make("X", "Identity"),
+        CreateObject.make("PX", "Participation"),
+        CreateLink(Link("X", "PX", "Attendance")),
+        CreateLink(Link("PX", "E0", "Enrollment")),
+    ], 2),
+    # a new contact of U: U alone is re-expanded, and nothing grows
+    "contact": ([CreateObject.make("C", "Contact"), CreateLink(Link("U", "C", "Ownership"))], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEIGHBOURHOOD_REWALKS))
+def test_a_rewalk_costs_the_nodes_it_touched_not_the_events(schema, case):
+    batch, tips = NEIGHBOURHOOD_REWALKS[case]
+    expr = parse_expression(EXPR_EVENTS)
+    for events in (2, 16):
+        store = attendee_store(schema, events)
+        # the first walk reads U, and each event, U's participation in it
+        # and its other two participations
+        assert counted_walk(schema, store.data, expr, "U") == (1 + 4 * events, 0)
+        store.apply(batch)
+        assert counted_walk(schema, store.data, expr, "U") == (tips, 0)
+        assert_fresh(schema, store.data, expr, "U")
+
+
+def neighbourhood_store(schema, size: int) -> Store:
+    """Identity U with `size` contacts and `size` events it attends."""
+    batch: list = [CreateObject.make("U", "Identity")]
+    for k in range(size):
+        batch += [
+            CreateObject.make(f"I{k}", "Identity"),
+            CreateObject.make(f"C{k}", "Contact"),
+            CreateLink(Link("U", f"C{k}", "Ownership")),
+            CreateLink(Link(f"C{k}", f"I{k}", "Reference")),
+            CreateObject.make(f"E{k}", "Event"),
+            CreateObject.make(f"P{k}", "Participation"),
+            CreateLink(Link("U", f"P{k}", "Attendance")),
+            CreateLink(Link(f"P{k}", f"E{k}", "Enrollment")),
+        ]
+    store = Store(schema)
+    store.apply(batch)
+    return store
+
+
+def counted_sync(schema, size: int) -> tuple[int, int]:
+    """(Python calls, bytes allocated at the peak) of one sync of a client
+    of U's contacts and events, whose walks are memoised, with one update
+    on its slice since its cursor."""
+    exprs = [parse_expression(EXPR_CONTACTS), parse_expression(EXPR_EVENTS)]
+    store = neighbourhood_store(schema, size)
+    cursor = SyncCursor(user="U")
+    for _ in range(2):  # the second sync finds every walk memoised
+        cursor.ts_ls = timestamp_sync(cursor, store.data, store.log, exprs, schema).ts_cs
+    store.apply([UpdateState.make("I0", {"name": "ana"})])
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sys.setprofile(count)
+        try:
+            delta = timestamp_sync(cursor, store.data, store.log, exprs, schema)
+        finally:
+            sys.setprofile(None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert delta.upd_objects == {"I0"}
+    return calls, peak
+
+
+def test_an_untouched_sync_costs_what_changed_not_its_slice(schema):
+    counted_sync(schema, 50)  # what a first sync of this shape allocates once
+    (calls, peak), (calls_8x, peak_8x) = counted_sync(schema, 50), counted_sync(schema, 400)
+    assert calls == calls_8x
+    # nothing the size of the slice is built: no union of paths or elements
+    assert peak_8x <= peak + 1024
+
+
+def test_a_union_of_memoised_walks_is_kept_until_one_of_them_changes(f1_data, schema):
+    exprs = [parse_expression(EXPR_CONTACTS), parse_expression(EXPR_EVENTS)]
+    union = relevant_paths(schema, f1_data, exprs, user="I1")
+    assert relevant_paths(schema, f1_data, exprs, user="I1") is union
+    assert union.parts == tuple(relevant_paths(schema, f1_data, [e], user="I1") for e in exprs)
+    f1_data.apply(CreateObject.make("C9", "Contact"))
+    f1_data.apply(CreateLink(Link("I1", "C9", "Ownership")))
+    again = relevant_paths(schema, f1_data, exprs, user="I1")
+    assert again is not union
+    assert again == fresh_paths(schema, f1_data, exprs, user="I1")
+    assert relevant_paths(schema, f1_data, exprs, user="I1") is again
 
 
 def forget_line_events(schema, walks: int) -> int:
@@ -677,8 +841,10 @@ def forget_line_events(schema, walks: int) -> int:
         data.apply(CreateLink(Link("I0", "C0", "Ownership")))
     finally:
         sys.settrace(before)
-    # the one walk reached is left with no part and dropped
-    assert set(data.walks) == {walk_key(schema, expr, f"I{i}") for i in range(1, walks)}
+    # the one walk reached is pending
+    assert [key for key, walk in data.walks.items() if walk.pending] == [
+        walk_key(schema, expr, "I0")
+    ]
     return events
 
 

@@ -286,13 +286,13 @@ class TestSubdata:
         assert d1.states["a"]["k"] == 1
 
 
-def rebuilt_index(links) -> dict[str, frozenset[Link]]:
-    """vertex -> links touching it, built from scratch."""
+def rebuilt_index(links) -> dict[str, tuple[Link, ...]]:
+    """vertex -> links touching it, in link order, built from scratch."""
     index: dict[str, set[Link]] = {}
     for link in links:
         for vertex in {link.src, link.dst}:
             index.setdefault(vertex, set()).add(link)
-    return {vertex: frozenset(held) for vertex, held in index.items()}
+    return {vertex: tuple(sorted(held)) for vertex, held in index.items()}
 
 
 def frozen_view(data: SystemData) -> tuple:

@@ -173,6 +173,17 @@ class TestGcSweep:
         assert removed == {"E5"}
         assert set(replica.data.objects) == {"I1"}
 
+    def test_a_replica_of_no_expression_syncs_and_keeps_its_root_alone(self, schema):
+        store = build_f1(Store(schema))
+        replica = Replica(name="A", root="I1", exprs=[], schema=schema)
+        delta = full_sync(store, replica)
+        assert delta.crt_objects == set() and delta.crt_links == set()
+        d = DeltaSet(ts_cs=delta.ts_cs)
+        d.crt_objects = {("I1", "Identity"), ("E5", "Event")}
+        replica.apply_delta(d)
+        assert replica.gc_sweep() == {"E5"}
+        assert set(replica.data.objects) == {"I1"}
+
     def test_sweep_is_a_fixed_point(self, schema, fixture_exprs):
         store = build_f1(Store(schema))
         replica = make_replica(schema, fixture_exprs)
