@@ -44,8 +44,9 @@ from .scenario import (
     render_scenario,
 )
 from .expr import parse_expression, render_expression
-from .memo import WalkMemo
-from .paths import TypedGraph, evaluate
+from .memo import Walk, WalkMemo
+from .paths import TypedGraph, evaluate, select_relevant
+from .replica import Replica
 
 EXPR_CONTACTS = "{user}.Contact.contactIdentity"
 EXPR_EVENTS = "{user}.Participation.Event.Participation.Identity"
@@ -336,8 +337,9 @@ def stale_walks(data: SystemData) -> list[str]:
     """The memoised walks of the data that a walk over a copy of it, which
     has no memo, does not give, each as its expression and user: their
     paths, starts, tree, read map or element counts differ (see
-    `PathSet.agrees_with`).  A pending walk is regrown first, on a view of
-    the data that holds that walk alone, so the memo is left as it is."""
+    `PathSet.agrees_with`).  A pending walk is regrown first, in place on
+    a copy of that walk (`PathSet.copy`), memoised alone on a view of the
+    data, so the memo and its trees are left as they are."""
     copy = data.copy()
     stale = []
     for key, walk in data.walks.items():
@@ -345,12 +347,29 @@ def stale_walks(data: SystemData) -> list[str]:
         fresh = evaluate(expr, TypedGraph(copy, schema), user=user)
         ours = walk.paths
         if walk.pending is not None:
+            ours = ours.copy()
             view = SystemData.__new__(SystemData)
-            view.__dict__ = {**vars(data), "walks": WalkMemo({key: walk})}
+            twin = tuple.__new__(Walk, (ours, walk.pending, ours.reads.keys()))
+            view.__dict__ = {**vars(data), "walks": WalkMemo({key: twin})}
             ours = evaluate(expr, TypedGraph(view, schema), user=user)
         if not ours.agrees_with(fresh):
             stale.append(f"{render_expression(expr)} user={user}")
     return stale
+
+
+def unswept(replica: Replica) -> list[str]:
+    """What a replica holds off every path of its expressions, other than
+    its root, by a fresh walk over a copy of its data, each element as its
+    text.  A replica as its last sweep left it holds nothing of the kind;
+    one that has changed since is not checked, as a push may hold what no
+    path reaches until the next sweep."""
+    data = replica.data
+    if not replica.swept:
+        return []
+    kept = select_relevant(replica.schema, data.copy(), replica.exprs, user=replica.root)
+    extra = sorted(data.objects.keys() - kept.objects.keys() - {replica.root})
+    extra += sorted(map(str, data.links - kept.links))
+    return extra
 
 
 def fuzz(
@@ -360,32 +379,40 @@ def fuzz(
     out_dir: str | Path | None = None,
 ) -> FuzzSummary:
     """Run `iterations` generated scenarios in `both` mode.  A scenario
-    fails on a divergence report, an engine error, or a memoised walk on
-    the store's live data or on a replica's that a fresh walk, checked
-    after every sync, does not give.  Stale walks are reported first, even
-    when a later step raised."""
+    fails on a divergence report, an engine error, a memoised walk on the
+    store's live data or on a replica's that a fresh walk does not give,
+    or an element a replica's sweep left off every path (`unswept`), each
+    checked after every sync.  Stale walks are reported first, and then
+    what a sweep left, even when a later step raised."""
     bounds = bounds or FuzzBounds()
     rng = random.Random(seed)
     summary = FuzzSummary(seed=seed, iterations=iterations)
     stale: list[str] = []
+    left: list[str] = []
 
     def check_walks(ctx, index, client, applied, shadow):
         owners = [("store", ctx.store.data)]
         owners += [(name, replica.data) for name, replica in ctx.replicas.items()]
         for owner, data in owners:
             stale.extend(f"step {index} {owner}: {walk}" for walk in stale_walks(data))
+        for name, replica in ctx.replicas.items():
+            left.extend(f"step {index} {name}: {element}" for element in unswept(replica))
 
     for i in range(iterations):
         scenario = _Generator(rng, bounds).build()
         reason: str | None = None
         stale.clear()
+        left.clear()
         try:
             reports = run_scenario(scenario, mode="both", on_sync=check_walks)
         except RelsyncError as exc:
             reports, reason = [], f"error: {exc}"
-        # a stale walk found before an error is its likelier cause
+        # a stale walk or a missed sweep found before an error is its
+        # likelier cause
         if stale:
             reason = f"{len(stale)} stale memoised walks: " + "; ".join(stale[:3])
+        elif left:
+            reason = f"{len(left)} elements a sweep left: " + "; ".join(left[:3])
         elif reports:
             reason = f"{len(reports)} divergence reports: " + "; ".join(
                 r.render().splitlines()[0] for r in reports[:3]
@@ -415,4 +442,5 @@ __all__ = [
     "fuzz",
     "social_schema",
     "stale_walks",
+    "unswept",
 ]

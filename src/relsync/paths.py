@@ -17,11 +17,12 @@ drive the timestamp sync.
 
 A walk keeps its paths as a prefix tree, one node per path prefix (see
 `PathSet`), and the results are its leaves.  Every walk is memoised in the
-data's `walks`, and the next walk re-expands only the nodes a mutation
-since marked, by the rule in `memo.py`: a child whose link is still there
-keeps its subtree, a new link grows one, and a gone link drops its own.
-The walk's paths are then its old set, less the dropped results, plus the
-grown ones, copied with their stored hashes.
+data's `walks`, and once a mutation reached it, by the rule in `memo.py`,
+the next walk regrows the tree in place.  It drops the starts that went,
+re-tests each link the mutations created or deleted alone, at each node
+that read one of the link's ends (a gone link drops its child's subtree,
+a new link grows one, and no other child is looked at), and grows the new
+starts.
 
 The results only ever accumulate while a walk grows: a path leaves the
 stack either as a result or replaced by at least one extension, distinct
@@ -29,15 +30,17 @@ paths have distinct extensions, and a regrowth drops every result it drops
 before it grows any.  So one check on their count raises exactly when the
 walk's set would exceed the budget, `MAX_PATHS`.
 
-A walk's `PathSet` carries its slice as element counts, so a sync or sweep
-that finds the walk memoised reads its slice without touching a path, and
-the first-new-link rule reads the subtrees under the new links' nodes.
+A `PathSet` is a view over its walk's tree and holds no path of its own.
+It carries the walk's slice as element counts, so a sync or sweep that
+finds the walk memoised reads its slice without touching a path, and the
+first-new-link rule reads the subtrees under the new links' nodes.  A
+regrowth lists the elements whose count it took to zero, which is all a
+replica's sweep need look at besides what the replica created.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
-from operator import is_, itemgetter
+from collections.abc import Collection, Set
 
 from .errors import PathBudgetError, UnboundVariableError, UnknownClassError
 from .expr import InstanceSet, PathExpr, USER_VARIABLE
@@ -67,33 +70,94 @@ class TypedGraph:
 # walk (v0, e0, v1, …, vn): vertices at even indices, links at odd ones.
 Path = tuple[str | Link, ...]
 
-_VERTEX, _LINK = itemgetter(-1), itemgetter(-2)  # of a node, from its path
+
+class _PathView(Set):
+    """A read-only set of paths, equal to the frozenset of the same paths;
+    the set operations it inherits return frozensets."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _from_iterable(cls, paths) -> frozenset:
+        return frozenset(paths)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({set(self)!r})"
 
 
-class PathSet(frozenset):
-    """A frozenset of paths, equal to the plain frozenset of the same
-    paths.  The set `evaluate` returns for a walk also holds the walk:
-    - `roots`: each start vertex -> its node.  A node is the list
-      `[path, child, …]` of its path from the start, whose last items are
-      its vertex and the link into it, and its children.  A node at the
-      end of the last segment has none to grow and is its path alone, a
-      tuple.  The results are the leaves: those tuples, and the paths of
-      the lists that nothing extends.
+class PathSet(_PathView):
+    """The paths of one walk: a view over its prefix tree, which a regrowth
+    edits in place.
+    - `roots`: each start vertex -> its node.  A node with a segment left
+      to match is the list `[parent, link, vertex, child, …]` of its
+      parent node, the link into it and its vertex (None and None for a
+      start), and its children.  A node at the end of the last segment
+      has none to grow and is the link into it alone, whose end away from
+      its parent's vertex is its own (with no segment, a start is its
+      vertex alone).  The paths are the leaves: those nodes, and the lists
+      that nothing extends.  A node's path is read off its parents
+      (`_path`), so no node holds a path tuple.
     - `reads`: each vertex the walk read -> the node that read it, or the
       tuple of those nodes when several did.
     - `counts`: each vertex and link on some path -> the number of nodes
       whose vertex or whose link into it that is.  Its keys are the slice.
-    `relevant_paths` over several expressions returns their union, a
-    `PathUnion`, whose `parts` are the walks."""
+    - `leaves`: the number of paths, its `len`.
+    - `serial`: how many regrowths the walk has had since its first walk,
+      and `zeroed`: the elements whose count the last of them took to
+      zero (none after a first walk).
+    `relevant_paths` over several expressions returns a `PathUnion`, whose
+    `parts` are the walks."""
 
-    __slots__ = ("roots", "reads", "counts")
+    __slots__ = ("roots", "reads", "counts", "leaves", "serial", "zeroed")
     parts: tuple[PathSet, ...] = ()
+
+    def __len__(self) -> int:
+        return self.leaves
+
+    def __iter__(self):
+        for start, node in self.roots.items():
+            if type(node) is not list:
+                yield (start,)  # a start of a walk with no segment
+                continue
+            nodes = [(node, (start,))]
+            while nodes:
+                node, path = nodes.pop()
+                if len(node) == _CHILDREN:
+                    yield path  # nothing extends it
+                    continue
+                tip = node[2]
+                for child in node[_CHILDREN:]:
+                    if type(child) is list:
+                        nodes.append((child, path + (child[1], child[2])))
+                    else:
+                        yield path + (child, child[1] if child[0] == tip else child[0])
+
+    def __contains__(self, path) -> bool:
+        if type(path) is not tuple or len(path) % 2 == 0:
+            return False
+        node = self.roots.get(path[0])
+        if type(node) is not list:
+            return node is not None and len(path) == 1
+        for i in range(1, len(path), 2):
+            link = path[i]
+            at = _child_at(node, link)
+            if not at:
+                return False
+            child = node[at]
+            if type(child) is not list:  # a leaf: the path must end at it
+                return len(path) == i + 2 and path[-1] == _far(link, node[2])
+            if child[2] != path[i + 1]:
+                return False
+            node = child
+        return len(node) == _CHILDREN
 
     def below(self, links: Collection[Link]) -> tuple[set[str], set[Link]]:
         """The vertices and the links of every node that one of `links`
         leads into, and of every node under such a node."""
         reads, counts = self.reads, self.counts
         nodes = []
+        ids: list[str] = []
+        entered: list[Link] = []
         for link in links:
             if link not in counts:
                 continue
@@ -102,21 +166,29 @@ class PathSet(frozenset):
                 if read is None:
                     continue
                 for parent in (read,) if type(read) is list else read:
-                    at = len(parent[0])  # where a child's path holds its link
-                    for child in parent[1:]:
-                        if (child[0] if type(child) is list else child)[at] == link:
-                            nodes.append(child)
-        found = []
+                    for child in parent[_CHILDREN:]:
+                        if type(child) is list:
+                            if child[1] == link:
+                                nodes.append(child)
+                        elif child == link:
+                            ids += (link[1] if link[0] == near else link[0],)
+                            entered += (link,)
         for node in nodes:  # grows as it goes
-            if type(node) is list:
-                nodes += node[1:]
-                node = node[0]
-            found.append(node)
-        return set(map(_VERTEX, found)), set(map(_LINK, found))
+            tip = node[2]
+            ids += (tip,)
+            entered += (node[1],)
+            for child in node[_CHILDREN:]:
+                if type(child) is list:
+                    nodes += (child,)
+                else:
+                    ids += (child[1] if child[0] == tip else child[0],)
+                    entered += (child,)
+        return set(ids), set(entered)
 
     def agrees_with(self, fresh: PathSet) -> bool:
         """Whether this walk is `fresh`: the same paths, starts, tree (each
-        node's children, in any order), read map and element counts."""
+        node's parent and children, in any order), read map and element
+        counts."""
         return (
             self == fresh
             and self.roots.keys() == fresh.roots.keys()
@@ -125,12 +197,83 @@ class PathSet(frozenset):
             and self.counts == fresh.counts
         )
 
+    def copy(self) -> PathSet:
+        """A walk of its own with the same tree, read map and counts."""
+        twins: dict[int, list] = {}
+        roots = dict(self.roots)
+        nodes: list[tuple[list | None, dict | list, str | int]] = [
+            (None, roots, start) for start in roots
+        ]
+        while nodes:
+            parent, holder, at = nodes.pop()
+            node = holder[at]
+            if type(node) is list:
+                holder[at] = twin = node[:]
+                twin[0] = parent
+                twins[id(node)] = twin
+                nodes += [(twin, twin, i) for i in range(_CHILDREN, len(twin))]
+        reads = {}
+        for vertex, read in self.reads.items():
+            if type(read) is list:
+                reads[vertex] = twins.get(id(read)) or read[:]
+            else:
+                reads[vertex] = tuple(twins.get(id(node)) or node[:] for node in read)
+        return _walk(roots, reads, dict(self.counts), self.leaves, self.serial, self.zeroed)
 
-class PathUnion(PathSet):
-    """The paths of several walks, equal to the plain frozenset of them;
-    `parts` are the walks."""
+
+class PathUnion(_PathView):
+    """The paths of several walks, a view over them; `parts` are the
+    walks.  Its `len` counts a path that several walks hold once."""
 
     __slots__ = ("parts",)
+
+    def __contains__(self, path) -> bool:
+        return any(path in part for part in self.parts)
+
+    def __iter__(self):
+        parts = self.parts
+        for i, part in enumerate(parts):
+            for path in part:
+                if not any(path in earlier for earlier in parts[:i]):
+                    yield path
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+# where a list node's children begin, after its parent, link and vertex
+_CHILDREN = 3
+
+
+def _walk(roots: dict, reads: dict, counts: dict, leaves: int, serial: int, zeroed) -> PathSet:
+    paths = PathSet.__new__(PathSet)
+    paths.roots, paths.reads, paths.counts = roots, reads, counts
+    paths.leaves, paths.serial, paths.zeroed = leaves, serial, zeroed
+    return paths
+
+
+def _child_at(node: list, link: Link) -> int:
+    """Where in `node` its child through `link` is, or 0 if it has none."""
+    for at in range(_CHILDREN, len(node)):
+        child = node[at]
+        if (child[1] if type(child) is list else child) == link:
+            return at
+    return 0
+
+
+def _far(link: Link, near: str) -> str:
+    """The end of a link away from `near`."""
+    return link[1] if link[0] == near else link[0]
+
+
+def _path(node: list) -> Path:
+    """The path from the start to a list node, read off its parents."""
+    items = [node[2]]
+    while node[0] is not None:
+        items += (node[1], node[0][2])
+        node = node[0]
+    items.reverse()
+    return tuple(items)
 
 
 def _shape(roots: dict) -> dict[Path, frozenset[Path]]:
@@ -139,8 +282,12 @@ def _shape(roots: dict) -> dict[Path, frozenset[Path]]:
     nodes = [node for node in roots.values() if type(node) is list]
     while nodes:
         node = nodes.pop()
-        children = node[1:]
-        shape[node[0]] = frozenset(c[0] if type(c) is list else c for c in children)
+        path = _path(node)
+        children = node[_CHILDREN:]
+        shape[path] = frozenset(
+            path + ((c[1], c[2]) if type(c) is list else (c, _far(c, path[-1])))
+            for c in children
+        )
         nodes += [c for c in children if type(c) is list]
     return shape
 
@@ -148,28 +295,9 @@ def _shape(roots: dict) -> dict[Path, frozenset[Path]]:
 def _read_paths(reads: dict) -> dict[str, Path | frozenset[Path]]:
     """A read map with each node given by its path."""
     return {
-        vertex: read[0] if type(read) is list else frozenset(node[0] for node in read)
+        vertex: _path(read) if type(read) is list else frozenset(map(_path, read))
         for vertex, read in reads.items()
     }
-
-
-def _chain(roots: dict, path: Path) -> list | None:
-    """The nodes from the start to the node of `path`, or None if the tree
-    holds no such node."""
-    node = roots.get(path[0])
-    if node is None:
-        return None
-    chain = [node]
-    for i in range(1, len(path), 2):
-        link = path[i]
-        for child in node[1:]:
-            if (child[0] if type(child) is list else child)[i] == link:
-                break
-        else:
-            return None
-        chain.append(child)
-        node = child
-    return chain
 
 
 def _read_too(read: list | tuple, node: list) -> tuple:
@@ -177,44 +305,51 @@ def _read_too(read: list | tuple, node: list) -> tuple:
     return (read, node) if type(read) is list else read + (node,)
 
 
-def _unread(reads: dict, node: list, new: list | None = None) -> None:
-    """Take `node` out of the read map, or put `new` in its place."""
-    vertex = node[0][-1]
+def _unread(reads: dict, node: list) -> None:
+    """Take `node` out of the read map."""
+    vertex = node[2]
     read = reads[vertex]
     if read is node:
-        if new is None:
-            del reads[vertex]
-        else:
-            reads[vertex] = new
+        del reads[vertex]
         return
     read = tuple(n for n in read if n is not node)
-    if new is not None:
-        read += (new,)
     reads[vertex] = read[0] if len(read) == 1 else read
 
 
-def _drop(node, reads: dict, counts: dict, results: set) -> None:
-    """Take a node and everything under it out of a walk's read map, element
-    counts and results."""
-    nodes = [node]
-    while nodes:
-        node = nodes.pop()
-        if type(node) is list:
-            path = node[0]
-            _unread(reads, node)
-            if len(node) > 1:
-                nodes += node[1:]
+def _drop(node, near: str | None, reads: dict, counts: dict, zeroed: list) -> int:
+    """Take a node, whose parent's vertex is `near` (None for a start),
+    and everything under it out of a walk's read map and element counts,
+    listing in `zeroed` each element whose count falls to zero; returns
+    the number of paths it held.  Each list node lets go of its parent,
+    so the subtree is freed as soon as nothing else holds it."""
+    leaves = 0
+    groups = [((node,), near)]  # (nodes, the vertex of their parent)
+    while groups:
+        nodes, near = groups.pop()
+        for node in nodes:
+            if type(node) is list:
+                _unread(reads, node)
+                link, vertex = node[1], node[2]
+                node[0] = None
+                if len(node) > _CHILDREN:
+                    groups.append((node[_CHILDREN:], vertex))
+                else:
+                    leaves += 1
+                elements = (vertex,) if link is None else (link, vertex)
             else:
-                results.discard(path)
-        else:
-            path = node
-            results.discard(path)
-        for element in path[-2:]:
-            left = counts[element] - 1
-            if left:
-                counts[element] = left
-            else:
-                del counts[element]
+                leaves += 1
+                if near is None:  # a start of a walk with no segment
+                    elements = (node,)
+                else:
+                    elements = (node, node[1] if node[0] == near else node[0])
+            for element in elements:
+                left = counts[element] - 1
+                if left:
+                    counts[element] = left
+                else:
+                    del counts[element]
+                    zeroed.append(element)
+    return leaves
 
 
 def _start(expr: PathExpr, g: TypedGraph, user: str | None) -> dict[str, None]:
@@ -256,9 +391,9 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
     object id the `{user}` root stands for.  Whether a link's far end
     carries a role is one probe of the schema's `ends` table.  A call that
     finds its walk memoised and exact returns the memoised `PathSet`; a
-    pending one is regrown from its marked nodes and its start changes,
-    and a first walk grows every start (see `memo.py`).  A walk of more
-    than `MAX_PATHS` paths raises and memoises nothing."""
+    pending one is regrown in place from its touched links and its start
+    flips, and a first walk grows every start (see `memo.py`).  A walk of
+    more than `MAX_PATHS` paths raises and memoises nothing."""
     root = expr.root
     bound = user if isinstance(root, InstanceSet) and USER_VARIABLE in root.refs else None
     walks = g.data.walks
@@ -269,66 +404,113 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
     segments = expr.segments
     n_segments = len(segments)
     last = 2 * n_segments + 1  # the length of a path that matched every segment
-    # (path, the list or dict to hold its node, where) for each node to grow
-    stack: list[tuple[Path, list | dict, int | str]] = []
-    marks: list[Path] = []
-    if kept is None:
-        starts = _start(expr, g, user)
-        roots: dict = {}
-        reads: dict = {}
-        counts: dict = {}
-        results: list[Path] | set[Path] = []
-        emit = results.append
-    else:  # copies: an entry is never edited
-        old = kept.paths
-        starts, touched = kept.pending
-        roots, reads, counts = dict(old.roots), dict(old.reads), dict(old.counts)
-        results = set(old)
-        emit = results.add
-        for vertex in touched:
-            read = reads.get(vertex)
-            if read is not None:
-                marks += [read[0]] if type(read) is list else [node[0] for node in read]
-        for start in old.roots:
-            if start not in starts:
-                _drop(roots.pop(start), reads, counts, results)
-        # Popped shortest first, so a mark under a child its ancestor
-        # dropped is gone from the tree by the time it comes up.
-        marks.sort(key=len, reverse=True)
-        built: set[int] = set()  # ids of the lists made here, which may be edited
-    cget, rget = counts.get, reads.get
-    for start in starts:
-        if start not in roots:
-            if n_segments:
-                stack.append(((start,), roots, start))
-            else:  # a start is a result of a walk with no segment
-                roots[start] = path = (start,)
-                counts[start] = 1
-                emit(path)
-    budget = MAX_PATHS
     ends = g.schema.ends
     objects = g.data.objects
-    incident = g.incident
+    # (path, parent node, the list or dict to hold its node, where) for
+    # each node to grow
+    stack: list[tuple[Path, list | None, list | dict, int | str]] = []
     push = stack.append
-    # Every mark is re-expanded before anything grows, so every result a
-    # regrowth drops is gone before the budget is checked.
-    while marks or stack:
-        if marks:
-            path = marks.pop()
-            chain = _chain(roots, path)
-            if chain is None:
+    if kept is None:
+        paths = PathSet.__new__(PathSet)
+        paths.roots = roots = {}
+        paths.reads = reads = {}
+        paths.counts = counts = {}
+        leaves = paths.serial = 0
+        paths.zeroed = ()
+        starts = _start(expr, g, user)
+    else:
+        paths = kept.paths
+        roots, reads, counts = paths.roots, paths.reads, paths.counts
+        leaves = paths.leaves
+        paths.serial += 1
+        paths.zeroed = zeroed = []
+        links, _, flips = kept.pending
+        starts = []
+        for start, admitted in flips.items():
+            if admitted:
+                if start not in roots:
+                    starts.append(start)
+            elif start in roots:
+                leaves -= _drop(roots.pop(start), None, reads, counts, zeroed)
+        # Each touched link, re-tested alone at each node that read one of
+        # its ends: whether it is that node's child depends on nothing
+        # else.  A gone link drops its child's subtree first.
+        held = g.data.links
+        present = []
+        for link in dict.fromkeys(links) if len(links) > 1 else links:
+            if link in held:
+                present.append(link)
                 continue
-        else:
-            path, holder, at = stack.pop()
-            vertex = path[-1]
-            counts[vertex] = cget(vertex, 0) + 1
-            if len(path) > 1:
-                link = path[-2]
+            for near in link[0], link[1]:
+                if link not in counts:
+                    break  # a child of no node
+                read = reads.get(near)
+                if read is None:
+                    continue
+                for node in (read,) if type(read) is list else read:
+                    at = _child_at(node, link)
+                    if at:
+                        leaves -= _drop(node.pop(at), near, reads, counts, zeroed)
+                        if len(node) == _CHILDREN:
+                            leaves += 1  # nothing extends it now
+        # A link that is there is a new child where it passes the test and
+        # is not a child yet; a link no node holds is nobody's child.
+        additions = []
+        for link in present:
+            src, dst, assoc = link
+            for near, far, far_is_src in (src, dst, False), (dst, src, True):
+                read = reads.get(near)
+                if read is None or far == near:
+                    continue
+                cls = objects.get(far)
+                for node in (read,) if type(read) is list else read:
+                    # its depth, from its parents, unless the far end is
+                    # on its path, which must stay simple
+                    depth, up = 0, node[0]
+                    while up is not None and up[2] != far:
+                        depth += 1
+                        up = up[0]
+                    if up is not None:
+                        continue
+                    if ends.get((assoc, segments[depth], far_is_src)) != cls:
+                        continue
+                    if link in counts and _child_at(node, link):
+                        continue  # a child already
+                    additions.append((node, link, far, depth))
+        cget = counts.get
+        for node, link, far, depth in additions:
+            if len(node) == _CHILDREN:
+                leaves -= 1  # extended now
+            if depth + 1 < n_segments:  # the child has a segment left
+                node.append(None)  # in its place until it grows
+                push((_path(node) + (link, far), node, node, len(node) - 1))
+            else:
+                node.append(link)
                 counts[link] = cget(link, 0) + 1
-            chain = None
+                counts[far] = cget(far, 0) + 1
+                leaves += 1
+    cget, rget = counts.get, reads.get
+    for start in starts:
+        if n_segments:
+            push(((start,), None, roots, start))
+        else:  # a start is a path of a walk with no segment
+            roots[start] = start
+            counts[start] = 1
+            leaves += 1
+    budget = MAX_PATHS
+    incident = g.incident
+    while stack:
+        path, parent, holder, at = stack.pop()
         tip = path[-1]
+        counts[tip] = cget(tip, 0) + 1
+        if parent is None:
+            link = None
+        else:
+            link = path[-2]
+            counts[link] = cget(link, 0) + 1
         role = segments[len(path) // 2]
-        grown = [path]
+        inner = len(path) + 2 < last  # whether its children have a segment left
+        grown = [parent, link, tip]
         for edge in incident.get(tip, ()):
             src, dst, assoc = edge
             # The end away from the tip.  A self-link's far end is the tip
@@ -345,111 +527,63 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
             # the far end alone keeps the path simple.
             if far in path:
                 continue
-            grown.append(path + (edge, far))
-        node = grown[:]  # a list of its own length
-        if chain is None:  # a new node: grow its children
-            holder[at] = node
-            read = rget(tip)
-            reads[tip] = node if read is None else _read_too(read, node)
-            if len(node) == 1:
-                emit(path)  # nothing extends it
-            elif len(path) + 2 < last:
-                for i in range(1, len(node)):
-                    push((node[i], node, i))
-                continue
-            else:  # its children matched every segment: leaves
-                for i in range(1, len(node)):
-                    leaf = node[i]
-                    link, vertex = leaf[-2], leaf[-1]
-                    counts[link] = cget(link, 0) + 1
-                    counts[vertex] = cget(vertex, 0) + 1
-                    emit(leaf)
-            if len(results) > budget:
-                raise _over_budget(walks, walk_key)
+            if inner:
+                grown.append(path + (edge, far))  # the child's path, until it grows
+            else:  # a leaf: the link alone
+                grown.append(edge)
+                counts[edge] = cget(edge, 0) + 1
+                counts[far] = cget(far, 0) + 1
+        holder[at] = node = grown[:]  # a list of its own length
+        read = rget(tip)
+        reads[tip] = node if read is None else _read_too(read, node)
+        if len(node) == _CHILDREN:
+            leaves += 1  # nothing extends it
+        elif inner:
+            for i in range(_CHILDREN, len(node)):
+                push((node[i], node, node, i))
             continue
-        # A mark: a child whose link is still there keeps its subtree, a
-        # new link grows one, and a gone link drops its own.
-        was = chain[-1]
-        children = {}
-        for child in was[1:]:
-            children[child[0] if type(child) is list else child] = child
-        for i in range(1, len(node)):
-            child = children.pop(node[i], None)
-            if child is not None:
-                node[i] = child
-            elif len(path) + 2 < last:
-                push((node[i], node, i))
-            else:
-                leaf = node[i]
-                link, vertex = leaf[-2], leaf[-1]
-                counts[link] = cget(link, 0) + 1
-                counts[vertex] = cget(vertex, 0) + 1
-                emit(leaf)
-        for child in children.values():
-            _drop(child, reads, counts, results)
-        if len(node) > 1 and len(was) == 1:
-            results.discard(path)
-        elif len(node) == 1 and len(was) > 1:
-            emit(path)
-        # copy the path from the start down to here, up to a list made here
-        _unread(reads, was, node)
-        built.add(id(node))
-        for parent in reversed(chain[:-1]):
-            at = parent.index(was, 1)
-            if id(parent) in built:
-                parent[at] = node
-                break
-            copy = parent[:]
-            copy[at] = node
-            _unread(reads, parent, copy)
-            built.add(id(copy))
-            was, node = parent, copy
-        else:
-            roots[path[0]] = node
-    if len(results) > budget:  # kept from a walk under a larger budget
+        else:  # its children matched every segment: leaves
+            leaves += len(node) - _CHILDREN
+        if leaves > budget:
+            raise _over_budget(walks, walk_key)
+    if leaves > budget:  # kept from a walk under a larger budget
         raise _over_budget(walks, walk_key)
-    paths = PathSet(results)
-    paths.roots, paths.reads, paths.counts = roots, reads, counts
+    paths.leaves = leaves
     walks[walk_key] = tuple.__new__(Walk, (paths, None, reads.keys()))
     return paths
 
 
 def relevant_paths(
     schema: Schema, data: SystemData, exprs: list[PathExpr], *, user: str | None = None
-) -> PathSet:
-    """The paths of all the expressions.  For several, their union is kept
-    in the memo's `unions` until one of their walks changes."""
+) -> PathSet | PathUnion:
+    """The paths of all the expressions: for one, its walk's `PathSet`,
+    shared with every caller of the memoised walk; for several, a
+    `PathUnion` over their walks."""
     g = TypedGraph(data, schema)
-    found = [evaluate(expr, g, user=user) for expr in exprs]
-    if len(found) == 1:
-        return found[0]  # shared with every caller of a memoised walk
-    if not found:  # no expression: a walk of nothing
-        paths = PathSet()
-        paths.roots, paths.reads, paths.counts = {}, {}, {}
-        return paths
-    memo = data.walks
-    unions = memo.unions
-    if unions is None:
-        unions = memo.unions = {}
-    union = unions.get(user)
-    if union is None or len(union.parts) != len(found) or not all(map(is_, union.parts, found)):
-        # the walks' sets copied with their hashes: no path is rehashed
-        union = unions[user] = PathUnion(frozenset().union(*found))
-        union.parts = tuple(found)
+    if len(exprs) == 1:
+        return evaluate(exprs[0], g, user=user)
+    if not exprs:  # a walk of nothing
+        return _walk({}, {}, {}, 0, 0, ())
+    union = PathUnion.__new__(PathUnion)
+    union.parts = tuple([evaluate(expr, g, user=user) for expr in exprs])
     return union
 
 
 def select_relevant(
     schema: Schema, data: SystemData, exprs: list[PathExpr], *, user: str | None = None
 ) -> SystemData:
-    """The slice of the data on the expressions' paths: their objects with
-    copies of their states, and their links."""
+    """The slice of the data on the expressions' paths, read off each
+    walk's element counts: their objects with copies of their states, and
+    their links."""
+    paths = relevant_paths(schema, data, exprs, user=user)
+    classes, held = data.objects, data.links
     objects: dict[str, str] = {}
     links: set[Link] = set()
-    for path in relevant_paths(schema, data, exprs, user=user):
-        for vertex in path[0::2]:
-            objects[vertex] = data.objects[vertex]
-        links.update(path[1::2])
+    for walk in paths.parts or (paths,):
+        on_path = walk.counts.keys()
+        for oid in on_path & classes.keys():  # an id never equals a link
+            objects[oid] = classes[oid]
+        links |= on_path & held
     states = {oid: dict(data.states[oid]) for oid in objects}
     return SystemData(objects=objects, links=links, states=states)
 

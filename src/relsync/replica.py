@@ -8,14 +8,14 @@ had — and is ordered so no step observes a dangling reference: object
 creates, link creates, updates, link deletes, object deletes, then the GC
 sweep drops whatever is no longer on any locally-relevant path.  It keeps
 the root and the walks' elements (`paths.PathSet.counts`), every object
-and link on some path, which a memoised walk carries, so a sweep that
-reads the memo builds nothing from the path tuples.  The
-walk reads a state only to test a filter root, so the sweep skips it
-when the replica has changed nothing since the last sweep but states of
-classes no filter root names.
+and link on some path.  The walk reads a state only to test a filter
+root, so the sweep skips it when the replica has changed nothing since
+the last sweep but states of classes no filter root names.
 A sweep that does walk reads each expression's walk from the data's memo
-(`SystemData.walks`), and re-expands only the nodes a change since
-reached (see `memo.py`).
+(`SystemData.walks`), regrown in place from the links a change since
+touched (see `memo.py`), and looks only at what can have left every
+slice: what the replica created since the last sweep, and what each
+walk's regrowth took off its slice (`PathSet.zeroed`).
 Every change goes through `SystemData.apply`, which keeps the data's link
 index current for the sweep's path evaluation.  Links and updates are
 applied in text and id order, so the divergence warnings come in a stable
@@ -24,7 +24,9 @@ order.  A push is applied locally only once the server has taken it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .delta import DeltaSet, render_state
 from .errors import (
@@ -41,6 +43,7 @@ from .model import (
     CreateObject,
     DeleteLink,
     DeleteObject,
+    Link,
     Mutation,
     Schema,
     SystemData,
@@ -49,6 +52,8 @@ from .model import (
 )
 from .paths import relevant_paths
 from .sync import SyncCursor
+
+_COUNTS, _SERIAL = attrgetter("counts"), attrgetter("serial")
 
 
 @dataclass
@@ -65,13 +70,25 @@ class Replica:
     _swept: SystemData | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # the objects and links `_mutate` created since the last sweep
+    _created: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # each walk the last sweep read, with its serial then
+    _walked: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cursor is None:
             self.cursor = SyncCursor(user=self.root)
 
+    @property
+    def swept(self) -> bool:
+        """Whether the data is as the last sweep left it, but for updates
+        to objects of classes no filter root names."""
+        return self._swept is self.data
+
     def warn(self, message: str) -> None:
-        self.divergence_warnings.append(f"{self.name}: {message}")
+        # Most warnings repeat one already given (a replica is told of the
+        # same unheld objects sync after sync), so each text is held once.
+        self.divergence_warnings.append(sys.intern(f"{self.name}: {message}"))
 
     # -- delta application ----------------------------------------------------
 
@@ -119,24 +136,54 @@ class Replica:
         while the data is the object the last sweep left, and the replica
         has applied nothing to it since but updates to objects of classes
         no filter root names, a sweep would remove nothing and is skipped:
-        roles, links and instance roots ignore states."""
+        roles, links and instance roots ignore states.
+
+        The last sweep left every held element but the root on some walk's
+        slice.  So an element off every slice now was created since, or
+        left a walk's slice in a regrowth since, which lists it among the
+        elements its counts took to zero (`PathSet.zeroed`).  Those are
+        the candidates; after a first walk, or when a walk was regrown
+        more than once since (its serial tells), every held element is."""
         data = self.data
         if self._swept is data:
             return set()
-        # Object ids and links never compare equal, so one set holds both.
         paths = relevant_paths(self.schema, data, self.exprs, user=self.root)
-        slices = [walk.counts for walk in paths.parts or (paths,)]
-        removed = data.objects.keys() - slices[0]
-        for on_path in slices[1:]:
-            removed.difference_update(on_path)
-        removed.discard(self.root)
+        walks = paths.parts or (paths,)
+        candidates = set(self._created)
+        walked = self._walked
+        if len(walked) == len(walks):
+            for walk, (was, serial) in zip(walks, walked):
+                if walk is not was or walk.serial > serial + 1:
+                    candidates = None
+                    break
+                if walk.serial > serial:
+                    candidates.update(walk.zeroed)
+        else:
+            candidates = None
+        links, objects = data.links, data.objects
+        if candidates is None:
+            # Object ids and links never compare equal, so one set holds both.
+            candidates = objects.keys() | links
+        slices = list(map(_COUNTS, walks))
+        removed = set()
         # Every link of a removed object is off-path too, so the objects'
         # cascades find nothing left to remove.
-        for link in data.links.difference(*slices):
-            data.apply(DeleteLink(link))
+        for element in candidates:
+            for on_path in slices:
+                if element in on_path:
+                    break
+            else:
+                if type(element) is Link:
+                    if element in links:
+                        data.apply(DeleteLink(element))
+                elif element in objects:
+                    removed.add(element)
+        removed.discard(self.root)
         for oid in removed:
             data.apply(DeleteObject(oid))
         self._swept = data
+        self._created = []
+        self._walked = list(zip(walks, map(_SERIAL, walks)))
         return removed
 
     # -- local changes ----------------------------------------------------------
@@ -178,8 +225,15 @@ class Replica:
                 raise UnknownIdError(f"link {mutation.link} not replicated")
 
     def _mutate(self, mutation: Mutation) -> None:
-        if not isinstance(mutation, UpdateState) or self._filtered(mutation.object_id):
-            self._swept = None  # the paths may have changed since the last sweep
+        kind = type(mutation)
+        if kind is CreateObject:
+            self._created.append(mutation.object_id)  # a candidate of the next sweep
+        elif kind is CreateLink:
+            self._created.append(mutation.link)
+        elif kind is UpdateState and not self._filtered(mutation.object_id):
+            self.data.apply(mutation)
+            return
+        self._swept = None  # the paths may have changed since the last sweep
         self.data.apply(mutation)
 
     def _filtered(self, oid: str) -> bool:

@@ -8,14 +8,16 @@ unless created, to the update set.  Because a new link can splice an old
 subgraph into relevance, on a path that holds a new link everything from
 the first such link on goes to the create sets regardless of age.
 
-The slice is each walk's element counts, memoised with its prefix tree
-(`paths.PathSet`), so a sync whose walks are memoised builds nothing from
-the path tuples, nor unites its walks' slices: it tests each change
-since its cursor against each walk's counts.  The elements from a new
-link on are every node under a node that the link leads into, which the
-walk's read map finds from the link's ends (`PathSet.below`).  So a sync
-that finds its walks memoised costs what changed since its cursor, not
-the size of its slice.
+The slice is each walk's element counts, kept with its prefix tree
+(`paths.PathSet`, a view over the tree that holds no path tuple), so a
+sync builds nothing from paths, nor unites its walks' slices: it tests
+each change since its cursor against each walk's counts.  The elements
+from a new link on are every node under a node that the link leads into,
+which the walk's read map finds from the link's ends (`PathSet.below`).
+A walk that a mutation reached is regrown in place from the links it
+touched (see `memo.py`).  So a sync that finds its walks memoised costs
+what changed since its cursor, and one whose walks regrow costs what
+the mutations since changed, not the size of its slice.
 
 Per action the log walks its k changes while k is at most the size of the
 walks' slices; past that (a new or long-offline client) each slice element

@@ -13,6 +13,7 @@ it without meeting it.
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
 import tracemalloc
@@ -43,6 +44,7 @@ from relsync.model import (
     UpdateState,
 )
 from relsync.paths import TypedGraph, evaluate, relevant_paths
+from relsync.replica import Replica
 from relsync.runner import MODES, run_scenario
 from relsync.store import Store
 from relsync.sync import SyncCursor, timestamp_sync
@@ -65,20 +67,28 @@ PENDING = "pending"
 
 def parts_of(schema: Schema, data: SystemData, expr: PathExpr, user=None) -> dict:
     """start -> its node as memoised, or PENDING for a start the walk has
-    yet to grow or under which a mutation since marked a node; empty when
-    the walk is not memoised."""
+    yet to grow or under which a node read an end of a link created or
+    deleted since; empty when the walk is not memoised."""
     walk = data.walks.get(walk_key(schema, expr, user))
     if walk is None:
         return {}
     roots = walk.paths.roots
     if walk.pending is None:
         return dict(roots)
-    starts, touched = walk.pending
+    links, _, flips = walk.pending
+    starts = dict.fromkeys(roots)
+    for start, admitted in flips.items():
+        if admitted:
+            starts[start] = None
+        else:
+            starts.pop(start, None)
     marked = set()
-    for vertex in touched:
+    for vertex in {end for link in links for end in link[:2]}:
         read = walk.paths.reads.get(vertex)
         if read is not None:
-            marked.update(node[0][0] for node in ((read,) if type(read) is list else read))
+            marked.update(
+                paths_module._path(node)[0] for node in ((read,) if type(read) is list else read)
+            )
     return {s: PENDING if s in marked or s not in roots else roots[s] for s in starts}
 
 
@@ -224,7 +234,8 @@ def test_memoised_walks_match_a_fresh_walk_over_mutation_streams(seed):
     check_memos(schema, store.data, drawn)
     for _ in range(12):
         previous = store.data
-        before = [relevant_paths(schema, previous, [e], user=u) for e, u in drawn]
+        # copies: the walks move on to the next version, regrown in place
+        before = [frozenset(relevant_paths(schema, previous, [e], user=u)) for e, u in drawn]
         batch: list = []
         # the batch is drawn mutation by mutation on a draft, so it may hold
         # any kind
@@ -314,7 +325,7 @@ def test_an_update_that_flips_a_filter_is_seen(schema):
     store = _event_store(schema)
     assert relevant_paths(schema, store.data, [expr]) == {("E2",)}
     store.apply([UpdateState.make("E1", {"title": "quiz"})])
-    flipped = relevant_paths(schema, store.data, [expr])
+    flipped = frozenset(relevant_paths(schema, store.data, [expr]))  # the walk is regrown in place
     assert flipped == fresh_paths(schema, store.data, [expr])
     assert ("E2",) in flipped and any(p[0] == "E1" for p in flipped)
     store.apply([UpdateState.make("E2", {"title": "picnic"})])
@@ -330,13 +341,14 @@ def test_a_derived_version_creates_and_deletes_without_touching_its_parent(schem
     exprs = [parse_expression("Event.Participation"), parse_expression('Event[title="quiz"]')]
     store = _event_store(schema)
     parent = store.data
-    seen = relevant_paths(schema, parent, exprs)
+    # copies: the parent's walks move on to each next version
+    seen = frozenset(relevant_paths(schema, parent, exprs))
 
     # a create and a delete through the store, with the parent held as a
     # snapshot
     store.apply([CreateObject.make("E3", "Event", {"title": "quiz"})])
     created = store.data
-    with_e3 = relevant_paths(schema, created, exprs)
+    with_e3 = frozenset(relevant_paths(schema, created, exprs))
     assert with_e3 == fresh_paths(schema, created, exprs)
     assert ("E3",) in with_e3
     store.apply([DeleteObject("E2")])
@@ -448,8 +460,10 @@ def test_each_drop_rule_drops(schema, case, through):
     store = build_f1(Store(schema))
     if setup:
         store.apply(setup)
-    before = relevant_paths(schema, store.data, [expr], user=user)
+    # a copy, and each part's shape: the walk is regrown in place
+    before = frozenset(relevant_paths(schema, store.data, [expr], user=user))
     kept = parts_of(schema, store.data, expr, user)
+    shapes = {s: paths_module._shape({s: node}) for s, node in kept.items()}
     others = kept.keys() - {start}
     if through == "store":
         store.apply([mutation])
@@ -471,7 +485,7 @@ def test_each_drop_rule_drops(schema, case, through):
     regrown = parts_of(schema, store.data, expr, user)
     assert regrown.keys() - {start} == others
     assert all(regrown[s] is kept[s] for s in others)
-    assert start not in regrown or regrown[start] is not kept.get(start)
+    assert start not in regrown or paths_module._shape({start: regrown[start]}) != shapes.get(start)
 
 
 # Each case comes close to the rule without meeting it, so the walk is
@@ -673,8 +687,9 @@ def counted_walk(schema, data: SystemData, expr: PathExpr, user=None) -> tuple[i
 
 # mutation -> (tips a re-walk reads, scans of the objects)
 REWALKS = {
-    # an attendance under E0 leaves: PE0_0 alone is re-expanded
-    "touch": (DeleteLink(Link("IE0_0", "PE0_0", "Attendance")), 1),
+    # an attendance under E0 leaves: PE0_0 drops its one child, and no
+    # tip is read
+    "touch": (DeleteLink(Link("IE0_0", "PE0_0", "Attendance")), 0),
     # EQ's title flips into the feed: EQ grows (EQ, PEQ_0)
     "flip-in": (UpdateState.make("EQ", {"title": "picnic"}), 2),
     # E0's title flips out of the feed: its part goes, nothing grows
@@ -716,16 +731,16 @@ def attendee_store(schema, events: int) -> Store:
 
 # batch -> the tips a re-walk of U's neighbourhood reads
 NEIGHBOURHOOD_REWALKS = {
-    # a new attendee at E0: E0 is re-expanded, and the new participation
-    # grows its one identity
+    # a new attendee at E0: the enrollment is re-tested at E0 alone, and
+    # the new participation grows its one identity
     "attend": ([
         CreateObject.make("X", "Identity"),
         CreateObject.make("PX", "Participation"),
         CreateLink(Link("X", "PX", "Attendance")),
         CreateLink(Link("PX", "E0", "Enrollment")),
-    ], 2),
-    # a new contact of U: U alone is re-expanded, and nothing grows
-    "contact": ([CreateObject.make("C", "Contact"), CreateLink(Link("U", "C", "Ownership"))], 1),
+    ], 1),
+    # a new contact of U: the ownership is re-tested at U, and nothing grows
+    "contact": ([CreateObject.make("C", "Contact"), CreateLink(Link("U", "C", "Ownership"))], 0),
 }
 
 
@@ -802,16 +817,221 @@ def test_an_untouched_sync_costs_what_changed_not_its_slice(schema):
 
 
 def test_a_union_of_memoised_walks_is_kept_until_one_of_them_changes(f1_data, schema):
+    """The union of several walks is a view over them: each walk is the
+    memoised one, kept until a mutation reaches it, and the union is what
+    its walks hold now."""
     exprs = [parse_expression(EXPR_CONTACTS), parse_expression(EXPR_EVENTS)]
     union = relevant_paths(schema, f1_data, exprs, user="I1")
-    assert relevant_paths(schema, f1_data, exprs, user="I1") is union
-    assert union.parts == tuple(relevant_paths(schema, f1_data, [e], user="I1") for e in exprs)
+    walks = tuple(relevant_paths(schema, f1_data, [e], user="I1") for e in exprs)
+    assert all(map(operator.is_, union.parts, walks))
+    assert union == frozenset().union(*walks)
+    assert all(map(operator.is_, relevant_paths(schema, f1_data, exprs, user="I1").parts, walks))
+    before = frozenset(union)
     f1_data.apply(CreateObject.make("C9", "Contact"))
     f1_data.apply(CreateLink(Link("I1", "C9", "Ownership")))
     again = relevant_paths(schema, f1_data, exprs, user="I1")
-    assert again is not union
-    assert again == fresh_paths(schema, f1_data, exprs, user="I1")
-    assert relevant_paths(schema, f1_data, exprs, user="I1") is again
+    # both walks are regrown in place: the contacts walk grows C9, and the
+    # events walk, which read I1 too, keeps every node
+    assert all(map(operator.is_, again.parts, walks))
+    assert again != before
+    assert again == union == fresh_paths(schema, f1_data, exprs, user="I1")
+    assert len(again) == len(before) + 1
+
+
+def test_stale_walks_leaves_the_memo_as_it_was(schema, f1_data):
+    """`fuzz.stale_walks` regrows a pending walk on a copy of it: a check
+    that edited the live tree would change the memo it checks."""
+    drawn = [(EXPR_CONTACTS, "I1"), (EXPR_EVENTS, "I1"), (FEED, None)]
+    for text, user in drawn:
+        relevant_paths(schema, f1_data, [parse_expression(text)], user=user)
+    f1_data.apply(CreateObject.make("C9", "Contact"))
+    f1_data.apply(CreateLink(Link("I1", "C9", "Ownership")))  # reaches the walks of I1
+    entries = dict(f1_data.walks)
+    pending = {key for key, walk in entries.items() if walk.pending}
+    assert len(pending) == 2
+    shapes = {key: paths_module._shape(walk.paths.roots) for key, walk in entries.items()}
+    assert stale_walks(f1_data) == []
+    assert f1_data.walks.keys() == entries.keys()
+    assert all(f1_data.walks[key] is walk for key, walk in entries.items())
+    assert {key for key, walk in f1_data.walks.items() if walk.pending} == pending
+    assert {
+        key: paths_module._shape(walk.paths.roots) for key, walk in f1_data.walks.items()
+    } == shapes
+
+
+# Complexity contracts of the in-place regrowth and of the sweep (CHANGES.md
+# line 63): each runs one step on two inputs 8x apart in the size the step
+# must not depend on.
+
+
+def paths_line_events(call) -> int:
+    """Line events in `paths.py` while `call()` runs."""
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return count
+
+    def calls(frame, event, arg):
+        return count if frame.f_code.co_filename == paths_module.__file__ else None
+
+    before = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        call()
+    finally:
+        sys.settrace(before)
+    return events
+
+
+def attendance_line_events(schema, attendees: int) -> int:
+    """Line events in `paths.py` while the walk of U's events regrows after
+    a new attendance at E0, an event of `attendees` attendees, U among
+    them."""
+    batch: list = [CreateObject.make("U", "Identity"), CreateObject.make("E0", "Event")]
+    for k in range(attendees):
+        who = "U" if k == 0 else f"I{k}"
+        if who != "U":
+            batch.append(CreateObject.make(who, "Identity"))
+        batch += [
+            CreateObject.make(f"P{k}", "Participation"),
+            CreateLink(Link(who, f"P{k}", "Attendance")),
+            CreateLink(Link(f"P{k}", "E0", "Enrollment")),
+        ]
+    store = Store(schema)
+    store.apply(batch)
+    expr = parse_expression(EXPR_EVENTS)
+    relevant_paths(schema, store.data, [expr], user="U")
+    store.apply([
+        CreateObject.make("X", "Identity"),
+        CreateObject.make("PX", "Participation"),
+        CreateLink(Link("X", "PX", "Attendance")),
+        CreateLink(Link("PX", "E0", "Enrollment")),
+    ])
+    g = TypedGraph(store.data, schema)
+    events = paths_line_events(lambda: evaluate(expr, g, user="U"))
+    assert_fresh(schema, store.data, expr, "U")
+    return events
+
+
+def test_a_regrowth_costs_the_same_at_an_event_of_any_size(schema):
+    """A new attendance re-tests its enrollment at the event's node alone:
+    the regrowth runs as many lines at an event of 4 attendees as at one
+    of 32 (CHANGES.md line 63; a regrowth that re-reads every link of
+    the event fails it)."""
+    assert attendance_line_events(schema, 4) == attendance_line_events(schema, 32)
+
+
+def contacts_store(schema, contacts: int) -> Store:
+    """Identity U with `contacts` contacts, each referring to an identity."""
+    batch: list = [CreateObject.make("U", "Identity")]
+    for k in range(contacts):
+        batch += [
+            CreateObject.make(f"I{k}", "Identity"),
+            CreateObject.make(f"C{k}", "Contact"),
+            CreateLink(Link("U", f"C{k}", "Ownership")),
+            CreateLink(Link(f"C{k}", f"I{k}", "Reference")),
+        ]
+    store = Store(schema)
+    store.apply(batch)
+    return store
+
+
+def traced_peak(call) -> int:
+    """Bytes allocated at the peak while `call()` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def contact_regrowth_peak(schema, contacts: int) -> int:
+    """Bytes allocated at the peak while the walk of U's contacts regrows
+    after U adds one, for a user of `contacts` contacts.  Everything is
+    traced from the start, so a list that the regrowth extends counts by
+    what it grew, not by its whole size."""
+    expr = parse_expression(EXPR_CONTACTS)
+    tracemalloc.start()
+    try:
+        store = contacts_store(schema, contacts)
+        relevant_paths(schema, store.data, [expr], user="U")
+        store.apply([
+            CreateObject.make("IN", "Identity"),
+            CreateObject.make("CN", "Contact"),
+            CreateLink(Link("U", "CN", "Ownership")),
+            CreateLink(Link("CN", "IN", "Reference")),
+        ])
+        g = TypedGraph(store.data, schema)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        evaluate(expr, g, user="U")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert_fresh(schema, store.data, expr, "U")
+    return peak
+
+
+def test_a_regrowth_allocates_the_same_for_any_number_of_contacts(schema):
+    """A regrowth edits the walk in place and copies none of its maps: it
+    allocates no more for a user of 400 contacts than for one of 50
+    (CHANGES.md line 63; a regrowth that copies the tree's maps or its
+    paths fails it)."""
+    contact_regrowth_peak(schema, 50)  # what a first regrowth of this shape allocates once
+    assert contact_regrowth_peak(schema, 400) <= contact_regrowth_peak(schema, 50) + 1024
+
+
+def counted_sweep(schema, contacts: int) -> tuple[int, int]:
+    """(Python calls, bytes allocated at the peak) of a replica's sweep
+    after a delta that deletes one contact's reference, for a replica of
+    U's `contacts` contacts."""
+    store = contacts_store(schema, contacts)
+    replica = Replica(name="u", root="U", exprs=[parse_expression(EXPR_CONTACTS)], schema=schema)
+
+    def sync() -> None:
+        replica.apply_delta(
+            timestamp_sync(replica.cursor, store.data, store.log, replica.exprs, schema)
+        )
+
+    sync()
+    replica.gc_sweep()  # a first walk: every held element is a candidate
+    store.apply([DeleteLink(Link("C0", "I0", "Reference"))])
+    sync()
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    removed: set = set()
+
+    def sweep() -> None:
+        sys.setprofile(count)
+        try:
+            removed.update(replica.gc_sweep())
+        finally:
+            sys.setprofile(None)
+
+    peak = traced_peak(sweep)
+    assert removed == {"I0"}
+    assert len(replica.data.objects) == 1 + 2 * contacts - 1
+    return calls, peak
+
+
+def test_a_sweep_after_one_delete_costs_what_its_walks_dropped(schema):
+    """A sweep looks at what the replica created and what its walks
+    dropped since the last one, not at every element it holds: the same
+    Python calls, and no more allocated, on a replica of 400 contacts as
+    on one of 50 (CHANGES.md line 63; a sweep that subtracts the slices
+    from every held object and link fails it)."""
+    counted_sweep(schema, 50)  # what a first sweep of this shape allocates once
+    (calls, peak), (calls_8x, peak_8x) = counted_sweep(schema, 50), counted_sweep(schema, 400)
+    assert calls == calls_8x
+    assert peak_8x <= peak + 1024
 
 
 def forget_line_events(schema, walks: int) -> int:

@@ -184,6 +184,31 @@ class TestGcSweep:
         assert replica.gc_sweep() == {"E5"}
         assert set(replica.data.objects) == {"I1"}
 
+    def test_a_sweep_removes_what_the_replica_created_off_its_paths(self, schema):
+        """What the replica creates is a candidate of the next sweep,
+        whatever its walks did: here one walk regrows with nothing
+        dropped, so only the record of what was created names the event
+        nobody attends and the ownership no role follows."""
+        exprs = [parse_expression("{user}.Contact.contactIdentity")]
+        store = build_f1(Store(schema))
+        store.apply([
+            CreateObject.make("C2", "Contact"),
+            CreateObject.make("I4", "Identity"),
+            CreateLink(Link("I1", "C2", "Ownership")),
+            CreateLink(Link("C2", "I4", "Reference")),
+        ])
+        replica = Replica(name="A", root="I1", exprs=exprs, schema=schema)
+        full_sync(store, replica)
+        assert set(replica.data.objects) == {"I1", "C1", "I2", "C2", "I4"}
+        walk = relevant_paths(schema, replica.data, exprs, user="I1")
+        stray = Link("I2", "C2", "Ownership")  # C2's node reads it, I2 is a leaf
+        replica.push_local_change(CreateObject.make("E9", "Event"), store)
+        replica.push_local_change(CreateLink(stray), store)
+        assert replica.gc_sweep() == {"E9"}
+        assert stray not in replica.data.links
+        assert set(replica.data.objects) == {"I1", "C1", "I2", "C2", "I4"}
+        assert relevant_paths(schema, replica.data, exprs, user="I1") is walk
+
     def test_sweep_is_a_fixed_point(self, schema, fixture_exprs):
         store = build_f1(Store(schema))
         replica = make_replica(schema, fixture_exprs)

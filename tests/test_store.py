@@ -251,7 +251,8 @@ class TestApply:
     def test_held_snapshot_keeps_its_paths(self, store, fixture_exprs):
         build_f1(store)
         snap = store.snapshot()
-        paths = relevant_paths(store.schema, snap, fixture_exprs, user="I1")
+        # a copy: the walks move on with the live data, regrown in place
+        paths = frozenset(relevant_paths(store.schema, snap, fixture_exprs, user="I1"))
         # link creates and deletes and an object delete, on the vertices of
         # those paths, each commit deriving from the last
         store.apply([
