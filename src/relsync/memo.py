@@ -10,10 +10,9 @@ one that had a segment left to match, is listed under that vertex in
 the walk's read map.
 
 The rule.  `SystemData.apply` hands every mutation to `WalkMemo.forget`,
-with the links it created or deleted (a delete's cascade included), the
-vertices those links touch and, for an object mutation, the object's id,
-class and states before and after (None where the object does not exist,
-which no root admits).
+with the links it created or deleted (a delete's cascade included) and,
+for an object mutation, the object's id, class and states before and
+after (None where the object does not exist, which no root admits).
 - Whether a link is a node's child depends only on the link, the node's
   path and the class of the link's far end, and a class never changes
   while a link holds the object.  So a node's children change only
@@ -23,10 +22,11 @@ which no root admits).
   root kind's `admits`, in `expr.py`), the object becomes a start, or
   its start goes.  An instance or class root ignores states, so on an
   object present on both sides only a filter root's verdict can flip,
-  and only such a root is asked.
-- A walk that read a vertex and whose every read vertex was touched is
-  dropped: its regrowth would re-test links at every node that read,
-  about what a first walk costs, and its record stops growing.
+  and only such a root is asked.  A read vertex is a start or is reached
+  through a link, so the object's own id matters only through this flip.
+- A walk whose record holds more links than it read vertices is dropped:
+  the record is bounded by the tree, and a regrowth from it would cost
+  about what a first walk costs.
 A reached walk keeps its tree and becomes pending: its record lists the
 touched links and each start flipped in or out since.  `paths.evaluate`
 then regrows it in place: it drops the starts that went, re-tests each
@@ -47,13 +47,15 @@ stages holds the trees as they were, which a rejected batch gets back
 from __future__ import annotations
 
 from collections.abc import Set
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 
-_NONE_TOUCHED: frozenset = frozenset()
 _NO_FLIPS: dict = {}
 # the record of a walk that no mutation has reached yet
-_UNREACHED = ((), _NONE_TOUCHED, _NO_FLIPS)
+_UNREACHED = ((), _NO_FLIPS)
+_ENDS = itemgetter(0, 1)
 
 
 class Walk(NamedTuple):
@@ -62,10 +64,10 @@ class Walk(NamedTuple):
     - paths: the `paths.PathSet` the walk grew, a view over its tree,
       read map and element counts.
     - pending: None while `paths` is exact.  After a mutation reached the
-      walk, (links, seen, flips): every link the mutations since created
-      or deleted, every vertex they touched, and each start they flipped
-      in or out -> whether the root admits it now.  The next `evaluate`
-      regrows the tree from it in place.
+      walk, (links, flips): every link the mutations since created or
+      deleted, and each start they flipped in or out -> whether the root
+      admits it now.  It never holds more links than `read` has vertices.
+      The next `evaluate` regrows the tree from it in place.
     - read: the vertices the tree read, its read map's keys.
 
     Every walk of every sync may store one, so entries are built with
@@ -81,7 +83,6 @@ class WalkMemo(dict):
 
     def forget(
         self,
-        touched: Set[str],
         links: tuple,
         oid: str | None,
         cls: str | None,
@@ -89,10 +90,13 @@ class WalkMemo(dict):
         new: dict | None,
     ) -> None:
         """Record a mutation on every walk it reached, by the rule above:
-        one that created or deleted `links`, whose ends are `touched`, and,
-        for an object mutation, took object `oid` of class `cls` from state
-        `old` to state `new`."""
+        one that created or deleted `links` and, for an object mutation,
+        took object `oid` of class `cls` from state `old` to state `new`."""
         both = old is not None and new is not None
+        if len(links) == 1:
+            touched = links[0][:2]  # a link mutation's two ends
+        else:  # no link, or a delete's cascade
+            touched = links and set(chain.from_iterable(map(_ENDS, links)))
         reached = []
         for key, walk in self.items():
             if cls is not None and (not both or key[0].root.reads_state):
@@ -101,23 +105,17 @@ class WalkMemo(dict):
                 if now != (old is not None and root.admits(oid, cls, old, user)):
                     reached.append((key, walk, now))
                     continue
-            if not walk[2].isdisjoint(touched):  # its read vertices
+            if touched and not walk[2].isdisjoint(touched):  # its read vertices
                 reached.append((key, walk, None))
         for key, (paths, pending, read), admitted in reached:
-            held, seen, flips = pending or _UNREACHED
+            held, flips = pending or _UNREACHED
             if admitted is not None:
                 flips = {**flips, oid: admitted}
-            elif not links:
-                continue  # no link and no start changed
-            if links:
-                held += links
-                if not touched <= seen:
-                    seen = seen.union(touched)
-                    # kept while a read vertex is not yet touched
-                    if read and len(seen) >= len(read) and seen.issuperset(read):
-                        del self[key]
-                        continue
-            self[key] = tuple.__new__(Walk, (paths, (held, seen, flips), read))
+            held += links
+            if len(held) > len(read):
+                del self[key]
+                continue
+            self[key] = tuple.__new__(Walk, (paths, (held, flips), read))
 
 
 __all__ = ["Walk", "WalkMemo"]

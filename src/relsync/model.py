@@ -266,9 +266,9 @@ class SystemData:
         walks (a fuzzer's model, a bulk load) never pays for the index.
 
         Each kind changes the data and the index, then hands the walk
-        memo what `WalkMemo.forget` asks: the links it created or deleted
-        and their ends, and the object it changed; data that holds no walk
-        skips the call."""
+        memo what `WalkMemo.forget` asks: the links it created or deleted,
+        and the object it changed; data that holds no walk skips the
+        call."""
         if isinstance(mutation, CreateObject):
             # a create of a held object (a replica's re-delivered create)
             # replaces its state: both states are present
@@ -277,7 +277,7 @@ class SystemData:
             self.objects[oid] = cls
             new = self.states[oid] = mutation.state_dict()
             if self.walks:  # a create touches no link: only a root can see it
-                self.walks.forget(_NO_VERTICES, _NO_LINKS, oid, cls, old, new)
+                self.walks.forget(_NO_LINKS, oid, cls, old, new)
         elif isinstance(mutation, (CreateLink, DeleteLink)):
             link = mutation.link
             index = self._incident
@@ -290,13 +290,11 @@ class SystemData:
                 if index is not None:
                     _unindex_link(index, link)
             if self.walks:
-                self.walks.forget({link.src, link.dst}, (link,), None, None, None, None)
+                self.walks.forget((link,), None, None, None, None)
         elif isinstance(mutation, UpdateState):
             oid, new = mutation.object_id, mutation.state_dict()
             if self.walks:
-                self.walks.forget(
-                    _NO_VERTICES, _NO_LINKS, oid, self.objects.get(oid), self.states.get(oid), new
-                )
+                self.walks.forget(_NO_LINKS, oid, self.objects.get(oid), self.states.get(oid), new)
             self.states[oid] = new
         elif isinstance(mutation, DeleteObject):
             oid = mutation.object_id
@@ -310,8 +308,7 @@ class SystemData:
             self.links.difference_update(cascade)
             cls, old = self.objects.pop(oid), self.states.pop(oid, {})
             if self.walks:
-                touched = {oid}.union(*(link[:2] for link in cascade))
-                self.walks.forget(touched, tuple(cascade), oid, cls, old, None)
+                self.walks.forget(tuple(cascade), oid, cls, old, None)
             return cascade
         else:  # pragma: no cover - exhaustive over the Mutation union
             raise TypeError(f"not a mutation: {mutation!r}")
@@ -319,7 +316,6 @@ class SystemData:
 
 
 _NO_LINKS: tuple[Link, ...] = ()
-_NO_VERTICES: frozenset[str] = frozenset()
 
 
 def _index_link(index: dict[str, tuple[Link, ...]], link: Link) -> None:

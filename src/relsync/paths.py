@@ -424,7 +424,7 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
         leaves = paths.leaves
         paths.serial += 1
         paths.zeroed = zeroed = []
-        links, _, flips = kept.pending
+        links, flips = kept.pending
         starts = []
         for start, admitted in flips.items():
             if admitted:

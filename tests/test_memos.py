@@ -3,12 +3,13 @@
 A memoised answer must always be the one a fresh walk gives.  Each check
 below compares it with a walk over `data.copy()`, which starts with no
 memo, after mutations applied in place and through `Store.apply`, start
-by start.  One rule keeps a walk's parts, one per start: a part stays
-memoised across mutations and versions until a mutation touches a vertex
-among its tips, and the start set changes when a mutation changes whether
-the root admits an object.  The drop cases below each meet the rule one
-way and must regrow that start alone; the keep cases each come close to
-it without meeting it.
+by start.  One rule keeps a walk: its tree stays memoised across
+mutations and versions, a mutation reaches it by a link created or
+deleted at a vertex it read, or by changing whether the root admits an
+object, and a reached walk is regrown in place until its record holds
+more links than it read vertices.  The drop cases below each meet the
+rule one way and must regrow that start alone; the keep cases each come
+close to it without meeting it.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def parts_of(schema: Schema, data: SystemData, expr: PathExpr, user=None) -> dic
     roots = walk.paths.roots
     if walk.pending is None:
         return dict(roots)
-    links, _, flips = walk.pending
+    links, flips = walk.pending
     starts = dict.fromkeys(roots)
     for start, admitted in flips.items():
         if admitted:
@@ -415,24 +416,29 @@ TWO_STARTS = [
 ]
 FEED = 'Event[title="picnic"].Participation.Identity'
 
-# Each case meets the one rule in one way: (expression, user, setup batch,
-# mutation, the start it reaches).  No case meets it in two, so a rule
-# that misses one way fails the case for it.
+# Each case reaches the walk in one way: (expression, user, setup batch,
+# mutation, the start it reaches).  No case reaches it in two, so a rule
+# that misses one way fails the case for it.  `forget` takes the vertices
+# a mutation touched from its links alone: an object's own id reaches a
+# walk only by a flip of the root's verdict (`delete-read`), and any other
+# read vertex through a link (`delete-cascade`).
 DROP_CASES = {
-    # CreateLink: an end among a part's tips
+    # CreateLink: an end among the read vertices
     "create-link": ("{user}.Contact", "I3", [CreateObject.make("C9", "Contact")],
                     CreateLink(Link("I3", "C9", "Ownership")), "I3"),
-    # DeleteLink: an end among a part's tips
+    # DeleteLink: an end among the read vertices
     "delete-link": ("{user}.Contact", "I1", [], DeleteLink(Link("I1", "C1", "Ownership")), "I1"),
     # CreateObject: a ref the instance root admits appears
     "create-read": ("{I9}", None, [], CreateObject.make("I9", "Identity"), "I9"),
     # CreateObject: of the root class, and its state passes the filter
     "create-member": ('Event[title="quiz"]', None, [],
                       CreateObject.make("E9", "Event", {"title": "quiz"}), "E9"),
-    # DeleteObject: a ref the instance root admits disappears
+    # DeleteObject: a ref the instance root admits disappears, with no
+    # link to cascade
     "delete-read": ("{I9}", None, [CreateObject.make("I9", "Identity")], DeleteObject("I9"),
                     "I9"),
-    # DeleteObject: an end of a cascaded link among a part's tips
+    # DeleteObject: an end of a cascaded link among the read vertices; the
+    # deleted contact is not one
     "delete-cascade": ("{user}.Contact", "I1", [], DeleteObject("C1"), "I1"),
     # DeleteObject: of the root class, and its state passed the filter
     "delete-member": ('Event[title="picnic"]', None, [], DeleteObject("E1"), "E1"),
@@ -445,8 +451,9 @@ DROP_CASES = {
     # Two starts: E2's filter result flips in, and only E2's part is grown
     "two-start-flip-in": (FEED, None, TWO_STARTS + [UpdateState.make("E2", {"title": "quiz"})],
                           UpdateState.make("E2", {"title": "picnic"}), "E2"),
-    # Two starts: a new attendance on E1 touches P9, a tip of E1's part
-    # only (I1 lies on E2's part too, but as the end of its last segment)
+    # Two starts: a new attendance on E1 touches P9, which only E1's part
+    # read (I1 lies on E2's part too, but as the end of its last segment,
+    # which reads nothing)
     "two-start-attend": (FEED, None, TWO_STARTS, CreateLink(Link("I1", "P9", "Attendance")),
                          "E1"),
 }
@@ -470,7 +477,8 @@ def test_each_drop_rule_drops(schema, case, through):
     else:
         store.data.apply(mutation)
     # the start reached is pending and the others keep their nodes; a
-    # walk that keeps no node a regrowth would reuse is forgotten
+    # walk whose record now holds more links than it read vertices is
+    # dropped
     pending = parts_of(schema, store.data, expr, user)
     if others:
         assert pending.get(start, PENDING) is PENDING
@@ -1074,3 +1082,41 @@ def forget_line_events(schema, walks: int) -> int:
 )
 def test_a_mutation_visits_the_walks_it_reaches_not_all_of_them(schema):
     assert forget_line_events(schema, 4) == forget_line_events(schema, 64)
+
+
+def idle_record(schema, pairs: int) -> int:
+    """Links on the record of I1's walk of `EXPR_EVENTS`, which no sync
+    reads, after `pairs` creates and deletes of an ownership at I1; 0 once
+    the walk is dropped.  I1 attends three events alone, so the walk read
+    seven vertices: I1, and each participation and event."""
+    batch: list = [CreateObject.make("I1", "Identity"), CreateObject.make("C9", "Contact")]
+    for k in range(3):
+        batch += [
+            CreateObject.make(f"E{k}", "Event"),
+            CreateObject.make(f"P{k}", "Participation"),
+            CreateLink(Link("I1", f"P{k}", "Attendance")),
+            CreateLink(Link(f"P{k}", f"E{k}", "Enrollment")),
+        ]
+    store = Store(schema)
+    store.apply(batch)
+    expr = parse_expression(EXPR_EVENTS)
+    relevant_paths(schema, store.data, [expr], user="I1")
+    key = walk_key(schema, expr, "I1")
+    assert len(store.data.walks[key].read) == 7
+    owns = Link("I1", "C9", "Ownership")
+    for _ in range(pairs):
+        store.apply([CreateLink(owns)])
+        store.apply([DeleteLink(owns)])
+    walk = store.data.walks.get(key)
+    held = 0 if walk is None else len(walk.pending[0])
+    assert_fresh(schema, store.data, expr, "I1")
+    return held
+
+
+def test_an_idle_walks_record_is_bounded_by_its_tree(schema):
+    """A walk no sync reads keeps a record of at most as many links as it
+    read vertices: the same after 8 and after 64 create and delete pairs
+    (CHANGES.md line 68; the parent's record held 16 and 128 links).
+    Below the bound the walk stays pending, to be regrown in place."""
+    assert idle_record(schema, 3) == 6
+    assert idle_record(schema, 8) == idle_record(schema, 64) <= 7

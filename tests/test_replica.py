@@ -395,8 +395,10 @@ class TestSweepSkip:
                     replica = ctx.replicas[client]
                     data = replica.data
                     on = {replica.root}
+                    # walked on a copy: a walk on the replica's own memo
+                    # would regrow what its next sweep reads incrementally
                     for path in relevant_paths(
-                        replica.schema, data, replica.exprs, user=replica.root
+                        replica.schema, data.copy(), replica.exprs, user=replica.root
                     ):
                         on.update(path)
                     stray = (data.objects.keys() | data.links) - on
