@@ -361,11 +361,9 @@ def unswept(replica: Replica) -> list[str]:
     """What a replica holds off every path of its expressions, other than
     its root, by a fresh walk over a copy of its data, each element as its
     text.  A replica as its last sweep left it holds nothing of the kind;
-    one that has changed since is not checked, as a push may hold what no
-    path reaches until the next sweep."""
+    one that has changed since may, as a push may hold what no path
+    reaches until the next sweep."""
     data = replica.data
-    if not replica.swept:
-        return []
     kept = select_relevant(replica.schema, data.copy(), replica.exprs, user=replica.root)
     extra = sorted(data.objects.keys() - kept.objects.keys() - {replica.root})
     extra += sorted(map(str, data.links - kept.links))
@@ -381,9 +379,9 @@ def fuzz(
     """Run `iterations` generated scenarios in `both` mode.  A scenario
     fails on a divergence report, an engine error, a memoised walk on the
     store's live data or on a replica's that a fresh walk does not give,
-    or an element a replica's sweep left off every path (`unswept`), each
-    checked after every sync.  Stale walks are reported first, and then
-    what a sweep left, even when a later step raised."""
+    or an element the syncing replica's sweep left off every path
+    (`unswept`), each checked after every sync.  Stale walks are reported
+    first, and then what a sweep left, even when a later step raised."""
     bounds = bounds or FuzzBounds()
     rng = random.Random(seed)
     summary = FuzzSummary(seed=seed, iterations=iterations)
@@ -395,8 +393,9 @@ def fuzz(
         owners += [(name, replica.data) for name, replica in ctx.replicas.items()]
         for owner, data in owners:
             stale.extend(f"step {index} {owner}: {walk}" for walk in stale_walks(data))
-        for name, replica in ctx.replicas.items():
-            left.extend(f"step {index} {name}: {element}" for element in unswept(replica))
+        # a replica changes only through its own syncs and pushes, so the
+        # one its sync just swept is the one a missed element can show on
+        left.extend(f"step {index} {client}: {e}" for e in unswept(ctx.replicas[client]))
 
     for i in range(iterations):
         scenario = _Generator(rng, bounds).build()

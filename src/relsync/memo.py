@@ -28,14 +28,15 @@ after (None where the object does not exist, which no root admits).
   the record is bounded by the tree, and a regrowth from it would cost
   about what a first walk costs.
 A reached walk keeps its tree and becomes pending: its record lists the
-touched links and each start flipped in or out since.  `paths.evaluate`
-then regrows it in place: it drops the starts that went, re-tests each
-touched link alone at each node that read one of its ends, dropping or
-adding that one child, and grows the new children and starts.  A first
-walk grows every start and, under a class or filter root, scans the
-objects for them.  A create never changes an existing object's class
-(the store refuses a used id, and the replica a re-create under another
-class), so the class the rule tests is the one the scan tested.
+links of each mutation since whose links touched a vertex it read, and
+each start flipped in or out since.  `paths.evaluate` then regrows it in
+place: it drops the starts that went, re-tests each touched link alone
+at each node that read one of its ends, dropping or adding that one
+child, and grows the new children and starts.  A first walk grows every
+start and, under a class or filter root, scans the objects for them.  A
+create never changes an existing object's class (the store refuses a
+used id, and the replica a re-create under another class), so the class
+the rule tests is the one the scan tested.
 
 Only a walk edits a tree, and no walk runs while a store batch stages:
 `forget` replaces an entry and never edits one, nor the record it holds.
@@ -64,10 +65,11 @@ class Walk(NamedTuple):
     - paths: the `paths.PathSet` the walk grew, a view over its tree,
       read map and element counts.
     - pending: None while `paths` is exact.  After a mutation reached the
-      walk, (links, flips): every link the mutations since created or
-      deleted, and each start they flipped in or out -> whether the root
-      admits it now.  It never holds more links than `read` has vertices.
-      The next `evaluate` regrows the tree from it in place.
+      walk, (links, flips): the links each mutation since created or
+      deleted, where one of them touches a vertex in `read`, and each
+      start they flipped in or out -> whether the root admits it now.
+      It never holds more links than `read` has vertices.  The next
+      `evaluate` regrows the tree from it in place.
     - read: the vertices the tree read, its read map's keys.
 
     Every walk of every sync may store one, so entries are built with
@@ -109,9 +111,12 @@ class WalkMemo(dict):
                 reached.append((key, walk, None))
         for key, (paths, pending, read), admitted in reached:
             held, flips = pending or _UNREACHED
+            # a regrowth re-tests a link only at a vertex the walk read, so
+            # a walk reached by a flip alone records none
+            if admitted is None or not read.isdisjoint(touched):
+                held += links
             if admitted is not None:
                 flips = {**flips, oid: admitted}
-            held += links
             if len(held) > len(read):
                 del self[key]
                 continue

@@ -8,14 +8,13 @@ had — and is ordered so no step observes a dangling reference: object
 creates, link creates, updates, link deletes, object deletes, then the GC
 sweep drops whatever is no longer on any locally-relevant path.  It keeps
 the root and the walks' elements (`paths.PathSet.counts`), every object
-and link on some path.  The walk reads a state only to test a filter
-root, so the sweep skips it when the replica has changed nothing since
-the last sweep but states of classes no filter root names.
-A sweep that does walk reads each expression's walk from the data's memo
-(`SystemData.walks`), regrown in place from the links a change since
+and link on some path.  It reads each expression's walk from the data's
+memo (`SystemData.walks`), regrown in place from the links a change since
 touched (see `memo.py`), and looks only at what can have left every
 slice: what the replica created since the last sweep, and what each
-walk's regrowth took off its slice (`PathSet.zeroed`).
+walk's regrowth took off its slice (`PathSet.zeroed`).  So a sweep after
+a change that moved no path finds its walks as they were and looks at
+nothing.
 Every change goes through `SystemData.apply`, which keeps the data's link
 index current for the sweep's path evaluation.  Links and updates are
 applied in text and id order, so the divergence warnings come in a stable
@@ -65,11 +64,6 @@ class Replica:
     data: SystemData = field(default_factory=SystemData)
     cursor: SyncCursor = None  # type: ignore[assignment]
     divergence_warnings: list[str] = field(default_factory=list)
-    # the data object as the last sweep left it; None once a change may have
-    # moved its paths (anything but an update no filter root reads)
-    _swept: SystemData | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     # the objects and links `_mutate` created since the last sweep
     _created: list = field(default_factory=list, init=False, repr=False, compare=False)
     # each walk the last sweep read, with its serial then
@@ -78,12 +72,6 @@ class Replica:
     def __post_init__(self):
         if self.cursor is None:
             self.cursor = SyncCursor(user=self.root)
-
-    @property
-    def swept(self) -> bool:
-        """Whether the data is as the last sweep left it, but for updates
-        to objects of classes no filter root names."""
-        return self._swept is self.data
 
     def warn(self, message: str) -> None:
         # Most warnings repeat one already given (a replica is told of the
@@ -132,11 +120,7 @@ class Replica:
     def gc_sweep(self) -> set[str]:
         """Drop everything not on a locally-relevant path (the root object
         always stays).  Returns the removed object ids.  One pass reaches a
-        fixed point: removal only ever shrinks the path sets further.  So
-        while the data is the object the last sweep left, and the replica
-        has applied nothing to it since but updates to objects of classes
-        no filter root names, a sweep would remove nothing and is skipped:
-        roles, links and instance roots ignore states.
+        fixed point: removal only ever shrinks the path sets further.
 
         The last sweep left every held element but the root on some walk's
         slice.  So an element off every slice now was created since, or
@@ -145,8 +129,6 @@ class Replica:
         the candidates; after a first walk, or when a walk was regrown
         more than once since (its serial tells), every held element is."""
         data = self.data
-        if self._swept is data:
-            return set()
         paths = relevant_paths(self.schema, data, self.exprs, user=self.root)
         walks = paths.parts or (paths,)
         candidates = set(self._created)
@@ -181,7 +163,6 @@ class Replica:
         removed.discard(self.root)
         for oid in removed:
             data.apply(DeleteObject(oid))
-        self._swept = data
         self._created = []
         self._walked = list(zip(walks, map(_SERIAL, walks)))
         return removed
@@ -230,20 +211,7 @@ class Replica:
             self._created.append(mutation.object_id)  # a candidate of the next sweep
         elif kind is CreateLink:
             self._created.append(mutation.link)
-        elif kind is UpdateState and not self._filtered(mutation.object_id):
-            self.data.apply(mutation)
-            return
-        self._swept = None  # the paths may have changed since the last sweep
         self.data.apply(mutation)
-
-    def _filtered(self, oid: str) -> bool:
-        """Whether a filter root tests the object's state: the one place
-        the sweep's walk reads a state."""
-        cls = self.data.objects.get(oid)
-        return any(
-            expr.root.reads_state and expr.root.class_name == cls
-            for expr in self.exprs
-        )
 
     # -- rendering ---------------------------------------------------------------
 

@@ -233,16 +233,5 @@ class Store:
             tx.rollback()
             raise
 
-    def snapshot(self) -> SystemData:
-        """The current data, which later commits leave as it is.  A commit
-        hands the live containers to the next version and leaves this
-        object holding only its undo journal, so holding a snapshot costs
-        the journals of the commits after it.  Its first read after a
-        commit rebuilds it: a copy of the nearest newer version that holds
-        its data (the live one at worst), O(store) in C, plus the undo of
-        every batch in between, O(their mutations) in Python.  Reading it
-        again costs nothing more."""
-        return self.data
-
 
 __all__ = ["Store", "Transaction"]

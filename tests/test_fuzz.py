@@ -80,7 +80,7 @@ def test_generator_model_mirrors_the_committed_store():
 
 
 def test_short_fuzz_run_is_clean():
-    assert fuzz(seed=42, iterations=25).ok
+    assert fuzz(seed=42, iterations=200).ok
 
 
 def test_success_leaves_no_dumps(tmp_path):

@@ -718,6 +718,24 @@ def test_a_rewalk_costs_the_starts_it_regrows_not_the_feed(schema, case):
         assert_fresh(schema, store.data, expr)
 
 
+def test_a_walk_reached_by_a_flip_alone_records_no_link(schema):
+    """A regrowth re-tests a link only at a vertex the walk read, so a walk
+    reached only by its root's verdict flipping records none of the
+    mutation's links.  `Event[title="picnic"]` has no segment and reads
+    nothing: deleting its start E1, a cascade of three links, leaves it
+    pending on the flip alone, and its regrowth drops the start without
+    scanning the class (CHANGES.md line 71)."""
+    expr = parse_expression('Event[title="picnic"]')
+    store = build_f1(Store(schema))
+    assert relevant_paths(schema, store.data, [expr]) == {("E1",)}
+    store.apply([DeleteObject("E1")])
+    walk = store.data.walks[walk_key(schema, expr, None)]
+    assert walk.read == set()
+    assert walk.pending == ((), {"E1": False})
+    assert counted_walk(schema, store.data, expr) == (0, 0)
+    assert_fresh(schema, store.data, expr)
+
+
 def attendee_store(schema, events: int) -> Store:
     """Identity U attends `events` events, each with two other attendees."""
     batch: list = [CreateObject.make("U", "Identity")]
@@ -993,10 +1011,22 @@ def test_a_regrowth_allocates_the_same_for_any_number_of_contacts(schema):
     assert contact_regrowth_peak(schema, 400) <= contact_regrowth_peak(schema, 50) + 1024
 
 
-def counted_sweep(schema, contacts: int) -> tuple[int, int]:
+# a server batch -> what the replica's sweep after its delta removes
+SWEEP_BATCHES = {
+    # one contact's reference goes, and the identity it held with it
+    "delete": ([DeleteLink(Link("C0", "I0", "Reference"))], {"I0"}),
+    # no commit: the delta is empty
+    "nothing": ([], set()),
+    # a held identity's new name, which no root reads
+    "update": ([UpdateState.make("I0", {"name": "ana"})], set()),
+}
+
+
+def counted_sweep(schema, contacts: int, batch: str = "delete") -> tuple[int, int]:
     """(Python calls, bytes allocated at the peak) of a replica's sweep
-    after a delta that deletes one contact's reference, for a replica of
-    U's `contacts` contacts."""
+    after the delta of one `SWEEP_BATCHES` batch, for a replica of U's
+    `contacts` contacts."""
+    mutations, gone = SWEEP_BATCHES[batch]
     store = contacts_store(schema, contacts)
     replica = Replica(name="u", root="U", exprs=[parse_expression(EXPR_CONTACTS)], schema=schema)
 
@@ -1007,7 +1037,8 @@ def counted_sweep(schema, contacts: int) -> tuple[int, int]:
 
     sync()
     replica.gc_sweep()  # a first walk: every held element is a candidate
-    store.apply([DeleteLink(Link("C0", "I0", "Reference"))])
+    if mutations:
+        store.apply(mutations)
     sync()
     calls = 0
 
@@ -1025,8 +1056,8 @@ def counted_sweep(schema, contacts: int) -> tuple[int, int]:
             sys.setprofile(None)
 
     peak = traced_peak(sweep)
-    assert removed == {"I0"}
-    assert len(replica.data.objects) == 1 + 2 * contacts - 1
+    assert removed == gone
+    assert len(replica.data.objects) == 1 + 2 * contacts - len(gone)
     return calls, peak
 
 
@@ -1038,6 +1069,20 @@ def test_a_sweep_after_one_delete_costs_what_its_walks_dropped(schema):
     from every held object and link fails it)."""
     counted_sweep(schema, 50)  # what a first sweep of this shape allocates once
     (calls, peak), (calls_8x, peak_8x) = counted_sweep(schema, 50), counted_sweep(schema, 400)
+    assert calls == calls_8x
+    assert peak_8x <= peak + 1024
+
+
+@pytest.mark.parametrize("batch", ["nothing", "update"])
+def test_a_sweep_after_a_delta_that_changes_nothing_costs_the_same_at_any_size(schema, batch):
+    """A sweep after a delta that moves no path finds each walk as the last
+    sweep left it, with no candidate: the same Python calls, and no more
+    allocated, on a replica of 400 contacts as on one of 50 (a sweep that
+    looks at every held element fails it)."""
+    counted_sweep(schema, 50, batch)  # what a first sweep of this shape allocates once
+    (calls, peak), (calls_8x, peak_8x) = (
+        counted_sweep(schema, 50, batch), counted_sweep(schema, 400, batch)
+    )
     assert calls == calls_8x
     assert peak_8x <= peak + 1024
 

@@ -358,7 +358,7 @@ def test_version_chain_keeps_every_index_right(seed):
     rng = random.Random(seed)
     fresh = (f"o{i}" for i in range(10**6))
     store = Store(CHAIN_SCHEMA)
-    versions: list[SystemData] = [store.snapshot()]
+    versions: list[SystemData] = [store.data]
     views: list[tuple] = [frozen_view(SystemData())]
     read: set[int] = set()
     dropped: list[Link] = []

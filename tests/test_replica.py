@@ -284,32 +284,48 @@ class TestPush:
         assert replica.data.incident == rebuilt_index(replica.data.links)
 
 
-class TestSweepSkip:
-    """The sweep is a fixed point, so it skips its walk while the data is
-    the object it last left, with nothing applied to it since but updates
-    no filter root reads."""
+@pytest.fixture
+def walks(monkeypatch):
+    """The calls of the replica's sweep to `relevant_paths`."""
+    calls = []
+    walk = replica_module.relevant_paths
 
-    @pytest.fixture
-    def walks(self, monkeypatch):
-        calls = []
-        walk = replica_module.relevant_paths
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return walk(*args, **kwargs)
+    monkeypatch.setattr(replica_module, "relevant_paths", counted)
+    return calls
 
-        monkeypatch.setattr(replica_module, "relevant_paths", counted)
-        return calls
 
-    @pytest.fixture
-    def synced(self, schema, fixture_exprs):
-        store = build_f1(Store(schema))
-        replica = make_replica(schema, fixture_exprs)
-        full_sync(store, replica)
-        return store, replica
+@pytest.fixture
+def synced(schema, fixture_exprs):
+    store = build_f1(Store(schema))
+    replica = make_replica(schema, fixture_exprs)
+    full_sync(store, replica)
+    return store, replica
 
-    def test_delta_that_changes_nothing_skips_the_walk(self, synced, walks):
+
+def memoised(replica) -> dict:
+    """Each memoised walk of the replica's data, with its serial."""
+    return {key: (walk, walk.paths.serial) for key, walk in replica.data.walks.items()}
+
+
+class TestSweepOfNoChange:
+    """A sweep after a change that moved no path walks, finds each of its
+    walks the identical memoised object with its serial unchanged, and so
+    looks at nothing and removes nothing."""
+
+    def assert_walks_kept(self, replica, before: dict) -> None:
+        walks = replica.data.walks
+        assert walks.keys() == before.keys()
+        for key, (walk, serial) in before.items():
+            assert walks[key] is walk and walk.pending is None
+            assert walk.paths.serial == serial
+
+    def test_delta_that_changes_nothing_keeps_every_walk(self, synced, walks):
         store, replica = synced
+        before = memoised(replica)
         assert full_sync(store, replica).is_empty()
         # a broadcast delete of an element the replica never held
         ghost = DeltaSet(ts_cs=replica.cursor.ts_ls)
@@ -317,7 +333,37 @@ class TestSweepSkip:
         ghost.del_links = {Link("I1", "ghost", "Ownership")}
         replica.apply_delta(ghost)
         assert replica.gc_sweep() == set()
-        assert walks == []
+        assert len(walks) == 2  # the empty sync's sweep and this one
+        self.assert_walks_kept(replica, before)
+
+    def test_rejected_push_keeps_every_walk(self, synced, walks):
+        store, replica = synced
+        before = memoised(replica)
+        # X1 is on the server but not on the replica: locally fine, and the
+        # server rejects it as a duplicate
+        store.apply([CreateObject.make("X1", "Event")])
+        with pytest.raises(DuplicateIdError):
+            replica.push_local_change(CreateObject.make("X1", "Event"), store)
+        assert replica.gc_sweep() == set()
+        assert len(walks) == 1
+        self.assert_walks_kept(replica, before)
+
+    def test_update_no_filter_root_reads_keeps_every_walk(self, synced, walks):
+        store, replica = synced
+        before = memoised(replica)
+        # every root of the fixture expressions is {user}: no walk reads I2
+        store.apply([UpdateState.make("I2", {"name": "bo2"})])
+        delta = full_sync(store, replica)
+        assert delta.upd_objects == {"I2"}
+        assert replica.data.states["I2"] == {"name": "bo2"}
+        assert len(walks) == 1
+        self.assert_walks_kept(replica, before)
+
+
+class TestSweepSkip:
+    """Changes that move a path: the sweep walks and removes what left
+    every slice.  (Named for the skip the sweep once took after changes
+    that moved none.)"""
 
     def test_applied_delta_runs_the_sweep(self, synced, walks):
         store, replica = synced
@@ -343,31 +389,13 @@ class TestSweepSkip:
         assert replica.gc_sweep() == {"E7"}
         assert len(walks) == 1
 
-    def test_rejected_push_keeps_the_skip(self, synced, walks):
-        store, replica = synced
-        # X1 is on the server but not on the replica: locally fine, and the
-        # server rejects it as a duplicate
-        store.apply([CreateObject.make("X1", "Event")])
-        with pytest.raises(DuplicateIdError):
-            replica.push_local_change(CreateObject.make("X1", "Event"), store)
-        assert replica.gc_sweep() == set()
-        assert walks == []
-
     def test_replaced_data_runs_the_sweep(self, synced, walks):
         _, replica = synced
-        # a new object is matched by identity, not by its content
+        # a copy holds no walk, so the sweep walks afresh and looks at
+        # every held element
         replica.data = replica.data.copy()
         assert replica.gc_sweep() == set()
         assert len(walks) == 1
-
-    def test_update_no_filter_root_reads_keeps_the_skip(self, synced, walks):
-        store, replica = synced
-        # every root of the fixture expressions is {user}: no walk reads I2
-        store.apply([UpdateState.make("I2", {"name": "bo2"})])
-        delta = full_sync(store, replica)
-        assert delta.upd_objects == {"I2"}
-        assert replica.data.states["I2"] == {"name": "bo2"}
-        assert walks == []
 
     def test_update_a_filter_root_reads_runs_the_sweep(self, schema, walks):
         exprs = [parse_expression('Event[title="b"].Participation.Identity')]

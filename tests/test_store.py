@@ -243,14 +243,14 @@ class TestApply:
 
     def test_snapshot_is_isolated_from_later_commits(self, store):
         store.apply([CreateObject.make("I1", "Identity")])
-        snap = store.snapshot()
+        snap = store.data
         store.apply([CreateObject.make("I2", "Identity")])
         assert "I2" not in snap.objects
-        assert "I2" in store.snapshot().objects
+        assert "I2" in store.data.objects
 
     def test_held_snapshot_keeps_its_paths(self, store, fixture_exprs):
         build_f1(store)
-        snap = store.snapshot()
+        snap = store.data
         # a copy: the walks move on with the live data, regrown in place
         paths = frozenset(relevant_paths(store.schema, snap, fixture_exprs, user="I1"))
         # link creates and deletes and an object delete, on the vertices of
@@ -305,7 +305,7 @@ def test_a_held_snapshot_survives_a_commit_of_each_kind(store, case, indexed):
     snapshot builds its own on this read."""
     batch = SHARING_CASES[case]
     build_f1(store)
-    snap = store.snapshot()
+    snap = store.data
     if indexed:
         snap.incident
     view = frozen_view(snap.copy())
