@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     eval_p = sub.add_parser("eval-paths", help="evaluate an expression over a scenario's data")
     eval_p.add_argument("file", help="scenario file whose tx blocks build the data")
-    eval_p.add_argument("--user", required=True, help="object id bound to `user`")
+    eval_p.add_argument("--user", default=None, help="object id bound to `user`, if used")
     eval_p.add_argument("--expr", required=True, help="path expression to evaluate")
     return parser
 

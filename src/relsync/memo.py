@@ -4,10 +4,10 @@ the one rule that keeps each exact across mutations.
 The memo maps a key, (expression, schema, `{user}` binding), to a `Walk`.
 The binding is None unless the root names `{user}`, so a `{user}`-free
 expression has one walk per data, whichever client asks.  A walk keeps
-its paths as a prefix tree (see `paths.PathSet`): one node per path
-prefix, rooted at each start vertex.  A node whose vertex the walk read,
-one that had a segment left to match, is listed under that vertex in
-the walk's read map.
+its paths as a prefix tree (see `paths.PathSet`) of nodes `[parent, link,
+vertex, *children]`, one per path prefix, rooted at each start vertex.  A
+node with a segment left to match reads its vertex and is listed under
+that vertex in the walk's read map, whose entries are tuples of nodes.
 
 The rule.  `SystemData.apply` hands every mutation to `WalkMemo.forget`,
 with the links it created or deleted (a delete's cascade included) and,

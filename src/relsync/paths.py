@@ -15,7 +15,8 @@ the part they reached.  A path that could grow is never a result itself,
 so the set is prefix-free and is used both to select relevant data and to
 drive the timestamp sync.
 
-A walk keeps its paths as a prefix tree, one node per path prefix (see
+A walk keeps its paths as a prefix tree, one node per path prefix, every
+node the one list shape `[parent, link, vertex, *children]` (see
 `PathSet`), and the results are its leaves.  Every walk is memoised in the
 data's `walks`, and once a mutation reached it, by the rule in `memo.py`,
 the next walk regrows the tree in place.  It drops the starts that went,
@@ -56,9 +57,9 @@ class TypedGraph:
 
     The graph copies nothing: it reads the data's objects and its
     `incident` index in place, building the index here if nothing has read
-    it yet.  The data keeps that index current through `SystemData.apply`,
-    and store versions are never edited once committed, so a graph over a
-    held version stays valid."""
+    it yet.  The data keeps that index current through `SystemData.apply`
+    and a commit hands it to the next version, which later commits edit,
+    so a graph serves one walk over live data (see `relevant_paths`)."""
 
     def __init__(self, data: SystemData, schema: Schema):
         self.schema = schema
@@ -88,17 +89,15 @@ class _PathView(Set):
 class PathSet(_PathView):
     """The paths of one walk: a view over its prefix tree, which a regrowth
     edits in place.
-    - `roots`: each start vertex -> its node.  A node with a segment left
-      to match is the list `[parent, link, vertex, child, …]` of its
-      parent node, the link into it and its vertex (None and None for a
-      start), and its children.  A node at the end of the last segment
-      has none to grow and is the link into it alone, whose end away from
-      its parent's vertex is its own (with no segment, a start is its
-      vertex alone).  The paths are the leaves: those nodes, and the lists
-      that nothing extends.  A node's path is read off its parents
-      (`_path`), so no node holds a path tuple.
-    - `reads`: each vertex the walk read -> the node that read it, or the
-      tuple of those nodes when several did.
+    - `roots`: each start vertex -> its node.  Every node is the list
+      `[parent, link, vertex, *children]`: its parent node, the link into
+      it and its vertex (None and None for a start), then its children.
+      A start is `[None, None, start]`, also in a walk with no segment,
+      and a node that matched every segment `[parent, link, far end]`.
+      The paths are the leaves, the nodes that nothing extends.  A node's
+      path is read off its parents (`_path`), so no node holds a path tuple.
+    - `reads`: each vertex the walk read -> the tuple of the nodes that
+      read it, those with a segment left to match.
     - `counts`: each vertex and link on some path -> the number of nodes
       whose vertex or whose link into it that is.  Its keys are the slice.
     - `leaves`: the number of paths, its `len`.
@@ -115,40 +114,25 @@ class PathSet(_PathView):
         return self.leaves
 
     def __iter__(self):
-        for start, node in self.roots.items():
-            if type(node) is not list:
-                yield (start,)  # a start of a walk with no segment
-                continue
-            nodes = [(node, (start,))]
-            while nodes:
-                node, path = nodes.pop()
-                if len(node) == _CHILDREN:
-                    yield path  # nothing extends it
-                    continue
-                tip = node[2]
-                for child in node[_CHILDREN:]:
-                    if type(child) is list:
-                        nodes.append((child, path + (child[1], child[2])))
-                    else:
-                        yield path + (child, child[1] if child[0] == tip else child[0])
+        nodes = [(node, (start,)) for start, node in self.roots.items()]
+        while nodes:
+            node, path = nodes.pop()
+            if len(node) == _CHILDREN:
+                yield path  # nothing extends it
+            for child in node[_CHILDREN:]:
+                nodes.append((child, path + (child[1], child[2])))
 
     def __contains__(self, path) -> bool:
         if type(path) is not tuple or len(path) % 2 == 0:
             return False
         node = self.roots.get(path[0])
-        if type(node) is not list:
-            return node is not None and len(path) == 1
+        if node is None:
+            return False
         for i in range(1, len(path), 2):
-            link = path[i]
-            at = _child_at(node, link)
-            if not at:
+            at = _child_at(node, path[i])
+            if not at or node[at][2] != path[i + 1]:
                 return False
-            child = node[at]
-            if type(child) is not list:  # a leaf: the path must end at it
-                return len(path) == i + 2 and path[-1] == _far(link, node[2])
-            if child[2] != path[i + 1]:
-                return False
-            node = child
+            node = node[at]
         return len(node) == _CHILDREN
 
     def below(self, links: Collection[Link]) -> tuple[set[str], set[Link]]:
@@ -162,27 +146,14 @@ class PathSet(_PathView):
             if link not in counts:
                 continue
             for near in link[0], link[1]:
-                read = reads.get(near)
-                if read is None:
-                    continue
-                for parent in (read,) if type(read) is list else read:
+                for parent in reads.get(near, ()):
                     for child in parent[_CHILDREN:]:
-                        if type(child) is list:
-                            if child[1] == link:
-                                nodes.append(child)
-                        elif child == link:
-                            ids += (link[1] if link[0] == near else link[0],)
-                            entered += (link,)
+                        if child[1] == link:
+                            nodes += (child,)
         for node in nodes:  # grows as it goes
-            tip = node[2]
-            ids += (tip,)
+            ids += (node[2],)
             entered += (node[1],)
-            for child in node[_CHILDREN:]:
-                if type(child) is list:
-                    nodes += (child,)
-                else:
-                    ids += (child[1] if child[0] == tip else child[0],)
-                    entered += (child,)
+            nodes += node[_CHILDREN:]
         return set(ids), set(entered)
 
     def agrees_with(self, fresh: PathSet) -> bool:
@@ -201,23 +172,18 @@ class PathSet(_PathView):
         """A walk of its own with the same tree, read map and counts."""
         twins: dict[int, list] = {}
         roots = dict(self.roots)
-        nodes: list[tuple[list | None, dict | list, str | int]] = [
-            (None, roots, start) for start in roots
-        ]
+        nodes = [(None, roots, start) for start in roots]  # (parent, holder, where)
         while nodes:
             parent, holder, at = nodes.pop()
             node = holder[at]
-            if type(node) is list:
-                holder[at] = twin = node[:]
-                twin[0] = parent
-                twins[id(node)] = twin
-                nodes += [(twin, twin, i) for i in range(_CHILDREN, len(twin))]
-        reads = {}
-        for vertex, read in self.reads.items():
-            if type(read) is list:
-                reads[vertex] = twins.get(id(read)) or read[:]
-            else:
-                reads[vertex] = tuple(twins.get(id(node)) or node[:] for node in read)
+            holder[at] = twin = node[:]
+            twin[0] = parent
+            twins[id(node)] = twin
+            nodes += [(twin, twin, i) for i in range(_CHILDREN, len(twin))]
+        reads = {
+            vertex: tuple(twins.get(id(node)) or node[:] for node in read)
+            for vertex, read in self.reads.items()
+        }
         return _walk(roots, reads, dict(self.counts), self.leaves, self.serial, self.zeroed)
 
 
@@ -241,7 +207,7 @@ class PathUnion(_PathView):
         return sum(1 for _ in self)
 
 
-# where a list node's children begin, after its parent, link and vertex
+# where a node's children begin, after its parent, link and vertex
 _CHILDREN = 3
 
 
@@ -255,19 +221,13 @@ def _walk(roots: dict, reads: dict, counts: dict, leaves: int, serial: int, zero
 def _child_at(node: list, link: Link) -> int:
     """Where in `node` its child through `link` is, or 0 if it has none."""
     for at in range(_CHILDREN, len(node)):
-        child = node[at]
-        if (child[1] if type(child) is list else child) == link:
+        if node[at][1] == link:
             return at
     return 0
 
 
-def _far(link: Link, near: str) -> str:
-    """The end of a link away from `near`."""
-    return link[1] if link[0] == near else link[0]
-
-
 def _path(node: list) -> Path:
-    """The path from the start to a list node, read off its parents."""
+    """The path from the start to a node, read off its parents."""
     items = [node[2]]
     while node[0] is not None:
         items += (node[1], node[0][2])
@@ -277,78 +237,51 @@ def _path(node: list) -> Path:
 
 
 def _shape(roots: dict) -> dict[Path, frozenset[Path]]:
-    """The path of each list node -> the paths of its children."""
+    """The path of each node, read off its own parents -> the paths of its
+    children."""
     shape = {}
-    nodes = [node for node in roots.values() if type(node) is list]
+    nodes = list(roots.values())
     while nodes:
         node = nodes.pop()
         path = _path(node)
         children = node[_CHILDREN:]
-        shape[path] = frozenset(
-            path + ((c[1], c[2]) if type(c) is list else (c, _far(c, path[-1])))
-            for c in children
-        )
-        nodes += [c for c in children if type(c) is list]
+        shape[path] = frozenset(path + (c[1], c[2]) for c in children)
+        nodes += children
     return shape
 
 
-def _read_paths(reads: dict) -> dict[str, Path | frozenset[Path]]:
+def _read_paths(reads: dict) -> dict[str, frozenset[Path]]:
     """A read map with each node given by its path."""
-    return {
-        vertex: _path(read) if type(read) is list else frozenset(map(_path, read))
-        for vertex, read in reads.items()
-    }
+    return {vertex: frozenset(map(_path, read)) for vertex, read in reads.items()}
 
 
-def _read_too(read: list | tuple, node: list) -> tuple:
-    """A read map entry that also lists `node`."""
-    return (read, node) if type(read) is list else read + (node,)
-
-
-def _unread(reads: dict, node: list) -> None:
-    """Take `node` out of the read map."""
-    vertex = node[2]
-    read = reads[vertex]
-    if read is node:
-        del reads[vertex]
-        return
-    read = tuple(n for n in read if n is not node)
-    reads[vertex] = read[0] if len(read) == 1 else read
-
-
-def _drop(node, near: str | None, reads: dict, counts: dict, zeroed: list) -> int:
-    """Take a node, whose parent's vertex is `near` (None for a start),
-    and everything under it out of a walk's read map and element counts,
-    listing in `zeroed` each element whose count falls to zero; returns
-    the number of paths it held.  Each list node lets go of its parent,
-    so the subtree is freed as soon as nothing else holds it."""
+def _drop(node: list, reads: dict, counts: dict, zeroed: list) -> int:
+    """Take a node and everything under it out of a walk's read map and
+    element counts, listing in `zeroed` each element whose count falls to
+    zero; returns the number of paths it held.  Each node lets go of its
+    parent, so the subtree is freed as soon as nothing else holds it."""
     leaves = 0
-    groups = [((node,), near)]  # (nodes, the vertex of their parent)
-    while groups:
-        nodes, near = groups.pop()
-        for node in nodes:
-            if type(node) is list:
-                _unread(reads, node)
-                link, vertex = node[1], node[2]
-                node[0] = None
-                if len(node) > _CHILDREN:
-                    groups.append((node[_CHILDREN:], vertex))
-                else:
-                    leaves += 1
-                elements = (vertex,) if link is None else (link, vertex)
+    nodes = [node]
+    for node in nodes:  # grows as it goes
+        node[0] = None
+        link, vertex = node[1], node[2]
+        if vertex in reads:  # whether or not the node is among them
+            others = tuple([n for n in reads[vertex] if n is not node])
+            if others:
+                reads[vertex] = others
             else:
-                leaves += 1
-                if near is None:  # a start of a walk with no segment
-                    elements = (node,)
-                else:
-                    elements = (node, node[1] if node[0] == near else node[0])
-            for element in elements:
-                left = counts[element] - 1
-                if left:
-                    counts[element] = left
-                else:
-                    del counts[element]
-                    zeroed.append(element)
+                del reads[vertex]
+        if len(node) > _CHILDREN:
+            nodes += node[_CHILDREN:]
+        else:
+            leaves += 1
+        for element in (vertex,) if link is None else (link, vertex):
+            left = counts[element] - 1
+            if left:
+                counts[element] = left
+            else:
+                del counts[element]
+                zeroed.append(element)
     return leaves
 
 
@@ -431,7 +364,7 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
                 if start not in roots:
                     starts.append(start)
             elif start in roots:
-                leaves -= _drop(roots.pop(start), None, reads, counts, zeroed)
+                leaves -= _drop(roots.pop(start), reads, counts, zeroed)
         # Each touched link, re-tested alone at each node that read one of
         # its ends: whether it is that node's child depends on nothing
         # else.  A gone link drops its child's subtree first.
@@ -444,13 +377,10 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
             for near in link[0], link[1]:
                 if link not in counts:
                     break  # a child of no node
-                read = reads.get(near)
-                if read is None:
-                    continue
-                for node in (read,) if type(read) is list else read:
+                for node in reads.get(near, ()):
                     at = _child_at(node, link)
                     if at:
-                        leaves -= _drop(node.pop(at), near, reads, counts, zeroed)
+                        leaves -= _drop(node.pop(at), reads, counts, zeroed)
                         if len(node) == _CHILDREN:
                             leaves += 1  # nothing extends it now
         # A link that is there is a new child where it passes the test and
@@ -463,7 +393,7 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
                 if read is None or far == near:
                     continue
                 cls = objects.get(far)
-                for node in (read,) if type(read) is list else read:
+                for node in read:
                     # its depth, from its parents, unless the far end is
                     # on its path, which must stay simple
                     depth, up = 0, node[0]
@@ -477,7 +407,6 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
                     if link in counts and _child_at(node, link):
                         continue  # a child already
                     additions.append((node, link, far, depth))
-        cget = counts.get
         for node, link, far, depth in additions:
             if len(node) == _CHILDREN:
                 leaves -= 1  # extended now
@@ -485,16 +414,16 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
                 node.append(None)  # in its place until it grows
                 push((_path(node) + (link, far), node, node, len(node) - 1))
             else:
-                node.append(link)
-                counts[link] = cget(link, 0) + 1
-                counts[far] = cget(far, 0) + 1
+                node.append([node, link, far])
+                counts[link] = counts.get(link, 0) + 1
+                counts[far] = counts.get(far, 0) + 1
                 leaves += 1
     cget, rget = counts.get, reads.get
     for start in starts:
         if n_segments:
             push(((start,), None, roots, start))
         else:  # a start is a path of a walk with no segment
-            roots[start] = start
+            roots[start] = [None, None, start]
             counts[start] = 1
             leaves += 1
     budget = MAX_PATHS
@@ -529,13 +458,12 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
                 continue
             if inner:
                 grown.append(path + (edge, far))  # the child's path, until it grows
-            else:  # a leaf: the link alone
-                grown.append(edge)
+            else:  # a leaf, whose parent is set once the node is built
+                grown.append([None, edge, far])
                 counts[edge] = cget(edge, 0) + 1
                 counts[far] = cget(far, 0) + 1
         holder[at] = node = grown[:]  # a list of its own length
-        read = rget(tip)
-        reads[tip] = node if read is None else _read_too(read, node)
+        reads[tip] = rget(tip, ()) + (node,)
         if len(node) == _CHILDREN:
             leaves += 1  # nothing extends it
         elif inner:
@@ -543,6 +471,8 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
                 push((node[i], node, node, i))
             continue
         else:  # its children matched every segment: leaves
+            for leaf in node[_CHILDREN:]:
+                leaf[0] = node
             leaves += len(node) - _CHILDREN
         if leaves > budget:
             raise _over_budget(walks, walk_key)

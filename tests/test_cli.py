@@ -122,6 +122,23 @@ class TestEvalPaths:
             "I1 -Attendance- P1 -Enrollment- E1 -Enrollment- P3 -Attendance- I3\n"
         )
 
+    def test_class_root_needs_no_user(self, capsys):
+        # a walk with no segment: each start is a path alone
+        assert main(["eval-paths", "scenarios/social_event.scn", "--expr", "Event"]) == 0
+        assert capsys.readouterr().out == "E1\n"
+
+    def test_user_root_without_a_user_exits_two(self, capsys):
+        assert main(["eval-paths", "scenarios/social_event.scn", "--expr", "{user}.Contact"]) == 2
+        err = capsys.readouterr().err
+        assert "expression uses 'user' but no binding was given" in err
+
+    def test_dead_end_with_a_segment_left(self, capsys):
+        # I2 owns no contact: the start is a path that nothing extends
+        assert main(
+            ["eval-paths", "scenarios/social_event.scn", "--user", "I2", "--expr", "{user}.Contact"]
+        ) == 0
+        assert capsys.readouterr().out == "I2\n"
+
     def test_bad_expression_exits_two(self, capsys):
         assert main(
             ["eval-paths", "scenarios/social_event.scn", "--user", "I1", "--expr", "{"]

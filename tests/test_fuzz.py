@@ -214,7 +214,7 @@ def test_a_stale_part_of_a_walk_of_several_starts_fails_the_run(monkeypatch):
         paths = evaluate(expr, g, user=user)
         roots = paths.roots if expr == feed else {}
         if len(roots) > 1:
-            paths.reads = {**paths.reads, "ghost": roots[min(roots)]}
+            paths.reads = {**paths.reads, "ghost": (roots[min(roots)],)}
         return paths
 
     monkeypatch.setattr(paths_module, "evaluate", with_a_ghost_part)

@@ -85,17 +85,13 @@ def parts_of(schema: Schema, data: SystemData, expr: PathExpr, user=None) -> dic
             starts.pop(start, None)
     marked = set()
     for vertex in {end for link in links for end in link[:2]}:
-        read = walk.paths.reads.get(vertex)
-        if read is not None:
-            marked.update(
-                paths_module._path(node)[0] for node in ((read,) if type(read) is list else read)
-            )
+        marked.update(paths_module._path(node)[0] for node in walk.paths.reads.get(vertex, ()))
     return {s: PENDING if s in marked or s not in roots else roots[s] for s in starts}
 
 
 def expected_tree(paths, segments: int) -> tuple[dict, dict, dict]:
-    """The read map, element counts and tree shape (each read node's path
-    -> its children's paths) of the prefix tree of `paths`, from their
+    """The read map, element counts and tree shape (each node's path -> its
+    children's paths) of the prefix tree of `paths`, from their
     definitions: a node per prefix, and a node reads its vertex while it
     has a segment left to match."""
     nodes = {p[:i] for p in paths for i in range(1, len(p) + 1, 2)}
@@ -106,13 +102,28 @@ def expected_tree(paths, segments: int) -> tuple[dict, dict, dict]:
             counts[element] = counts.get(element, 0) + 1
         if len(p) // 2 < segments:
             read.setdefault(p[-1], set()).add(p)
-    reads = {v: next(iter(s)) if len(s) == 1 else frozenset(s) for v, s in read.items()}
+    reads = {v: frozenset(s) for v, s in read.items()}
     shape = {
         p: frozenset(q for q in nodes if len(q) == len(p) + 2 and q[: len(p)] == p)
         for p in nodes
-        if len(p) // 2 < segments
     }
     return reads, counts, shape
+
+
+def tree_nodes(roots: dict) -> list[list]:
+    """Every node of a prefix tree, each checked to be the list
+    `[parent, link, vertex, *children]` whose children name it as their
+    parent, and each start as its root's node with no parent or link."""
+    nodes = []
+    for start, node in roots.items():
+        assert type(node) is list and node[:3] == [None, None, start]
+        nodes.append(node)
+    for node in nodes:  # grows as it goes
+        for child in node[3:]:
+            assert type(child) is list and child[0] is node
+            assert node[2] in child[1][:2] and child[2] in child[1][:2]
+            nodes.append(child)
+    return nodes
 
 
 def assert_set_fresh(walked, fresh, segments: int) -> None:
@@ -125,6 +136,13 @@ def assert_set_fresh(walked, fresh, segments: int) -> None:
     assert paths_module._read_paths(walked.reads) == reads
     assert walked.counts == counts
     assert paths_module._shape(walked.roots) == shape
+    # the read map holds exactly the nodes with a segment left, each once
+    nodes = tree_nodes(walked.roots)
+    reading = [n for n in nodes if (len(paths_module._path(n)) - 1) // 2 < segments]
+    listed = [n for read in walked.reads.values() for n in read]
+    assert all(type(read) is tuple for read in walked.reads.values())
+    assert sorted(map(id, listed)) == sorted(map(id, reading))
+    assert all(n[2] == vertex for vertex, read in walked.reads.items() for n in read)
 
 
 def assert_fresh(schema: Schema, data: SystemData, expr: PathExpr, user=None) -> None:
@@ -138,7 +156,7 @@ def assert_fresh(schema: Schema, data: SystemData, expr: PathExpr, user=None) ->
     for start, node in walked.roots.items():
         ours = paths_module._shape({start: node})
         assert ours == paths_module._shape({start: fresh.roots[start]})
-        assert {p[0] for p in ours} == ({start} if expr.segments else set())
+        assert {p[0] for p in ours} == {start}
     assert_set_fresh(walked, fresh, len(expr.segments))
 
 
