@@ -31,17 +31,18 @@ paths have distinct extensions, and a regrowth drops every result it drops
 before it grows any.  So one check on their count raises exactly when the
 walk's set would exceed the budget, `MAX_PATHS`.
 
-A `PathSet` is a view over its walk's tree and holds no path of its own.
-It carries the walk's slice as element counts, so a sync or sweep that
-finds the walk memoised reads its slice without touching a path, and the
-first-new-link rule reads the subtrees under the new links' nodes.  A
+A `PathSet` is a view over its walk's tree and holds no path of its own:
+iterating it reads each path off the tree, and `frozenset(paths)` keeps a
+copy.  It carries the walk's slice as element counts, so a sync or sweep
+that finds the walk memoised reads its slice without touching a path, and
+the first-new-link rule reads the subtrees under the new links' nodes.  A
 regrowth lists the elements whose count it took to zero, which is all a
 replica's sweep need look at besides what the replica created.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Set
+from collections.abc import Collection
 
 from .errors import PathBudgetError, UnboundVariableError, UnknownClassError
 from .expr import InstanceSet, PathExpr, USER_VARIABLE
@@ -72,23 +73,10 @@ class TypedGraph:
 Path = tuple[str | Link, ...]
 
 
-class _PathView(Set):
-    """A read-only set of paths, equal to the frozenset of the same paths;
-    the set operations it inherits return frozensets."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _from_iterable(cls, paths) -> frozenset:
-        return frozenset(paths)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({set(self)!r})"
-
-
-class PathSet(_PathView):
+class PathSet:
     """The paths of one walk: a view over its prefix tree, which a regrowth
-    edits in place.
+    edits in place.  Iterating it yields each path once, as its tuple; it
+    is not a set, so a caller that compares paths takes `frozenset(walk)`.
     - `roots`: each start vertex -> its node.  Every node is the list
       `[parent, link, vertex, *children]`: its parent node, the link into
       it and its vertex (None and None for a start), then its children.
@@ -122,19 +110,6 @@ class PathSet(_PathView):
             for child in node[_CHILDREN:]:
                 nodes.append((child, path + (child[1], child[2])))
 
-    def __contains__(self, path) -> bool:
-        if type(path) is not tuple or len(path) % 2 == 0:
-            return False
-        node = self.roots.get(path[0])
-        if node is None:
-            return False
-        for i in range(1, len(path), 2):
-            at = _child_at(node, path[i])
-            if not at or node[at][2] != path[i + 1]:
-                return False
-            node = node[at]
-        return len(node) == _CHILDREN
-
     def below(self, links: Collection[Link]) -> tuple[set[str], set[Link]]:
         """The vertices and the links of every node that one of `links`
         leads into, and of every node under such a node."""
@@ -157,12 +132,11 @@ class PathSet(_PathView):
         return set(ids), set(entered)
 
     def agrees_with(self, fresh: PathSet) -> bool:
-        """Whether this walk is `fresh`: the same paths, starts, tree (each
-        node's parent and children, in any order), read map and element
-        counts."""
+        """Whether this walk is `fresh`: the same count of paths, tree (each
+        node's path and its children's, in any order, which gives the paths
+        and the starts), read map and element counts."""
         return (
-            self == fresh
-            and self.roots.keys() == fresh.roots.keys()
+            self.leaves == fresh.leaves
             and _shape(self.roots) == _shape(fresh.roots)
             and _read_paths(self.reads) == _read_paths(fresh.reads)
             and self.counts == fresh.counts
@@ -187,21 +161,15 @@ class PathSet(_PathView):
         return _walk(roots, reads, dict(self.counts), self.leaves, self.serial, self.zeroed)
 
 
-class PathUnion(_PathView):
+class PathUnion:
     """The paths of several walks, a view over them; `parts` are the
-    walks.  Its `len` counts a path that several walks hold once."""
+    walks.  Iterating it yields each path once, in the order of the parts,
+    and its `len` counts a path that several walks hold once."""
 
     __slots__ = ("parts",)
 
-    def __contains__(self, path) -> bool:
-        return any(path in part for part in self.parts)
-
     def __iter__(self):
-        parts = self.parts
-        for i, part in enumerate(parts):
-            for path in part:
-                if not any(path in earlier for earlier in parts[:i]):
-                    yield path
+        return iter(dict.fromkeys(path for part in self.parts for path in part))
 
     def __len__(self) -> int:
         return sum(1 for _ in self)

@@ -144,6 +144,23 @@ def test_a_stale_memoised_element_set_fails_the_run(monkeypatch):
     assert " store: {user}." in reason
 
 
+def test_a_miscounted_walk_fails_the_run(monkeypatch):
+    # memoise every walk with one path more in its count than it has; its
+    # paths, counts and tree stay exact, so the syncs and sweeps deliver
+    # and keep the same, and only the check's compare of `leaves` sees it
+    evaluate = paths_module.evaluate
+
+    def miscounted(expr, g, *, user=None):
+        paths = evaluate(expr, g, user=user)
+        paths.leaves = sum(1 for _ in paths) + 1
+        return paths
+
+    monkeypatch.setattr(paths_module, "evaluate", miscounted)
+    summary = fuzz(seed=42, iterations=5)
+    assert summary.failures
+    assert "stale memoised walks: step " in summary.failures[0].reason
+
+
 def test_a_stale_memoised_walk_fails_the_run(monkeypatch):
     # keep every walk whatever a mutation touched; member sets stay exact
     forget = WalkMemo.forget

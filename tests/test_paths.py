@@ -46,12 +46,12 @@ class TestFixtureDerivation:
     def test_contact_expression(self, schema, f1_data, g):
         expr = parse_expression("{user}.Contact.contactIdentity")
         got = evaluate(expr, g, user="I1")
-        assert got == {("I1", OWN, "C1", REF, "I2")}
+        assert frozenset(got) == {("I1", OWN, "C1", REF, "I2")}
 
     def test_event_expression(self, schema, f1_data, g):
         expr = parse_expression("{user}.Participation.Event.Participation.Identity")
         got = evaluate(expr, g, user="I1")
-        assert got == {
+        assert frozenset(got) == {
             ("I1", AT1, "P1", EN1, "E1", EN2, "P2", AT2, "I2"),
             ("I1", AT1, "P1", EN1, "E1", EN3, "P3", AT3, "I3"),
         }
@@ -87,15 +87,15 @@ class TestDeadEnds:
         data.links.discard(REF)  # C1 no longer references anyone
         g = TypedGraph(data, schema)
         expr = parse_expression("{user}.Contact.contactIdentity")
-        assert evaluate(expr, g, user="I1") == {("I1", OWN, "C1")}
+        assert frozenset(evaluate(expr, g, user="I1")) == {("I1", OWN, "C1")}
 
     def test_root_only_dead_end(self, schema, f1_data, g):
         expr = parse_expression("{user}.Contact.contactIdentity")
-        assert evaluate(expr, g, user="I3") == {("I3",)}
+        assert frozenset(evaluate(expr, g, user="I3")) == {("I3",)}
 
     def test_zero_length_expression(self, schema, f1_data, g):
         expr = parse_expression("{user}")
-        assert evaluate(expr, g, user="I1") == {("I1",)}
+        assert frozenset(evaluate(expr, g, user="I1")) == {("I1",)}
 
     def test_mixed_full_and_dead_end_paths(self, schema, f1_data):
         data = f1_data.copy()
@@ -105,7 +105,7 @@ class TestDeadEnds:
         data.links.add(own2)  # C2 references nobody
         g = TypedGraph(data, schema)
         expr = parse_expression("{user}.Contact.contactIdentity")
-        assert evaluate(expr, g, user="I1") == {
+        assert frozenset(evaluate(expr, g, user="I1")) == {
             ("I1", OWN, "C1", REF, "I2"),
             ("I1", own2, "C2"),
         }
@@ -121,20 +121,20 @@ class TestDeadEnds:
 class TestRoles:
     def test_far_end_role_names(self, g):
         # role names belong to the far vertex's end of the association
-        assert evaluate(parse_expression("{I1}.Contact"), g) == {("I1", OWN, "C1")}
-        assert evaluate(parse_expression("{C1}.owner"), g) == {("C1", OWN, "I1")}
+        assert frozenset(evaluate(parse_expression("{I1}.Contact"), g)) == {("I1", OWN, "C1")}
+        assert frozenset(evaluate(parse_expression("{C1}.owner"), g)) == {("C1", OWN, "I1")}
         # a wrong or unknown role dead-ends at the root
-        assert evaluate(parse_expression("{I1}.owner"), g) == {("I1",)}
-        assert evaluate(parse_expression("{C1}.Contact"), g) == {("C1",)}
-        assert evaluate(parse_expression("{I1}.nosuchrole"), g) == {("I1",)}
+        assert frozenset(evaluate(parse_expression("{I1}.owner"), g)) == {("I1",)}
+        assert frozenset(evaluate(parse_expression("{C1}.Contact"), g)) == {("C1",)}
+        assert frozenset(evaluate(parse_expression("{I1}.nosuchrole"), g)) == {("I1",)}
 
     def test_unknown_association_never_matches(self, schema, f1_data):
         data = f1_data.copy()
         data.links.discard(OWN)
         data.links.add(Link("I1", "C1", "Bogus"))  # undeclared association
         g = TypedGraph(data, schema)
-        assert evaluate(parse_expression("{I1}.Contact"), g) == {("I1",)}
-        assert evaluate(parse_expression("{C1}.owner"), g) == {("C1",)}
+        assert frozenset(evaluate(parse_expression("{I1}.Contact"), g)) == {("I1",)}
+        assert frozenset(evaluate(parse_expression("{C1}.owner"), g)) == {("C1",)}
 
     def test_self_association_distinguishes_direction(self):
         schema = Schema(
@@ -151,9 +151,9 @@ class TestRoles:
         down = evaluate(parse_expression("{A}.child"), g)
         up = evaluate(parse_expression("{B}.parent"), g)
         wrong = evaluate(parse_expression("{A}.parent"), g)
-        assert down == {("A", link, "B")}
-        assert up == {("B", link, "A")}
-        assert wrong == {("A",)}  # dead end: A is not anyone's child
+        assert frozenset(down) == {("A", link, "B")}
+        assert frozenset(up) == {("B", link, "A")}
+        assert frozenset(wrong) == {("A",)}  # dead end: A is not anyone's child
 
 
 class TestPathPredicates:
@@ -206,7 +206,7 @@ class TestRootSemantics:
 
     def test_missing_instance_refs_match_nothing(self, schema, f1_data, g):
         expr = parse_expression("{ghost,I1}")
-        assert evaluate(expr, g, user="I1") == {("I1",)}
+        assert frozenset(evaluate(expr, g, user="I1")) == {("I1",)}
 
     def test_class_and_filter_roots(self, schema, f1_data, g):
         all_ids = evaluate(parse_expression("Identity"), g)
@@ -236,7 +236,7 @@ def test_budget_boundary_is_exact(monkeypatch):
         full = evaluate(expr, g, user=user)
         data.walks.clear()
         monkeypatch.setattr(paths_module, "MAX_PATHS", len(full))
-        assert evaluate(expr, g, user=user) == full, trial
+        assert frozenset(evaluate(expr, g, user=user)) == frozenset(full), trial
         if full:
             data.walks.clear()
             monkeypatch.setattr(paths_module, "MAX_PATHS", len(full) - 1)
@@ -285,4 +285,19 @@ class TestSelection:
             for expr in fixture_exprs
             for p in relevant_paths(schema, f1_data, [expr], user="I1")
         }
-        assert both == frozenset(single)
+        assert frozenset(both) == frozenset(single)
+
+    def test_a_union_counts_a_shared_path_once(self, schema, f1_data, fixture_exprs):
+        twice = [fixture_exprs[0], fixture_exprs[0]]
+        paths = relevant_paths(schema, f1_data, twice, user="I1")
+        assert len(paths) == len(frozenset(paths)) == len(paths.parts[0])
+        # C1 references nobody, so both walks hold the path I1 -Ownership- C1
+        data = f1_data.copy()
+        data.links.discard(REF)
+        exprs = [
+            parse_expression("{user}.Contact"),
+            parse_expression("{user}.Contact.contactIdentity"),
+        ]
+        paths = relevant_paths(schema, data, exprs, user="I1")
+        assert [frozenset(part) for part in paths.parts] == [{("I1", OWN, "C1")}] * 2
+        assert len(paths) == len(frozenset(paths)) == 1

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from relsync.paths import relevant_paths
 from relsync.runner import run_scenario
 from relsync.scenario import load_scenario
 
@@ -53,3 +54,16 @@ def test_path_spans_stay_on_the_sync_path(tracer):
     ):
         assert t.calls(span) > 0, span
     assert t.counts["sync.paths"] > 0
+    # the paths of each timestamp sync, which in `both` mode is every sync
+    # with a shadow, counted by an untraced replay: the store does not
+    # change between a sync and its hook
+    walked = []
+
+    def count_paths(ctx, index, client, applied, shadow):
+        if shadow is not None:
+            decl = ctx.scenario.clients[client]
+            paths = relevant_paths(ctx.scenario.schema, ctx.store.data, decl.exprs, user=decl.root)
+            walked.append(len(frozenset(paths)))
+
+    assert run_scenario(scenario, mode="both", on_sync=count_paths) == []
+    assert t.counts["sync.paths"] == sum(walked)
