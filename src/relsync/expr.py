@@ -32,7 +32,7 @@ USER_VARIABLE = "user"
 # `user` being what `{user}` stands for (None when unbound).  Each also
 # says whether the rule reads the state: only a filter root's does, so
 # only its verdict can flip on an update.
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceSet:
     refs: tuple[str, ...]
     reads_state: ClassVar[bool] = False
@@ -45,7 +45,7 @@ class InstanceSet:
         return oid != USER_VARIABLE and oid in refs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassAll:
     class_name: str
     reads_state: ClassVar[bool] = False
@@ -55,7 +55,7 @@ class ClassAll:
         return cls == self.class_name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassFilter:
     class_name: str
     attribute: str
@@ -77,7 +77,7 @@ class ClassFilter:
 Direct = InstanceSet | ClassAll | ClassFilter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathExpr:
     root: Direct
     segments: tuple[str, ...]

@@ -52,6 +52,12 @@ EXPR_CONTACTS = "{user}.Contact.contactIdentity"
 EXPR_EVENTS = "{user}.Participation.Event.Participation.Identity"
 EXPR_OWN_CONTACTS = "{user}.Contact"
 
+# Parsed once: an expression is immutable and hashes by its fields, so
+# every generated client shares these and memo keys stay the same.
+_CONTACTS, _EVENTS, _OWN_CONTACTS = map(
+    parse_expression, (EXPR_CONTACTS, EXPR_EVENTS, EXPR_OWN_CONTACTS)
+)
+
 
 def social_schema() -> Schema:
     """The shipped fixture schema: identities, contacts, events,
@@ -275,9 +281,9 @@ class _Generator:
 
         clients: dict[str, ClientDecl] = {}
         for name in ("A", "B", "C")[:n_clients]:
-            exprs = [parse_expression(EXPR_CONTACTS), parse_expression(EXPR_EVENTS)]
+            exprs = [_CONTACTS, _EVENTS]
             if rng.random() < 0.3:
-                exprs.append(parse_expression(EXPR_OWN_CONTACTS))
+                exprs.append(_OWN_CONTACTS)
             root = rng.choice(self.roots) if self.roots else "I0"
             clients[name] = ClientDecl(name=name, root=root, exprs=exprs)
 

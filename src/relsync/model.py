@@ -40,7 +40,7 @@ def validate_token(name: str, what: str = "name") -> str:
     return name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssociationDef:
     """A link type joining two classes, with a role name for each end.
 
@@ -355,7 +355,7 @@ class ActionType(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateObject:
     object_id: str
     class_name: str
@@ -369,7 +369,7 @@ class CreateObject:
         return dict(self.state)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateState:
     object_id: str
     state: tuple[tuple[str, Scalar], ...]
@@ -382,17 +382,17 @@ class UpdateState:
         return dict(self.state)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteObject:
     object_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateLink:
     link: Link
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteLink:
     link: Link
 

@@ -31,36 +31,36 @@ from .model import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class ClientDecl:
     name: str
     root: str
     exprs: list[PathExpr]
 
 
-@dataclass
+@dataclass(slots=True)
 class TxStep:
     mutations: list[Mutation]
 
 
-@dataclass
+@dataclass(slots=True)
 class SyncStep:
     client: str
     use_oracle: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class PushStep:
     client: str
     mutation: Mutation
 
 
-@dataclass
+@dataclass(slots=True)
 class AssertConvergedStep:
     client: str
 
 
-@dataclass
+@dataclass(slots=True)
 class AssertDeltaStep:
     client: str
     expected: DeltaSet
@@ -69,7 +69,7 @@ class AssertDeltaStep:
 Step = TxStep | SyncStep | PushStep | AssertConvergedStep | AssertDeltaStep
 
 
-@dataclass
+@dataclass(slots=True)
 class Scenario:
     schema: Schema
     clients: dict[str, ClientDecl] = field(default_factory=dict)

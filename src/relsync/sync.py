@@ -25,12 +25,19 @@ is probed.
 Deletions are broadcast to every client regardless of relevance; the
 receiving side ignores deletes it never knew about.  ts_cs advances the
 cursor to the newest action timestamp among everything delivered, which is
-what makes an immediate re-sync empty.
+what makes an immediate re-sync empty.  The sync takes it from the stamps
+it found, with no further look-up: the create and update stamps of the
+slice elements changed since the cursor, and the deletions' stamps.  These
+are every stamp of a delivered element newer than the cursor.  An element
+sent from a new link on that was updated since lies on a slice, so it is
+found as updated; a delete purges the element's create and update stamps;
+a link's re-create purges its tombstone; and object ids are never reused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import attrgetter
 
 from .changelog import ActionType, ChangeLog
@@ -87,26 +94,32 @@ def timestamp_sync(
                 crt_ids |= ids
                 crt_links |= links
 
-    upd_ids = changed(ActionType.UPDATE) - crt_ids
+    updated = changed(ActionType.UPDATE)
+    upd_ids = updated - crt_ids
     del_objects, del_links = log.deletions_since(ts_ls)
 
-    delta = DeltaSet(ts_cs=ts_ls)
-    delta.crt_objects = {(oid, data.objects[oid]) for oid in crt_ids}
-    delta.upd_objects = upd_ids
-    delta.del_objects = del_objects
-    delta.crt_links = crt_links
-    delta.del_links = del_links
-    delta.states = {oid: dict(data.states[oid]) for oid in crt_ids | upd_ids}
-
-    ts_cs = ts_ls
-    delivered: list[str | Link] = [
-        *crt_ids, *upd_ids, *crt_links, *del_objects, *del_links,
-    ]
-    for element in delivered:
-        for ts in log.actions(element).values():
-            ts_cs = max(ts_cs, ts)
-    delta.ts_cs = ts_cs
-    return delta
+    # Every stamp found is newer than the cursor, and every stamp newer
+    # than the cursor of a delivered element is found: the cursor moves to
+    # the newest of them.
+    ts = log.ts
+    ts_cs = max(
+        chain(
+            map(ts, created, repeat(ActionType.CREATE)),
+            map(ts, updated, repeat(ActionType.UPDATE)),
+            map(ts, del_objects, repeat(ActionType.DELETE)),
+            map(ts, del_links, repeat(ActionType.DELETE)),
+        ),
+        default=ts_ls,
+    )
+    return DeltaSet(
+        ts_cs=ts_cs,
+        crt_objects={(oid, data.objects[oid]) for oid in crt_ids},
+        upd_objects=upd_ids,
+        del_objects=del_objects,
+        crt_links=crt_links,
+        del_links=del_links,
+        states={oid: dict(data.states[oid]) for oid in crt_ids | upd_ids},
+    )
 
 
 __all__ = [

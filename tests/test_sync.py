@@ -22,6 +22,7 @@ from relsync.model import (
     UpdateState,
 )
 from relsync.paths import relevant_paths
+from relsync.runner import run_scenario
 from relsync.scenario import PushStep, SyncStep, TxStep
 from relsync.store import Store
 from relsync.sync import SyncCursor, timestamp_sync
@@ -455,3 +456,43 @@ def test_nonempty_delta_always_advances_cursor(schema, fixture_exprs):
             assert delta.ts_cs == before
         seen.append(delta)
         store.apply([UpdateState.make("I2", {"round": round_no})])
+
+
+@pytest.mark.parametrize("seed", range(0, 60, 10))
+def test_cursor_is_the_newest_stamp_of_what_was_delivered(seed, monkeypatch):
+    """The sync moves its cursor from the stamps it found, without asking
+    the log for each delivered element's actions; the cursor is still the
+    newest of every stamp of every delivered element, and the old one."""
+    calls = 0
+    actions = ChangeLog.actions
+
+    def counted(log, element):
+        nonlocal calls
+        calls += 1
+        return actions(log, element)
+
+    monkeypatch.setattr(ChangeLog, "actions", counted)
+    moved = 0
+
+    def check(ctx, index, client, applied, shadow):
+        nonlocal calls, moved
+        assert calls == 0, f"step {index}: the sync asked the log for actions"
+        ts_ls = cursors.get(client, 0)
+        delivered = [
+            *(oid for oid, _ in applied.crt_objects),
+            *applied.upd_objects,
+            *applied.crt_links,
+            *applied.del_objects,
+            *applied.del_links,
+        ]
+        stamps = [ts for e in delivered for ts in ctx.store.log.actions(e).values()]
+        assert applied.ts_cs == max([ts_ls, *stamps]), f"step {index} client {client}"
+        moved += applied.ts_cs > ts_ls
+        cursors[client] = applied.ts_cs
+        calls = 0
+
+    for offset in range(10):
+        scenario = _Generator(random.Random(seed + offset), FuzzBounds()).build()
+        cursors: dict[str, int] = {}
+        assert run_scenario(scenario, mode="both", on_sync=check) == []
+    assert moved
