@@ -25,10 +25,12 @@ that read one of the link's ends (a gone link drops its child's subtree,
 a new link grows one, and no other child is looked at), and grows the new
 starts.
 
-The results only ever accumulate while a walk grows: a path leaves the
-stack either as a result or replaced by at least one extension, distinct
-paths have distinct extensions, and a regrowth drops every result it drops
-before it grows any.  So one check on their count raises exactly when the
+Each node is built once, attached to its parent (or to the walk's roots)
+and counted, and a node with a segment left goes on the stack.  The
+results only ever accumulate while a walk grows: a node leaves the stack
+either as a result or as the parent of at least one new node, no two
+nodes share a child, and a regrowth drops every result it drops before it
+grows any.  So one check on their count raises exactly when the
 walk's set would exceed the budget, `MAX_PATHS`.
 
 A `PathSet` is a view over its walk's tree and holds no path of its own:
@@ -145,17 +147,17 @@ class PathSet:
     def copy(self) -> PathSet:
         """A walk of its own with the same tree, read map and counts."""
         twins: dict[int, list] = {}
-        roots = dict(self.roots)
-        nodes = [(None, roots, start) for start in roots]  # (parent, holder, where)
-        while nodes:
-            parent, holder, at = nodes.pop()
-            node = holder[at]
-            holder[at] = twin = node[:]
-            twin[0] = parent
-            twins[id(node)] = twin
-            nodes += [(twin, twin, i) for i in range(_CHILDREN, len(twin))]
+        roots = {}
+        nodes = [(node, None) for node in self.roots.values()]  # (node, parent's twin)
+        for node, parent in nodes:  # grows as it goes
+            twins[id(node)] = twin = [parent, node[1], node[2]]
+            if parent is None:
+                roots[node[2]] = twin
+            else:
+                parent.append(twin)
+            nodes += [(child, twin) for child in node[_CHILDREN:]]
         reads = {
-            vertex: tuple(twins.get(id(node)) or node[:] for node in read)
+            vertex: tuple([twins[id(node)] for node in read])
             for vertex, read in self.reads.items()
         }
         return _walk(roots, reads, dict(self.counts), self.leaves, self.serial, self.zeroed)
@@ -253,13 +255,13 @@ def _drop(node: list, reads: dict, counts: dict, zeroed: list) -> int:
     return leaves
 
 
-def _start(expr: PathExpr, g: TypedGraph, user: str | None) -> dict[str, None]:
-    """The walk's start vertices, each mapped to None (no part grown yet):
-    an instance root's refs that exist, `{user}` resolved, or the objects
-    its root `admits`, from one scan of the objects."""
+def _start(expr: PathExpr, g: TypedGraph, user: str | None) -> list[str]:
+    """The walk's start vertices, each once: an instance root's refs that
+    exist, `{user}` resolved, or the objects its root `admits`, from one
+    scan of the objects."""
     root, objects = expr.root, g.data.objects
     if isinstance(root, InstanceSet):
-        starts: dict[str, None] = {}
+        starts = []
         for ref in root.refs:
             if ref == USER_VARIABLE:
                 if user is None:
@@ -267,18 +269,14 @@ def _start(expr: PathExpr, g: TypedGraph, user: str | None) -> dict[str, None]:
                         f"expression uses {USER_VARIABLE!r} but no binding was given"
                     )
                 ref = user
-            if ref in objects:
-                starts[ref] = None
+            if ref in objects and ref not in starts:
+                starts.append(ref)
         return starts
     name = root.class_name
     if name not in g.schema.classes:
         raise UnknownClassError(f"unknown class {name!r}")
     states, admits = g.data.states, root.admits
-    return {
-        v: None
-        for v, c in objects.items()
-        if c == name and admits(v, c, states.get(v, {}), user)
-    }
+    return [v for v, c in objects.items() if c == name and admits(v, c, states.get(v, {}), user)]
 
 
 def _over_budget(walks: dict, walk_key: tuple) -> PathBudgetError:
@@ -304,12 +302,11 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
         return kept.paths
     segments = expr.segments
     n_segments = len(segments)
-    last = 2 * n_segments + 1  # the length of a path that matched every segment
     ends = g.schema.ends
     objects = g.data.objects
-    # (path, parent node, the list or dict to hold its node, where) for
-    # each node to grow
-    stack: list[tuple[Path, list | None, list | dict, int | str]] = []
+    # (node, depth) for each node with a segment left to match, which is
+    # attached and counted already and reads its vertex once it is popped
+    stack: list[tuple[list, int]] = []
     push = stack.append
     if kept is None:
         paths = PathSet.__new__(PathSet)
@@ -353,7 +350,6 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
                             leaves += 1  # nothing extends it now
         # A link that is there is a new child where it passes the test and
         # is not a child yet; a link no node holds is nobody's child.
-        additions = []
         for link in present:
             src, dst, assoc = link
             for near, far, far_is_src in (src, dst, False), (dst, src, True):
@@ -374,45 +370,43 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
                         continue
                     if link in counts and _child_at(node, link):
                         continue  # a child already
-                    additions.append((node, link, far, depth))
-        for node, link, far, depth in additions:
-            if len(node) == _CHILDREN:
-                leaves -= 1  # extended now
-            if depth + 1 < n_segments:  # the child has a segment left
-                node.append(None)  # in its place until it grows
-                push((_path(node) + (link, far), node, node, len(node) - 1))
-            else:
-                node.append([node, link, far])
-                counts[link] = counts.get(link, 0) + 1
-                counts[far] = counts.get(far, 0) + 1
-                leaves += 1
+                    if len(node) == _CHILDREN:
+                        leaves -= 1  # extended now
+                    child = [node, link, far]
+                    node.append(child)
+                    counts[link] = counts.get(link, 0) + 1
+                    counts[far] = counts.get(far, 0) + 1
+                    if depth + 1 < n_segments:  # the child has a segment left
+                        push((child, depth + 1))
+                    else:
+                        leaves += 1
     cget, rget = counts.get, reads.get
     for start in starts:
+        roots[start] = node = [None, None, start]
+        counts[start] = cget(start, 0) + 1
         if n_segments:
-            push(((start,), None, roots, start))
+            push((node, 0))
         else:  # a start is a path of a walk with no segment
-            roots[start] = [None, None, start]
-            counts[start] = 1
             leaves += 1
     budget = MAX_PATHS
     incident = g.incident
     while stack:
-        path, parent, holder, at = stack.pop()
-        tip = path[-1]
-        counts[tip] = cget(tip, 0) + 1
-        if parent is None:
-            link = None
-        else:
-            link = path[-2]
-            counts[link] = cget(link, 0) + 1
-        role = segments[len(path) // 2]
-        inner = len(path) + 2 < last  # whether its children have a segment left
-        grown = [parent, link, tip]
+        node, depth = stack.pop()
+        tip = node[2]
+        reads[tip] = rget(tip, ()) + (node,)
+        on = [tip]  # the vertices on its path, which must stay simple
+        up = node[0]
+        while up is not None:
+            on += (up[2],)
+            up = up[0]
+        role = segments[depth]
+        depth += 1
+        inner = depth < n_segments  # whether its children have a segment left
         for edge in incident.get(tip, ()):
             src, dst, assoc = edge
             # The end away from the tip.  A self-link's far end is the tip
-            # itself, which the last test drops, so only one side of a
-            # link is ever looked up.
+            # itself, which is on the path, so only one side of a link is
+            # ever looked up.
             if tip == src:
                 far, key = dst, (assoc, role, False)
             else:
@@ -422,25 +416,19 @@ def evaluate(expr: PathExpr, g: TypedGraph, *, user: str | None = None) -> PathS
                 continue
             # A link already on the path has both ends on it, so testing
             # the far end alone keeps the path simple.
-            if far in path:
+            if far in on:
                 continue
+            child = [node, edge, far]
+            node.append(child)
+            counts[edge] = cget(edge, 0) + 1
+            counts[far] = cget(far, 0) + 1
             if inner:
-                grown.append(path + (edge, far))  # the child's path, until it grows
-            else:  # a leaf, whose parent is set once the node is built
-                grown.append([None, edge, far])
-                counts[edge] = cget(edge, 0) + 1
-                counts[far] = cget(far, 0) + 1
-        holder[at] = node = grown[:]  # a list of its own length
-        reads[tip] = rget(tip, ()) + (node,)
+                push((child, depth))
         if len(node) == _CHILDREN:
             leaves += 1  # nothing extends it
         elif inner:
-            for i in range(_CHILDREN, len(node)):
-                push((node[i], node, node, i))
             continue
         else:  # its children matched every segment: leaves
-            for leaf in node[_CHILDREN:]:
-                leaf[0] = node
             leaves += len(node) - _CHILDREN
         if leaves > budget:
             raise _over_budget(walks, walk_key)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import relsync.fuzz as fuzz_module
 import relsync.paths as paths_module
 import relsync.replica as replica_module
@@ -81,6 +86,20 @@ def test_generator_model_mirrors_the_committed_store():
 
 def test_short_fuzz_run_is_clean():
     assert fuzz(seed=42, iterations=200).ok
+
+
+def test_short_fuzz_run_is_clean_under_another_hash_seed():
+    # the same corpus through the command line, in a child interpreter
+    # under a `PYTHONHASHSEED` other than this process's, if it has one
+    src = Path(__file__).resolve().parent.parent / "src"
+    hash_seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-m", "relsync.cli", "fuzz", "--seed", "42", "--iterations", "200"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "seed 42 iterations 200 failures 0\n"
 
 
 def test_success_leaves_no_dumps(tmp_path):

@@ -615,7 +615,7 @@ def test_user_admits_the_object_it_is_bound_to_even_one_spelled_user(schema):
     data = SystemData()
     data.apply(CreateObject.make("user", "Identity"))  # a client root spelled `user`
     expr = parse_expression("{user}")
-    assert paths_module._start(expr, TypedGraph(data, schema), "user") == {"user": None}
+    assert paths_module._start(expr, TypedGraph(data, schema), "user") == ["user"]
     assert expr.root.admits("user", "Identity", {}, "user")
     assert not expr.root.admits("user", "Identity", {}, "I1")
     # unbound, `{user}` admits nothing, not even an object spelled `user`

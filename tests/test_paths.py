@@ -4,6 +4,7 @@ and equivalence with the brute-force enumerator."""
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -19,7 +20,7 @@ from brute_force import (
 from conftest import F1_LINKS, F1_OBJECTS
 from relsync.errors import PathBudgetError, UnboundVariableError, UnknownClassError
 from relsync.expr import parse_expression
-from relsync.model import AssociationDef, Link, Schema, SystemData
+from relsync.model import AssociationDef, CreateLink, DeleteLink, Link, Schema, SystemData
 from relsync.paths import (
     TypedGraph,
     evaluate,
@@ -245,6 +246,42 @@ def test_budget_boundary_is_exact(monkeypatch):
             overflowed += 1
         monkeypatch.undo()
     assert overflowed > 100
+
+
+def _tree_nodes(walk) -> list:
+    """Every node of a walk's prefix tree."""
+    nodes = list(walk.roots.values())
+    for node in nodes:  # grows as it goes
+        nodes += node[paths_module._CHILDREN:]
+    return nodes
+
+
+def test_a_walk_deeper_than_the_recursion_limit():
+    # A chain N0 -> N1 -> ... -> Nn walked by n `.next` segments, more than
+    # the interpreter would allow as nested calls, first and after regrowths.
+    n = sys.getrecursionlimit() + 500
+    schema = Schema({"Node"}, [AssociationDef("Succession", "Node", "prev", "Node", "next")])
+    ids = [f"N{i}" for i in range(n + 1)]
+    chain = [Link(ids[i], ids[i + 1], "Succession") for i in range(n)]
+    data = SystemData(
+        objects=dict.fromkeys(ids, "Node"), links=set(chain), states={v: {} for v in ids}
+    )
+    expr = parse_expression("{user}" + ".next" * n)
+    walk = evaluate(expr, TypedGraph(data, schema), user="N0")
+    path = next(iter(walk))
+    assert len(walk) == 1 and len(path) == 2 * n + 1 and path[-1] == ids[-1]
+    middle = chain[n // 2]
+    for mutation in DeleteLink(middle), CreateLink(middle):
+        data.apply(mutation)
+        regrown = evaluate(expr, TypedGraph(data, schema), user="N0")
+        fresh = evaluate(expr, TypedGraph(data.copy(), schema), user="N0")
+        assert regrown is walk  # regrown in place
+        assert frozenset(regrown) == frozenset(fresh)
+        assert regrown.agrees_with(fresh)
+    assert len(next(iter(walk))) == 2 * n + 1
+    twin = walk.copy()
+    assert twin.agrees_with(walk)
+    assert not {id(node) for node in _tree_nodes(twin)} & {id(node) for node in _tree_nodes(walk)}
 
 
 class TestBruteForceEquivalence:
