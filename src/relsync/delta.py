@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import ExpressionSyntaxError, ScenarioParseError
 from .expr import _Parser, render_literal
-from .model import Link, State, link_text_order
+from .model import Link, Scalar, State, freeze_state, link_text_order
 
 
 @dataclass
@@ -25,7 +25,8 @@ class DeltaSet:
     del_objects: set[str] = field(default_factory=set)
     crt_links: set[Link] = field(default_factory=set)
     del_links: set[Link] = field(default_factory=set)
-    states: dict[str, State] = field(default_factory=dict)  # crt ∪ upd carrier
+    # crt ∪ upd carrier, each state the one the data holds
+    states: dict[str, State] = field(default_factory=dict)
 
     def is_empty(self) -> bool:
         return not (
@@ -38,16 +39,16 @@ class DeltaSet:
 
 
 def render_state(state: State) -> str:
-    inner = ",".join(f"{k}={render_literal(v)}" for k, v in sorted(state.items()))
+    inner = ",".join(f"{k}={render_literal(v)}" for k, v in state)
     return "{" + inner + "}"
 
 
 def render_delta(d: DeltaSet) -> str:
     lines = [f"ts_cs {d.ts_cs}"]
     for oid, cls in sorted(d.crt_objects):
-        lines.append(f"crt-obj {oid} {cls} {render_state(d.states.get(oid, {}))}")
+        lines.append(f"crt-obj {oid} {cls} {render_state(d.states.get(oid, ()))}")
     for oid in sorted(d.upd_objects):
-        lines.append(f"upd-obj {oid} {render_state(d.states.get(oid, {}))}")
+        lines.append(f"upd-obj {oid} {render_state(d.states.get(oid, ()))}")
     for oid in sorted(d.del_objects):
         lines.append(f"del-obj {oid}")
     for link in sorted(d.crt_links, key=link_text_order):
@@ -57,7 +58,7 @@ def render_delta(d: DeltaSet) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def parse_state(text: str) -> State:
+def parse_state(text: str) -> dict[str, Scalar]:
     reader = _Parser(text)
     try:
         state = reader.state()
@@ -82,11 +83,11 @@ def parse_delta(text: str) -> DeltaSet:
             if kind == "crt-obj":
                 oid, cls, state_part = rest.split(maxsplit=2)
                 delta.crt_objects.add((oid, cls))
-                delta.states[oid] = parse_state(state_part)
+                delta.states[oid] = freeze_state(parse_state(state_part))
             elif kind == "upd-obj":
                 oid, state_part = rest.split(maxsplit=1)
                 delta.upd_objects.add(oid)
-                delta.states[oid] = parse_state(state_part)
+                delta.states[oid] = freeze_state(parse_state(state_part))
             elif kind == "del-obj":
                 (oid,) = rest.split()
                 delta.del_objects.add(oid)

@@ -28,7 +28,8 @@ USER_VARIABLE = "user"
 
 
 # Each root kind has the root rule, `admits(oid, cls, state, user)`:
-# whether the root admits an object of class cls in that state as a start,
+# whether the root admits an object of class cls in that state (a
+# `model.State`, the tuple its data holds) as a start,
 # `user` being what `{user}` stands for (None when unbound).  Each also
 # says whether the rule reads the state: only a filter root's does, so
 # only its verdict can flip on an update.
@@ -70,7 +71,8 @@ class ClassFilter:
         object.__setattr__(self, "kind", _value_kind(self.literal))
 
     def admits(self, oid: str, cls: str, state: State, user: str | None) -> bool:
-        """The objects of its class whose state passes the filter."""
+        """The objects of its class whose state, a tuple of sorted
+        pairs, passes the filter."""
         return cls == self.class_name and satisfies_filter(state, self)
 
 
@@ -228,10 +230,10 @@ class _Parser:
             else:
                 out.append(ch)
 
-    def state(self) -> State:
+    def state(self) -> dict[str, Scalar]:
         self.skip_ws()
         self.expect("{")
-        state: State = {}
+        state: dict[str, Scalar] = {}
         self.skip_ws()
         if self.peek() == "}":
             self.take()
@@ -283,15 +285,19 @@ def _value_kind(value: Scalar) -> str:
     return "str"
 
 
-def satisfies_filter(state: dict[str, Scalar], node: ClassFilter) -> bool:
-    """Apply a filter's comparison to one object's state.
+def satisfies_filter(state: State, node: ClassFilter) -> bool:
+    """Apply a filter's comparison to one object's state, found by a scan
+    of its pairs.
 
     Missing attributes fail every comparison.  Type-mismatched values are
     unequal (so `!=` holds) but never ordered.
     """
-    if node.attribute not in state:
+    attribute = node.attribute
+    for key, value in state:
+        if key == attribute:
+            break
+    else:
         return False
-    value = state[node.attribute]
     if _value_kind(value) != _value_kind(node.literal):
         return node.comparator == "!="
     if node.comparator == "=":

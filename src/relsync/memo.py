@@ -88,12 +88,13 @@ class WalkMemo(dict):
         links: tuple,
         oid: str | None,
         cls: str | None,
-        old: dict | None,
-        new: dict | None,
+        old: tuple | None,
+        new: tuple | None,
     ) -> None:
         """Record a mutation on every walk it reached, by the rule above:
         one that created or deleted `links` and, for an object mutation,
-        took object `oid` of class `cls` from state `old` to state `new`."""
+        took object `oid` of class `cls` from state `old` to state `new`,
+        each a `model.State`, the tuple the data held or holds."""
         both = old is not None and new is not None
         if len(links) == 1:
             touched = links[0][:2]  # a link mutation's two ends

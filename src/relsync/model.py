@@ -21,9 +21,12 @@ from typing import NamedTuple
 from .errors import TokenError
 from .memo import WalkMemo
 
-# Attribute values are flat scalars; states compare by exact equality.
+# Attribute values are flat scalars.  A state is its (key, value) pairs
+# sorted by key, each key once: immutable, so every layer that holds an
+# object's state shares the one tuple its mutation carried, and two states
+# compare by exact equality.  `freeze_state` makes one from a dict.
 Scalar = str | int | bool
-State = dict[str, Scalar]
+State = tuple[tuple[str, Scalar], ...]
 
 # Tokens appear in the scenario DSL, expression syntax, and canonical dumps,
 # so they must be free of whitespace and of the punctuation those formats
@@ -153,9 +156,10 @@ class SystemData:
     replaced keeps only a link to that one and the commit's undo journal,
     and the first read of any of its containers rebuilds it (`_rebuild`):
     a copy of the nearest newer version that still holds its data, with
-    the journals in between undone through `apply`.  A state dict is
-    replaced, never edited, so the copy shares them.  A replaced version
-    that nobody reads costs its journal alone.
+    the journals in between undone through `apply`.  A state is an
+    immutable tuple (see `State`), replaced and never edited, so every
+    copy shares it.  A replaced version that nobody reads costs its
+    journal alone.
     """
 
     objects: dict[str, str]
@@ -199,12 +203,10 @@ class SystemData:
         return index
 
     def copy(self) -> SystemData:
-        """An independent copy, states included; the index is rebuilt on
-        the copy's first read."""
+        """An independent copy, which shares each immutable state; the
+        index is rebuilt on the copy's first read."""
         return SystemData(
-            objects=dict(self.objects),
-            links=set(self.links),
-            states={oid: dict(state) for oid, state in self.states.items()},
+            objects=dict(self.objects), links=set(self.links), states=dict(self.states)
         )
 
     def supersede(self, log: list[tuple[str | Link, ActionType]], prior: list) -> SystemData:
@@ -220,8 +222,8 @@ class SystemData:
     def _rebuild(self) -> None:
         """Hold this replaced version's data again: copy the nearest newer
         version that holds its own, then undo the commits in between,
-        newest first.  The copy shares that version's state dicts and
-        per-vertex link sets; its walk memo starts empty."""
+        newest first.  The copy shares that version's states and
+        per-vertex link tuples; its walk memo starts empty."""
         journals = []
         version = self
         while "_newer" in vars(version):
@@ -252,10 +254,10 @@ class SystemData:
             elif action is ActionType.CREATE:
                 self.apply(DeleteObject(element))
             elif action is ActionType.UPDATE:
-                self.apply(UpdateState.make(element, next(replaced)))
+                self.apply(UpdateState(element, next(replaced)))
             else:
                 cls, state = next(replaced)
-                self.apply(CreateObject.make(element, cls, state))
+                self.apply(CreateObject(element, cls, state))
 
     def apply(self, mutation: Mutation) -> list[Link]:
         """Apply a mutation without checking it; returns the links an object
@@ -275,7 +277,7 @@ class SystemData:
             oid, cls = mutation.object_id, mutation.class_name
             old = self.states.get(oid) if oid in self.objects else None
             self.objects[oid] = cls
-            new = self.states[oid] = mutation.state_dict()
+            new = self.states[oid] = mutation.state
             if self.walks:  # a create touches no link: only a root can see it
                 self.walks.forget(_NO_LINKS, oid, cls, old, new)
         elif isinstance(mutation, (CreateLink, DeleteLink)):
@@ -292,7 +294,7 @@ class SystemData:
             if self.walks:
                 self.walks.forget((link,), None, None, None, None)
         elif isinstance(mutation, UpdateState):
-            oid, new = mutation.object_id, mutation.state_dict()
+            oid, new = mutation.object_id, mutation.state
             if self.walks:
                 self.walks.forget(_NO_LINKS, oid, self.objects.get(oid), self.states.get(oid), new)
             self.states[oid] = new
@@ -306,7 +308,7 @@ class SystemData:
                 for link in cascade:
                     _unindex_link(index, link)
             self.links.difference_update(cascade)
-            cls, old = self.objects.pop(oid), self.states.pop(oid, {})
+            cls, old = self.objects.pop(oid), self.states.pop(oid, ())
             if self.walks:
                 self.walks.forget(tuple(cascade), oid, cls, old, None)
             return cascade
@@ -359,27 +361,23 @@ class ActionType(enum.Enum):
 class CreateObject:
     object_id: str
     class_name: str
-    state: tuple[tuple[str, Scalar], ...]
+    state: State
 
     @staticmethod
-    def make(object_id: str, class_name: str, state: State | None = None) -> CreateObject:
-        return CreateObject(object_id, class_name, _freeze_state(state or {}))
-
-    def state_dict(self) -> State:
-        return dict(self.state)
+    def make(
+        object_id: str, class_name: str, state: dict[str, Scalar] | None = None
+    ) -> CreateObject:
+        return CreateObject(object_id, class_name, freeze_state(state or {}))
 
 
 @dataclass(frozen=True, slots=True)
 class UpdateState:
     object_id: str
-    state: tuple[tuple[str, Scalar], ...]
+    state: State
 
     @staticmethod
-    def make(object_id: str, state: State) -> UpdateState:
-        return UpdateState(object_id, _freeze_state(state))
-
-    def state_dict(self) -> State:
-        return dict(self.state)
+    def make(object_id: str, state: dict[str, Scalar]) -> UpdateState:
+        return UpdateState(object_id, freeze_state(state))
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,7 +397,9 @@ class DeleteLink:
 
 Mutation = CreateObject | UpdateState | DeleteObject | CreateLink | DeleteLink
 
-def _freeze_state(state: State) -> tuple[tuple[str, Scalar], ...]:
+
+def freeze_state(state: dict[str, Scalar]) -> State:
+    """The state holding a dict's items: the one place a state is made."""
     return tuple(sorted(state.items()))
 
 
@@ -477,6 +477,7 @@ __all__ = [
     "State",
     "SystemData",
     "UpdateState",
+    "freeze_state",
     "link_text_order",
     "validate_schema",
     "validate_token",

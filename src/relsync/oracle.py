@@ -42,7 +42,7 @@ def _diff_slices(rel_prev: SystemData, rel_now: SystemData, ts_now: int) -> Delt
     delta.del_objects = objs_prev - objs_now
     delta.crt_links = rel_now.links - rel_prev.links
     delta.del_links = rel_prev.links - rel_now.links
-    delta.states = {oid: dict(rel_now.states[oid]) for oid in crt_ids | upd_ids}
+    delta.states = {oid: state_now[oid] for oid in crt_ids | upd_ids}
     return delta
 
 

@@ -136,11 +136,14 @@ class PathSet:
     def agrees_with(self, fresh: PathSet) -> bool:
         """Whether this walk is `fresh`: the same count of paths, tree (each
         node's path and its children's, in any order, which gives the paths
-        and the starts), read map and element counts."""
+        and the starts), read map and element counts.  Each walk's node
+        paths are read once, each from its parent's (`_path`)."""
+        mine: dict[int, Path] = {}
+        theirs: dict[int, Path] = {}
         return (
             self.leaves == fresh.leaves
-            and _shape(self.roots) == _shape(fresh.roots)
-            and _read_paths(self.reads) == _read_paths(fresh.reads)
+            and _shape(self.roots, mine) == _shape(fresh.roots, theirs)
+            and _read_paths(self.reads, mine) == _read_paths(fresh.reads, theirs)
             and self.counts == fresh.counts
         )
 
@@ -196,33 +199,45 @@ def _child_at(node: list, link: Link) -> int:
     return 0
 
 
-def _path(node: list) -> Path:
-    """The path from the start to a node, read off its parents."""
-    items = [node[2]]
-    while node[0] is not None:
-        items += (node[1], node[0][2])
-        node = node[0]
-    items.reverse()
-    return tuple(items)
+def _path(node: list, known: dict[int, Path]) -> Path:
+    """The path from the start to a node, read off its parents: its
+    parent's path and its own link and vertex.  `known` holds the path of
+    each node read so far, by id, and gains this node's and those of its
+    ancestors it lacked, so reading every node of a walk takes one Python
+    step per node."""
+    path = known.get(id(node))
+    if path is None:
+        up = []
+        while path is None:
+            up.append(node)
+            node = node[0]
+            path = () if node is None else known.get(id(node))
+        for node in reversed(up):
+            path = path + (node[1], node[2]) if path else (node[2],)
+            known[id(node)] = path
+    return path
 
 
-def _shape(roots: dict) -> dict[Path, frozenset[Path]]:
+def _shape(roots: dict, known: dict[int, Path]) -> dict[Path, frozenset[Path]]:
     """The path of each node, read off its own parents -> the paths of its
     children."""
     shape = {}
     nodes = list(roots.values())
     while nodes:
         node = nodes.pop()
-        path = _path(node)
+        path = _path(node, known)
         children = node[_CHILDREN:]
         shape[path] = frozenset(path + (c[1], c[2]) for c in children)
         nodes += children
     return shape
 
 
-def _read_paths(reads: dict) -> dict[str, frozenset[Path]]:
+def _read_paths(reads: dict, known: dict[int, Path]) -> dict[str, frozenset[Path]]:
     """A read map with each node given by its path."""
-    return {vertex: frozenset(map(_path, read)) for vertex, read in reads.items()}
+    return {
+        vertex: frozenset([_path(node, known) for node in read])
+        for vertex, read in reads.items()
+    }
 
 
 def _drop(node: list, reads: dict, counts: dict, zeroed: list) -> int:
@@ -276,7 +291,7 @@ def _start(expr: PathExpr, g: TypedGraph, user: str | None) -> list[str]:
     if name not in g.schema.classes:
         raise UnknownClassError(f"unknown class {name!r}")
     states, admits = g.data.states, root.admits
-    return [v for v, c in objects.items() if c == name and admits(v, c, states.get(v, {}), user)]
+    return [v for v, c in objects.items() if c == name and admits(v, c, states.get(v, ()), user)]
 
 
 def _over_budget(walks: dict, walk_key: tuple) -> PathBudgetError:
@@ -459,7 +474,7 @@ def select_relevant(
     schema: Schema, data: SystemData, exprs: list[PathExpr], *, user: str | None = None
 ) -> SystemData:
     """The slice of the data on the expressions' paths, read off each
-    walk's element counts: their objects with copies of their states, and
+    walk's element counts: their objects with the data's own states, and
     their links."""
     paths = relevant_paths(schema, data, exprs, user=user)
     classes, held = data.objects, data.links
@@ -470,7 +485,7 @@ def select_relevant(
         for oid in on_path & classes.keys():  # an id never equals a link
             objects[oid] = classes[oid]
         links |= on_path & held
-    states = {oid: dict(data.states[oid]) for oid in objects}
+    states = {oid: data.states[oid] for oid in objects}
     return SystemData(objects=objects, links=links, states=states)
 
 

@@ -88,7 +88,7 @@ class Replica:
                 raise IdReuseError(
                     f"create of {oid} as {cls} conflicts with existing class {existing}"
                 )
-            self._mutate(CreateObject.make(oid, cls, delta.states.get(oid)))
+            self._mutate(CreateObject(oid, cls, delta.states.get(oid, ())))
         for link in sorted(delta.crt_links, key=link_text_order):
             if link in data.links:
                 continue  # re-delivered
@@ -101,7 +101,7 @@ class Replica:
                 self.warn(f"dropped link {link}: endpoint missing")
         for oid in sorted(delta.upd_objects):
             if oid in data.objects:
-                self._mutate(UpdateState.make(oid, delta.states.get(oid, {})))
+                self._mutate(UpdateState(oid, delta.states.get(oid, ())))
             else:
                 # The update wire format carries no class, so the unknown
                 # target cannot be materialized as a create; skip it.  Any
@@ -219,7 +219,7 @@ class Replica:
         lines = []
         for oid in sorted(self.data.objects):
             cls = self.data.objects[oid]
-            lines.append(f"obj {oid} {cls} {render_state(self.data.states.get(oid, {}))}")
+            lines.append(f"obj {oid} {cls} {render_state(self.data.states.get(oid, ()))}")
         for link in sorted(self.data.links, key=link_text_order):
             lines.append(f"link {link}")
         return "".join(line + "\n" for line in lines)

@@ -105,8 +105,8 @@ def compare_replica(
             )
         elif rel.states.get(oid) != local.states.get(oid):
             mismatches.append(
-                f"{oid} {render_state(local.states.get(oid, {}))} "
-                f"!= {render_state(rel.states.get(oid, {}))}"
+                f"{oid} {render_state(local.states.get(oid, ()))} "
+                f"!= {render_state(rel.states.get(oid, ()))}"
             )
     return missing, extra, mismatches
 

@@ -271,9 +271,9 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def render_mutation(m: Mutation) -> str:
     if isinstance(m, CreateObject):
-        return f"create {m.object_id} {m.class_name} {render_state(m.state_dict())}"
+        return f"create {m.object_id} {m.class_name} {render_state(m.state)}"
     if isinstance(m, UpdateState):
-        return f"update {m.object_id} {render_state(m.state_dict())}"
+        return f"update {m.object_id} {render_state(m.state)}"
     if isinstance(m, DeleteObject):
         return f"delete {m.object_id}"
     if isinstance(m, CreateLink):

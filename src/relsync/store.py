@@ -57,6 +57,7 @@ from .model import (
     Link,
     Mutation,
     Schema,
+    State,
     SystemData,
     UpdateState,
     validate_schema,
@@ -64,7 +65,7 @@ from .model import (
 )
 
 
-def _check_keys(state: tuple[tuple[str, object], ...]) -> None:
+def _check_keys(state: State) -> None:
     for key, _ in state:
         validate_token(key, "attribute name")
 

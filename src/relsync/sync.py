@@ -118,7 +118,7 @@ def timestamp_sync(
         del_objects=del_objects,
         crt_links=crt_links,
         del_links=del_links,
-        states={oid: dict(data.states[oid]) for oid in crt_ids | upd_ids},
+        states={oid: data.states[oid] for oid in crt_ids | upd_ids},
     )
 
 

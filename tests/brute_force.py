@@ -27,7 +27,14 @@ import random
 
 from relsync.changelog import ActionType, ChangeLog
 from relsync.expr import ClassAll, ClassFilter, InstanceSet, PathExpr
-from relsync.model import AssociationDef, Link, Schema, SystemData, validate_schema
+from relsync.model import (
+    AssociationDef,
+    Link,
+    Schema,
+    SystemData,
+    freeze_state,
+    validate_schema,
+)
 
 PathPair = tuple[tuple[str, ...], tuple[Link, ...]]
 
@@ -73,7 +80,7 @@ def root_objects(expr: PathExpr, data: SystemData, user: str | None) -> set[str]
     return {
         o
         for o, c in data.objects.items()
-        if c == root.class_name and _filter_passes(data.states.get(o, {}), root)
+        if c == root.class_name and _filter_passes(dict(data.states.get(o, ())), root)
     }
 
 
@@ -337,7 +344,7 @@ def random_data(
         for key in ("size", "flag", "name"):
             if rng.random() < 0.5:
                 state[key] = _random_value(rng, key)
-        states[oid] = state
+        states[oid] = freeze_state(state)
     links: set[Link] = set()
     edge_prob = min(1.0, 3.0 / max(n, 1))
     for name in sorted(schema.assocs):
@@ -406,11 +413,11 @@ def apply_plainly(data: SystemData, delta) -> SystemData:
     out = data.copy()
     for oid, cls in delta.crt_objects:
         out.objects[oid] = cls
-        out.states[oid] = dict(delta.states.get(oid, {}))
+        out.states[oid] = delta.states.get(oid, ())
     for link in delta.crt_links:
         out.links.add(link)
     for oid in delta.upd_objects:
-        out.states[oid] = dict(delta.states.get(oid, {}))
+        out.states[oid] = delta.states.get(oid, ())
     for link in delta.del_links:
         out.links.discard(link)
     for oid in delta.del_objects:

@@ -6,7 +6,7 @@ import pytest
 
 from relsync.delta import DeltaSet, parse_delta, parse_state, render_delta, render_state
 from relsync.errors import ScenarioParseError
-from relsync.model import Link
+from relsync.model import Link, freeze_state
 
 
 def sample_delta() -> DeltaSet:
@@ -16,7 +16,11 @@ def sample_delta() -> DeltaSet:
     d.del_objects = {"E9"}
     d.crt_links = {Link("I1", "C2", "Ownership"), Link("C2", "I9", "Reference")}
     d.del_links = {Link("I1", "C1", "Ownership")}
-    d.states = {"C2": {"nick": "new"}, "I9": {}, "I1": {"name": "ana", "vip": True}}
+    d.states = {
+        "C2": freeze_state({"nick": "new"}),
+        "I9": (),
+        "I1": freeze_state({"name": "ana", "vip": True}),
+    }
     return d
 
 
@@ -41,7 +45,7 @@ def test_render_parse_roundtrip():
     assert render_delta(d) == EXPECTED
     assert d.ts_cs == 7
     assert d.crt_objects == {("C2", "Contact"), ("I9", "Identity")}
-    assert d.states["I1"] == {"name": "ana", "vip": True}
+    assert dict(d.states["I1"]) == {"name": "ana", "vip": True}
     assert d.del_links == {Link("I1", "C1", "Ownership")}
 
 
@@ -60,12 +64,13 @@ def test_deletions_alone_make_a_delta_nonempty():
 
 class TestStateFormat:
     def test_render_sorts_keys_and_quotes_strings(self):
-        assert render_state({"b": 1, "a": "x y", "c": False}) == '{a="x y",b=1,c=false}'
-        assert render_state({}) == "{}"
+        state = freeze_state({"b": 1, "a": "x y", "c": False})
+        assert render_state(state) == '{a="x y",b=1,c=false}'
+        assert render_state(()) == "{}"
 
     def test_parse_state_roundtrip(self):
         for state in ({}, {"k": 1}, {"s": 'qu"ote', "n": -4, "f": True}):
-            assert parse_state(render_state(state)) == state
+            assert parse_state(render_state(freeze_state(state))) == state
 
     @pytest.mark.parametrize(
         "bad",

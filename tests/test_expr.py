@@ -15,6 +15,7 @@ from relsync.expr import (
     render_literal,
     satisfies_filter,
 )
+from relsync.model import freeze_state
 
 
 class TestParse:
@@ -125,32 +126,37 @@ class TestFilterSemantics:
 
     def test_missing_attribute_fails_everything(self):
         for cmp in ("=", "!=", "<", ">"):
-            assert not satisfies_filter({}, self.filt(cmp, 1))
+            assert not satisfies_filter((), self.filt(cmp, 1))
 
     def test_type_mismatch_is_unequal_but_unordered(self):
-        state = {"k": "three"}
+        state = freeze_state({"k": "three"})
         assert satisfies_filter(state, self.filt("!=", 3))
         assert not satisfies_filter(state, self.filt("=", 3))
         assert not satisfies_filter(state, self.filt("<", 3))
         assert not satisfies_filter(state, self.filt(">", 3))
 
     def test_bool_is_not_an_int(self):
-        assert satisfies_filter({"k": True}, self.filt("!=", 1))
-        assert not satisfies_filter({"k": 1}, self.filt("=", True))
+        assert satisfies_filter(freeze_state({"k": True}), self.filt("!=", 1))
+        assert not satisfies_filter(freeze_state({"k": 1}), self.filt("=", True))
 
     def test_bools_are_not_ordered(self):
-        assert not satisfies_filter({"k": False}, self.filt("<", True))
-        assert satisfies_filter({"k": False}, self.filt("!=", True))
+        assert not satisfies_filter(freeze_state({"k": False}), self.filt("<", True))
+        assert satisfies_filter(freeze_state({"k": False}), self.filt("!=", True))
 
     def test_int_and_str_ordering(self):
-        assert satisfies_filter({"k": 2}, self.filt("<", 3))
-        assert satisfies_filter({"k": 2}, self.filt(">", -1))
-        assert satisfies_filter({"k": "apple"}, self.filt("<", "pear"))
-        assert not satisfies_filter({"k": "apple"}, self.filt(">", "pear"))
+        assert satisfies_filter(freeze_state({"k": 2}), self.filt("<", 3))
+        assert satisfies_filter(freeze_state({"k": 2}), self.filt(">", -1))
+        assert satisfies_filter(freeze_state({"k": "apple"}), self.filt("<", "pear"))
+        assert not satisfies_filter(freeze_state({"k": "apple"}), self.filt(">", "pear"))
 
     def test_equality(self):
-        assert satisfies_filter({"k": "ana"}, self.filt("=", "ana"))
-        assert not satisfies_filter({"k": "ana"}, self.filt("!=", "ana"))
+        assert satisfies_filter(freeze_state({"k": "ana"}), self.filt("=", "ana"))
+        assert not satisfies_filter(freeze_state({"k": "ana"}), self.filt("!=", "ana"))
+
+    def test_the_attribute_is_found_among_the_others(self):
+        state = freeze_state({"z": 3, "k": 2, "a": 1})
+        assert satisfies_filter(state, self.filt("=", 2))
+        assert not satisfies_filter(freeze_state({"z": 3, "a": 2}), self.filt("=", 2))
 
 
 def test_expr_dataclasses_are_hashable():

@@ -85,7 +85,7 @@ def parts_of(schema: Schema, data: SystemData, expr: PathExpr, user=None) -> dic
             starts.pop(start, None)
     marked = set()
     for vertex in {end for link in links for end in link[:2]}:
-        marked.update(paths_module._path(node)[0] for node in walk.paths.reads.get(vertex, ()))
+        marked.update(paths_module._path(node, {})[0] for node in walk.paths.reads.get(vertex, ()))
     return {s: PENDING if s in marked or s not in roots else roots[s] for s in starts}
 
 
@@ -134,12 +134,12 @@ def assert_set_fresh(walked, fresh, segments: int) -> None:
     assert len(walked) == len(fresh)
     assert walked.roots.keys() == fresh.roots.keys()
     reads, counts, shape = expected_tree(fresh, segments)
-    assert paths_module._read_paths(walked.reads) == reads
+    assert paths_module._read_paths(walked.reads, {}) == reads
     assert walked.counts == counts
-    assert paths_module._shape(walked.roots) == shape
+    assert paths_module._shape(walked.roots, {}) == shape
     # the read map holds exactly the nodes with a segment left, each once
     nodes = tree_nodes(walked.roots)
-    reading = [n for n in nodes if (len(paths_module._path(n)) - 1) // 2 < segments]
+    reading = [n for n in nodes if (len(paths_module._path(n, {})) - 1) // 2 < segments]
     listed = [n for read in walked.reads.values() for n in read]
     assert all(type(read) is tuple for read in walked.reads.values())
     assert sorted(map(id, listed)) == sorted(map(id, reading))
@@ -155,8 +155,8 @@ def assert_fresh(schema: Schema, data: SystemData, expr: PathExpr, user=None) ->
     fresh = relevant_paths(schema, copy, [expr], user=user)
     assert data.walks[walk_key(schema, expr, user)].pending is None
     for start, node in walked.roots.items():
-        ours = paths_module._shape({start: node})
-        assert ours == paths_module._shape({start: fresh.roots[start]})
+        ours = paths_module._shape({start: node}, {})
+        assert ours == paths_module._shape({start: fresh.roots[start]}, {})
         assert {p[0] for p in ours} == {start}
     assert_set_fresh(walked, fresh, len(expr.segments))
 
@@ -248,7 +248,7 @@ def test_memoised_walks_match_a_fresh_walk_over_mutation_streams(seed):
     # version it replaced holding its undo journal
     store = Store(schema)
     store.apply(
-        [CreateObject.make(oid, cls, start.states[oid]) for oid, cls in start.objects.items()]
+        [CreateObject(oid, cls, start.states[oid]) for oid, cls in start.objects.items()]
         + [CreateLink(link) for link in start.links]
     )
     check_memos(schema, store.data, drawn)
@@ -492,7 +492,7 @@ def test_each_drop_rule_drops(schema, case, through):
     # a copy, and each part's shape: the walk is regrown in place
     before = frozenset(relevant_paths(schema, store.data, [expr], user=user))
     kept = parts_of(schema, store.data, expr, user)
-    shapes = {s: paths_module._shape({s: node}) for s, node in kept.items()}
+    shapes = {s: paths_module._shape({s: node}, {}) for s, node in kept.items()}
     others = kept.keys() - {start}
     if through == "store":
         store.apply([mutation])
@@ -515,7 +515,7 @@ def test_each_drop_rule_drops(schema, case, through):
     regrown = parts_of(schema, store.data, expr, user)
     assert regrown.keys() - {start} == others
     assert all(regrown[s] is kept[s] for s in others)
-    assert start not in regrown or paths_module._shape({start: regrown[start]}) != shapes.get(start)
+    assert start not in regrown or paths_module._shape({start: regrown[start]}, {}) != shapes.get(start)
 
 
 # Each case comes close to the rule without meeting it, so the walk is
@@ -899,13 +899,13 @@ def test_stale_walks_leaves_the_memo_as_it_was(schema, f1_data):
     entries = dict(f1_data.walks)
     pending = {key for key, walk in entries.items() if walk.pending}
     assert len(pending) == 2
-    shapes = {key: paths_module._shape(walk.paths.roots) for key, walk in entries.items()}
+    shapes = {key: paths_module._shape(walk.paths.roots, {}) for key, walk in entries.items()}
     assert stale_walks(f1_data) == []
     assert f1_data.walks.keys() == entries.keys()
     assert all(f1_data.walks[key] is walk for key, walk in entries.items())
     assert {key for key, walk in f1_data.walks.items() if walk.pending} == pending
     assert {
-        key: paths_module._shape(walk.paths.roots) for key, walk in f1_data.walks.items()
+        key: paths_module._shape(walk.paths.roots, {}) for key, walk in f1_data.walks.items()
     } == shapes
 
 

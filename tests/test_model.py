@@ -21,6 +21,7 @@ from relsync.model import (
     Schema,
     SystemData,
     UpdateState,
+    freeze_state,
     validate_schema,
     validate_token,
 )
@@ -105,13 +106,14 @@ class TestLink:
 class TestMutations:
     def test_create_state_is_frozen_but_recoverable(self):
         m = CreateObject.make("o1", "A", {"k": 1, "flag": True})
-        assert m.state_dict() == {"k": 1, "flag": True}
+        assert m.state == (("flag", True), ("k", 1))  # its pairs, sorted by key
+        assert dict(m.state) == {"k": 1, "flag": True}
         # frozen: usable as dict keys / set members
         assert len({m, CreateObject.make("o1", "A", {"flag": True, "k": 1})}) == 1
 
     def test_update_state_roundtrip(self):
         m = UpdateState.make("o1", {"k": "v"})
-        assert m.state_dict() == {"k": "v"}
+        assert dict(m.state) == {"k": "v"}
 
 
 class TestApply:
@@ -124,24 +126,24 @@ class TestApply:
         assert data == SystemData(
             objects={"a": "A", "b": "B"},
             links={Link("a", "b", "R")},
-            states={"a": {"k": 2}, "b": {}},
+            states={"a": freeze_state({"k": 2}), "b": ()},
         )
 
     def test_delete_link_keeps_its_endpoints(self):
         data = SystemData(
             objects={"a": "A", "b": "B"},
             links={Link("a", "b", "R")},
-            states={"a": {}, "b": {}},
+            states={"a": (), "b": ()},
         )
         assert data.apply(DeleteLink(Link("a", "b", "R"))) == []
-        assert data == SystemData(objects={"a": "A", "b": "B"}, states={"a": {}, "b": {}})
+        assert data == SystemData(objects={"a": "A", "b": "B"}, states={"a": (), "b": ()})
 
     def test_delete_object_returns_exactly_its_incident_links(self):
         incident = [Link("a", "b", "R"), Link("c", "a", "R"), Link("a", "a", "S")]
         data = SystemData(
             objects={"a": "A", "b": "B", "c": "B"},
             links={*incident, Link("b", "c", "R")},
-            states={"a": {"k": 1}, "b": {}, "c": {}},
+            states={"a": freeze_state({"k": 1}), "b": (), "c": ()},
         )
         cascade = data.apply(DeleteObject("a"))
         # the self-link is returned once, not once per end
@@ -149,7 +151,7 @@ class TestApply:
         assert data == SystemData(
             objects={"b": "B", "c": "B"},
             links={Link("b", "c", "R")},
-            states={"b": {}, "c": {}},
+            states={"b": (), "c": ()},
         )
 
 
@@ -166,12 +168,12 @@ class TestValidation:
         data = SystemData(
             objects={"a": "A", "b": "B"},
             links={Link("a", "b", "R")},
-            states={"a": {}, "b": {"k": 1}},
+            states={"a": (), "b": freeze_state({"k": 1})},
         )
         assert self.ok(data) == []
 
     def test_unknown_class(self):
-        data = SystemData(objects={"a": "Z"}, states={"a": {}})
+        data = SystemData(objects={"a": "Z"}, states={"a": ()})
         violations = self.ok(data)
         assert violations and "unknown class" in violations[0]
 
@@ -179,13 +181,13 @@ class TestValidation:
         data = SystemData(
             objects={"a": "A", "b": "B"},
             links={Link("a", "b", "Nope")},
-            states={"a": {}, "b": {}},
+            states={"a": (), "b": ()},
         )
         assert any("unknown association" in v for v in self.ok(data))
 
     def test_dangling_endpoint(self):
         data = SystemData(
-            objects={"a": "A"}, links={Link("a", "ghost", "R")}, states={"a": {}}
+            objects={"a": "A"}, links={Link("a", "ghost", "R")}, states={"a": ()}
         )
         assert any("dangling" in v for v in self.ok(data))
 
@@ -194,12 +196,12 @@ class TestValidation:
         data = SystemData(
             objects={"a": "A", "b": "B"},
             links={Link("b", "a", "R")},
-            states={"a": {}, "b": {}},
+            states={"a": (), "b": ()},
         )
         assert any("mismatch" in v for v in self.ok(data))
 
     def test_state_bookkeeping(self):
-        data = SystemData(objects={"a": "A"}, states={"b": {}})
+        data = SystemData(objects={"a": "A"}, states={"b": ()})
         violations = self.ok(data)
         assert any("missing state" in v for v in violations)
         assert any("no such object" in v for v in violations)
@@ -208,12 +210,12 @@ class TestValidation:
 # Each is invalid in a different way (see TestValidation), with every
 # violation a check of all its elements reports.
 INVALID_DATA = [
-    (SystemData(objects={"a": "Z"}, states={"a": {}}), ["object a: unknown class 'Z'"]),
+    (SystemData(objects={"a": "Z"}, states={"a": ()}), ["object a: unknown class 'Z'"]),
     (
         SystemData(
             objects={"a": "A", "b": "B"},
             links={Link("a", "b", "Nope"), Link("b", "a", "R")},
-            states={"a": {}, "b": {}},
+            states={"a": (), "b": ()},
         ),
         [
             "link a Nope b: unknown association",
@@ -221,11 +223,11 @@ INVALID_DATA = [
         ],
     ),
     (
-        SystemData(objects={"a": "A"}, links={Link("a", "ghost", "R")}, states={"a": {}}),
+        SystemData(objects={"a": "A"}, links={Link("a", "ghost", "R")}, states={"a": ()}),
         ["link a R ghost: dangling endpoint"],
     ),
     (
-        SystemData(objects={"a": "A"}, states={"b": {}}),
+        SystemData(objects={"a": "A"}, states={"b": ()}),
         ["object a: missing state entry", "state b: no such object"],
     ),
 ]
@@ -244,7 +246,7 @@ def test_scoped_check_reports_what_the_whole_check_does(data, expected):
 
 def test_scoped_check_finds_links_left_under_a_deleted_object():
     schema = Schema({"A", "B"}, [AssociationDef("R", "A", "left", "B", "right")])
-    data = SystemData(objects={"a": "A"}, links={Link("a", "b", "R")}, states={"a": {}})
+    data = SystemData(objects={"a": "A"}, links={Link("a", "b", "R")}, states={"a": ()})
     # with no index yet, apply's cascade scan is what finds such links
     assert validate_schema(schema, data, ["b"]) == []
     data.incident
@@ -257,33 +259,37 @@ class TestSubdata:
         d1 = SystemData(
             objects={"a": "A", "b": "B"},
             links={Link("a", "b", "R")},
-            states={"a": {"k": 1}, "b": {}},
+            states={"a": freeze_state({"k": 1}), "b": ()},
         )
-        d2 = SystemData(objects={"a": "A"}, links=set(), states={"a": {"k": 1}})
+        d2 = SystemData(objects={"a": "A"}, links=set(), states={"a": freeze_state({"k": 1})})
         assert is_subdata(d2, d1)
         assert is_subdata(d1, d1)
 
     def test_class_change_is_not_subdata(self):
-        d1 = SystemData(objects={"a": "A"}, states={"a": {}})
-        d2 = SystemData(objects={"a": "B"}, states={"a": {}})
+        d1 = SystemData(objects={"a": "A"}, states={"a": ()})
+        d2 = SystemData(objects={"a": "B"}, states={"a": ()})
         assert not is_subdata(d2, d1)
 
     def test_state_drift_is_not_subdata(self):
-        d1 = SystemData(objects={"a": "A"}, states={"a": {"k": 1}})
-        d2 = SystemData(objects={"a": "A"}, states={"a": {"k": 2}})
+        d1 = SystemData(objects={"a": "A"}, states={"a": freeze_state({"k": 1})})
+        d2 = SystemData(objects={"a": "A"}, states={"a": freeze_state({"k": 2})})
         assert not is_subdata(d2, d1)
 
     def test_extra_link_is_not_subdata(self):
-        d1 = SystemData(objects={"a": "A", "b": "B"}, states={"a": {}, "b": {}})
+        d1 = SystemData(objects={"a": "A", "b": "B"}, states={"a": (), "b": ()})
         d2 = d1.copy()
         d2.links.add(Link("a", "b", "R"))
         assert not is_subdata(d2, d1)
 
     def test_copy_is_deep_for_states(self):
-        d1 = SystemData(objects={"a": "A"}, states={"a": {"k": 1}})
+        # the copy shares each state, which cannot be edited in place, and
+        # replacing one in the copy leaves the original's
+        d1 = SystemData(objects={"a": "A"}, states={"a": freeze_state({"k": 1})})
         d2 = d1.copy()
-        d2.states["a"]["k"] = 2
-        assert d1.states["a"]["k"] == 1
+        with pytest.raises(TypeError):
+            d2.states["a"][0] = ("k", 2)
+        d2.states["a"] = freeze_state({"k": 2})
+        assert d1.states["a"] == freeze_state({"k": 1})
 
 
 def rebuilt_index(links) -> dict[str, tuple[Link, ...]]:
@@ -300,7 +306,7 @@ def frozen_view(data: SystemData) -> tuple:
     return (
         dict(data.objects),
         frozenset(data.links),
-        {oid: dict(state) for oid, state in data.states.items()},
+        dict(data.states),
         dict(data.incident),
     )
 

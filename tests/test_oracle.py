@@ -12,6 +12,7 @@ from relsync.model import (
     Link,
     SystemData,
     UpdateState,
+    freeze_state,
 )
 from relsync.oracle import SnapshotOracle, _diff_slices
 from relsync.paths import select_relevant
@@ -20,8 +21,12 @@ from relsync.store import Store
 
 def slice_of(states: dict, links=()) -> SystemData:
     """A hand-built slice whose objects are the keys of `states`, all of
-    class A."""
-    return SystemData(objects={oid: "A" for oid in states}, links=set(links), states=states)
+    class A, each state given as a dict."""
+    return SystemData(
+        objects={oid: "A" for oid in states},
+        links=set(links),
+        states={oid: freeze_state(state) for oid, state in states.items()},
+    )
 
 
 class TestGetSets:
@@ -145,10 +150,10 @@ def test_mutation_helpers_cover_all_kinds(schema):
     oracle = SnapshotOracle(schema)
     exprs = [parse_expression("{user}")]
     delta = oracle.sync("A", "I1", store.data, store.counter, exprs)
-    assert delta.states == {"I1": {"name": "ana"}}
+    assert delta.states == {"I1": freeze_state({"name": "ana"})}
     store.apply([UpdateState.make("I1", {"name": "bo"})])
     delta = oracle.sync("A", "I1", store.data, store.counter, exprs)
-    assert delta.states == {"I1": {"name": "bo"}}
+    assert delta.states == {"I1": freeze_state({"name": "bo"})}
     store.apply([DeleteObject("I2")])
     delta = oracle.sync("A", "I1", store.data, store.counter, exprs)
     assert delta.is_empty()  # I2 was never relevant; the diff sees slices only

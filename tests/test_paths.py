@@ -20,7 +20,15 @@ from brute_force import (
 from conftest import F1_LINKS, F1_OBJECTS
 from relsync.errors import PathBudgetError, UnboundVariableError, UnknownClassError
 from relsync.expr import parse_expression
-from relsync.model import AssociationDef, CreateLink, DeleteLink, Link, Schema, SystemData
+from relsync.model import (
+    AssociationDef,
+    CreateLink,
+    DeleteLink,
+    Link,
+    Schema,
+    SystemData,
+    freeze_state,
+)
 from relsync.paths import (
     TypedGraph,
     evaluate,
@@ -101,7 +109,7 @@ class TestDeadEnds:
     def test_mixed_full_and_dead_end_paths(self, schema, f1_data):
         data = f1_data.copy()
         data.objects["C2"] = "Contact"
-        data.states["C2"] = {}
+        data.states["C2"] = ()
         own2 = Link("I1", "C2", "Ownership")
         data.links.add(own2)  # C2 references nobody
         g = TypedGraph(data, schema)
@@ -146,7 +154,7 @@ class TestRoles:
         data = SystemData(
             objects={"A": "Person", "B": "Person"},
             links={link},
-            states={"A": {}, "B": {}},
+            states={"A": (), "B": ()},
         )
         g = TypedGraph(data, schema)
         down = evaluate(parse_expression("{A}.child"), g)
@@ -264,7 +272,7 @@ def test_a_walk_deeper_than_the_recursion_limit():
     ids = [f"N{i}" for i in range(n + 1)]
     chain = [Link(ids[i], ids[i + 1], "Succession") for i in range(n)]
     data = SystemData(
-        objects=dict.fromkeys(ids, "Node"), links=set(chain), states={v: {} for v in ids}
+        objects=dict.fromkeys(ids, "Node"), links=set(chain), states={v: () for v in ids}
     )
     expr = parse_expression("{user}" + ".next" * n)
     walk = evaluate(expr, TypedGraph(data, schema), user="N0")
@@ -312,8 +320,12 @@ class TestSelection:
 
     def test_selected_states_are_copies(self, schema, f1_data, fixture_exprs):
         rel = select_relevant(schema, f1_data, fixture_exprs, user="I1")
-        rel.states["I1"]["name"] = "tampered"
-        assert f1_data.states["I1"]["name"] == "ana"
+        # a state cannot be edited in place, and replacing one in the
+        # selection leaves the data's
+        with pytest.raises(TypeError):
+            rel.states["I1"][0] = ("name", "tampered")
+        rel.states["I1"] = freeze_state({"name": "tampered"})
+        assert dict(f1_data.states["I1"])["name"] == "ana"
 
     def test_relevant_paths_unions_expressions(self, schema, f1_data, fixture_exprs):
         both = relevant_paths(schema, f1_data, fixture_exprs, user="I1")

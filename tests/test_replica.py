@@ -31,6 +31,7 @@ from relsync.model import (
     DeleteObject,
     Link,
     UpdateState,
+    freeze_state,
 )
 from relsync.paths import relevant_paths
 from relsync.replica import Replica
@@ -74,13 +75,13 @@ class TestApplyDelta:
         replica = make_replica(schema, fixture_exprs)
         d1 = DeltaSet(ts_cs=1)
         d1.crt_objects = {("I1", "Identity")}
-        d1.states = {"I1": {"name": "ana"}}
+        d1.states = {"I1": freeze_state({"name": "ana"})}
         replica.apply_delta(d1)
         d2 = DeltaSet(ts_cs=2)
         d2.crt_objects = {("I1", "Identity")}
-        d2.states = {"I1": {"name": "ana2"}}
+        d2.states = {"I1": freeze_state({"name": "ana2"})}
         replica.apply_delta(d2)
-        assert replica.data.states["I1"] == {"name": "ana2"}
+        assert dict(replica.data.states["I1"]) == {"name": "ana2"}
         assert replica.cursor.ts_ls == 2
 
     def test_create_with_conflicting_class_is_fatal(self, schema, fixture_exprs):
@@ -110,7 +111,7 @@ class TestApplyDelta:
         replica = make_replica(schema, fixture_exprs)
         d = DeltaSet(ts_cs=1)
         d.upd_objects = {"Z9"}
-        d.states = {"Z9": {"k": 1}}
+        d.states = {"Z9": freeze_state({"k": 1})}
         replica.apply_delta(d)
         assert "Z9" not in replica.data.objects
         assert any("skipped update" in w for w in replica.divergence_warnings)
@@ -229,8 +230,8 @@ class TestPush:
             UpdateState.make("I1", {"name": "ana-on-the-go"}), store
         )
         assert ts == 4
-        assert store.data.states["I1"] == {"name": "ana-on-the-go"}
-        assert replica.data.states["I1"] == {"name": "ana-on-the-go"}
+        assert dict(store.data.states["I1"]) == {"name": "ana-on-the-go"}
+        assert dict(replica.data.states["I1"]) == {"name": "ana-on-the-go"}
 
     def test_offline_push_is_refused(self, schema, fixture_exprs):
         replica = make_replica(schema, fixture_exprs)
@@ -276,7 +277,7 @@ class TestPush:
         # the server drops C1, which the replica has not heard of yet
         store.apply([DeleteObject("C1")])
         dump = replica.dump()
-        states = {oid: dict(state) for oid, state in replica.data.states.items()}
+        states = dict(replica.data.states)
         with pytest.raises(AlreadyDeletedError):
             replica.push_local_change(mutation, store)
         assert replica.dump() == dump
@@ -355,7 +356,7 @@ class TestSweepOfNoChange:
         store.apply([UpdateState.make("I2", {"name": "bo2"})])
         delta = full_sync(store, replica)
         assert delta.upd_objects == {"I2"}
-        assert replica.data.states["I2"] == {"name": "bo2"}
+        assert dict(replica.data.states["I2"]) == {"name": "bo2"}
         assert len(walks) == 1
         self.assert_walks_kept(replica, before)
 
@@ -442,7 +443,7 @@ def test_dump_is_sorted_and_stable(schema, fixture_exprs):
     d = DeltaSet(ts_cs=1)
     d.crt_objects = {("I1", "Identity"), ("C1", "Contact")}
     d.crt_links = {OWN}
-    d.states = {"I1": {"name": "ana"}, "C1": {}}
+    d.states = {"I1": freeze_state({"name": "ana"}), "C1": ()}
     replica.apply_delta(d)
     assert replica.dump() == (
         "obj C1 Contact {}\n"

@@ -120,7 +120,7 @@ class TestParse:
             "end\n"
         )
         s = parse_scenario(text)
-        assert s.steps[0].mutations[0].state_dict() == {"name": "#notacomment"}
+        assert dict(s.steps[0].mutations[0].state) == {"name": "#notacomment"}
 
 
 class TestParseErrors:

@@ -50,7 +50,7 @@ def contents(store: Store) -> tuple:
     return (
         dict(data.objects),
         set(data.links),
-        {oid: dict(state) for oid, state in data.states.items()},
+        dict(data.states),
         None if data._incident is None else dict(data._incident),
         store.log.dump(),
         store.counter,
@@ -204,7 +204,7 @@ class TestCommit:
     def test_update_replaces_whole_state(self, store):
         store.apply([CreateObject.make("I1", "Identity", {"name": "ana", "age": 3})])
         store.apply([UpdateState.make("I1", {"name": "bo"})])
-        assert store.data.states["I1"] == {"name": "bo"}
+        assert dict(store.data.states["I1"]) == {"name": "bo"}
 
     def test_list_order_does_not_change_a_commit(self):
         # Each generated tx batch, committed once as listed and once with
@@ -232,7 +232,7 @@ class TestApply:
     def test_apply_commits_a_batch(self, store):
         ts = store.apply([CreateObject.make("I1", "Identity", {"name": "ana"})])
         assert ts == 1
-        assert store.data.states["I1"] == {"name": "ana"}
+        assert dict(store.data.states["I1"]) == {"name": "ana"}
 
     def test_apply_failure_releases_writer_and_changes_nothing(self, store):
         rejects(store, [I1, CreateObject.make("X1", "Spaceship")], SchemaMismatchError)
@@ -322,7 +322,7 @@ def test_a_held_snapshot_survives_a_commit_of_each_kind(store, case, indexed):
 def test_a_rejected_update_only_batch_leaves_the_live_states_alone(store):
     build_f1(store)
     states = store.data.states
-    before = {oid: dict(state) for oid, state in states.items()}
+    before = dict(states)
     rejects(store, [UpdateState.make("I1", {"name": "al"}), UpdateState.make("X9", {})],
             UnknownIdError)
     assert store.data.states is states

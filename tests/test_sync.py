@@ -20,6 +20,7 @@ from relsync.model import (
     Link,
     SystemData,
     UpdateState,
+    freeze_state,
 )
 from relsync.paths import relevant_paths
 from relsync.runner import run_scenario
@@ -58,7 +59,11 @@ def contact_chain():
     return SystemData(
         objects={"I1": "Identity", "C1": "Contact", "I2": "Identity"},
         links={OWN, REF},
-        states={"I1": {}, "C1": {"nick": "c"}, "I2": {"name": "bo"}},
+        states={
+            "I1": (),
+            "C1": freeze_state({"nick": "c"}),
+            "I2": freeze_state({"name": "bo"}),
+        },
     )
 
 
@@ -81,7 +86,7 @@ class TestSweepRule:
         assert crt_ids(delta) == {"I2"}
 
     def test_root_created_at_the_cursor_is_not_resent(self):
-        data = SystemData(objects={"I1": "Identity"}, states={"I1": {}})
+        data = SystemData(objects={"I1": "Identity"}, states={"I1": ()})
         log = logged(("I1", ActionType.CREATE, 5))
         assert sync_at(5, data, log, [parse_expression("{user}")]).is_empty()
         assert crt_ids(sync_at(4, data, log, [parse_expression("{user}")])) == {"I1"}
@@ -98,7 +103,7 @@ class TestSweepRule:
         assert delta.crt_links == {REF}
         assert delta.crt_objects == {("I2", "Identity")}
         assert delta.upd_objects == set()
-        assert delta.states == {"I2": {"name": "bo"}}
+        assert delta.states == {"I2": freeze_state({"name": "bo"})}
         assert delta.ts_cs == 2
 
     def test_new_first_edge_sweeps_the_whole_tail(self):
@@ -147,7 +152,7 @@ class TestSweepRule:
         new_ref = Link("C1", "I3", "Reference")
         data = contact_chain()
         data.objects["I3"] = "Identity"
-        data.states["I3"] = {}
+        data.states["I3"] = ()
         data.links.add(new_ref)
         log = logged(
             *((x, ActionType.CREATE, 1) for x in ("I1", "C1", "I2", "I3", OWN, REF)),
@@ -337,7 +342,7 @@ class TestFirstSync:
         store.apply([CreateObject.make("I1", "Identity", {"name": "ana"})])
         delta = sync_once(store, SyncCursor("I1"), [parse_expression("{user}")])
         assert delta.crt_objects == {("I1", "Identity")}
-        assert delta.states == {"I1": {"name": "ana"}}
+        assert delta.states == {"I1": freeze_state({"name": "ana"})}
 
 
 class TestIncrementalSync:
@@ -357,7 +362,7 @@ class TestIncrementalSync:
         delta = sync_once(store, cursor, fixture_exprs)
         assert delta.upd_objects == {"I2"}
         assert delta.crt_objects == set()
-        assert delta.states == {"I2": {"name": "bob"}}
+        assert delta.states == {"I2": freeze_state({"name": "bob"})}
         assert delta.ts_cs == 4
 
     def test_new_contact_sweeps_in_old_identity(self, schema, fixture_exprs):
@@ -383,7 +388,7 @@ class TestIncrementalSync:
             Link("I1", "C2", "Ownership"),
             Link("C2", "I4", "Reference"),
         }
-        assert delta.states["I4"] == {"name": "dee"}
+        assert dict(delta.states["I4"]) == {"name": "dee"}
         # the stale root is not re-delivered: the sweep starts at the edge
         assert "I1" not in crt_ids(delta)
         assert delta.ts_cs == 5
@@ -403,7 +408,7 @@ class TestIncrementalSync:
         # it must arrive exactly once, as a create carrying fresh state
         assert "I3" in crt_ids(delta)
         assert "I3" not in delta.upd_objects
-        assert delta.states["I3"] == {"name": "cy2"}
+        assert dict(delta.states["I3"]) == {"name": "cy2"}
 
 
 class TestDeletionBroadcast:
